@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import re
+import shlex
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -184,8 +185,8 @@ def _cmd_verify(args) -> int:
     for check in report.failures():
         check.witness = dict(check.witness or {})
         check.witness["replay"] = (
-            f"gkmalg verify {args.dump} --suite {args.suite} --seed {args.seed}"
-            f" --budget {args.budget}"
+            f"gkmalg verify {shlex.quote(args.dump)} --suite {args.suite} --seed {args.seed}"
+            f" --budget {args.budget} --oracle-samples {args.oracle_samples}"
         )
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from time import perf_counter
+from itertools import combinations
 from typing import Mapping, Sequence
 
-from .report import CheckResult
+from .report import CheckFailed, CheckResult, checking
 from .scalars import CSURD_ZERO, SURD_ZERO, ComplexSurd, SurdScalar
 
 Vector = tuple[ComplexSurd, ...]
@@ -138,54 +138,32 @@ def jacobi_check_finite(f, dim: int, name: str = "") -> CheckResult:
     cancel pairwise), and without it a single flipped entry would otherwise
     slip through the vacuous low-rank triples.
     """
-    start = perf_counter()
     label = f"jacobi_finite[{name}]" if name else "jacobi_finite"
-    checked = 0
-    for a in range(1, dim + 1):
-        for b in range(a, dim + 1):
-            forward = f.get((a, b), {})
-            backward = f.get((b, a), {})
-            for c in set(forward) | set(backward):
-                total = forward.get(c, SURD_ZERO) + backward.get(c, SURD_ZERO)
-                if not total.is_zero:
-                    return CheckResult(
-                        name=label,
-                        passed=False,
-                        witness={
-                            "indices": [a, b, c],
-                            "kind": "antisymmetry",
-                            "value": str(total),
-                        },
-                        wall_time=perf_counter() - start,
-                    )
-    for a in range(1, dim + 1):
-        for b in range(a + 1, dim + 1):
-            for c in range(b + 1, dim + 1):
-                acc: dict[int, SurdScalar] = {}
-                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                    for d, v1 in f.get((x, y), {}).items():
-                        for e, v2 in f.get((d, z), {}).items():
-                            s = acc.get(e, SURD_ZERO) + v1 * v2
-                            if s.is_zero:
-                                acc.pop(e, None)
-                            else:
-                                acc[e] = s
-                checked += 1
-                if acc:
-                    e, value = next(iter(acc.items()))
-                    return CheckResult(
-                        name=label,
-                        passed=False,
-                        witness={"indices": [a, b, c, e], "value": str(value)},
-                        wall_time=perf_counter() - start,
-                        details={"triples": checked},
-                    )
-    return CheckResult(
-        name=label,
-        passed=True,
-        wall_time=perf_counter() - start,
-        details={"triples": checked},
-    )
+    with checking(label) as result:
+        for a in range(1, dim + 1):
+            for b in range(a, dim + 1):
+                forward = f.get((a, b), {})
+                backward = f.get((b, a), {})
+                for c in set(forward) | set(backward):
+                    total = forward.get(c, SURD_ZERO) + backward.get(c, SURD_ZERO)
+                    if not total.is_zero:
+                        raise CheckFailed(
+                            {"indices": [a, b, c], "kind": "antisymmetry", "value": str(total)}
+                        )
+        for a, b, c in result.tally("triples", combinations(range(1, dim + 1), 3)):
+            acc: dict[int, SurdScalar] = {}
+            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                for d, v1 in f.get((x, y), {}).items():
+                    for e, v2 in f.get((d, z), {}).items():
+                        s = acc.get(e, SURD_ZERO) + v1 * v2
+                        if s.is_zero:
+                            acc.pop(e, None)
+                        else:
+                            acc[e] = s
+            if acc:
+                e, value = next(iter(acc.items()))
+                raise CheckFailed({"indices": [a, b, c, e], "value": str(value)})
+    return result
 
 
 def make_algebra(name: str) -> FiniteAlgebra:

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from time import perf_counter
-from .report import CheckResult
+from .report import CheckFailed, CheckResult, checking
 from .scalars import SURD_ONE, SURD_ZERO, SurdScalar
 from .wigner import SpinTriple, clebsch_gordan, gaunt_normalized
 
@@ -310,29 +309,15 @@ class ModeSystem:
         """Eigenvalues must pair to zero across eta: <D f, g> = <f, D g>."""
         if not 1 <= j <= self.r:
             raise ValueError(f"operator index {j} out of range 1..{self.r}")
-        start = perf_counter()
-        name = f"hermiticity_D{j}"
-        for I in self.modes:
-            partner, _ = self.eta(I)
-            total = self.eigen(I)[j - 1] + self.eigen(partner)[j - 1]
-            if total:
-                return CheckResult(
-                    name=name,
-                    passed=False,
-                    witness={
-                        "mode": list(I),
-                        "partner": list(partner),
-                        "eigen_sum": str(total),
-                    },
-                    wall_time=perf_counter() - start,
-                    details={"modes": len(self.modes)},
-                )
-        return CheckResult(
-            name=name,
-            passed=True,
-            wall_time=perf_counter() - start,
-            details={"modes": len(self.modes)},
-        )
+        with checking(f"hermiticity_D{j}") as result:
+            for I in result.tally("modes", self.modes):
+                partner, _ = self.eta(I)
+                total = self.eigen(I)[j - 1] + self.eigen(partner)[j - 1]
+                if total:
+                    raise CheckFailed(
+                        {"mode": list(I), "partner": list(partner), "eigen_sum": str(total)}
+                    )
+        return result
 
 
 def enumerate_modes(geometry: Geometry, cutoff: int) -> list[ModeLabel]:

@@ -1,8 +1,16 @@
-"""Machine-readable pass/fail records for the verification suites."""
+"""Machine-readable pass/fail records for the verification suites.
+
+:func:`checking` is the one harness every check runs under: it builds and
+times the check's :class:`CheckResult` and turns a :class:`CheckFailed`
+raised by the check body into a failure carrying the witness.  It imports
+nothing from the package, so every module that defines a check can use it.
+"""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from time import perf_counter
 
 
 @dataclass
@@ -21,6 +29,13 @@ class CheckResult:
     witness: dict | None = None
     wall_time: float = 0.0
     details: dict = field(default_factory=dict)
+
+    def tally(self, key: str, items):
+        """Yield ``items``, counting each one into ``details[key]`` as it is checked."""
+        self.details[key] = 0
+        for item in items:
+            self.details[key] += 1
+            yield item
 
     def to_dict(self) -> dict:
         out = {
@@ -48,6 +63,32 @@ class CheckResult:
             wall_time=float(data.get("wall_time_s", 0.0)),
             details=data.get("details", {}),
         )
+
+
+class CheckFailed(Exception):
+    """Raised inside :func:`checking` to fail the check with ``witness``."""
+
+    def __init__(self, witness: dict):
+        super().__init__(witness)
+        self.witness = witness
+
+
+@contextmanager
+def checking(name: str):
+    """Run one check body and yield the :class:`CheckResult` it fills in.
+
+    The body records its items (see :meth:`CheckResult.tally`), may set the
+    regime and seed, and fails by raising :class:`CheckFailed`.  The harness
+    sets ``passed``, ``witness`` and ``wall_time``.
+    """
+    result = CheckResult(name=name, passed=True)
+    start = perf_counter()
+    try:
+        yield result
+    except CheckFailed as failure:
+        result.passed = False
+        result.witness = failure.witness
+    result.wall_time = perf_counter() - start
 
 
 @dataclass

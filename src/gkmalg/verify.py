@@ -1,13 +1,18 @@
 """Verification suites: every asserted algebraic property, exactly or vs oracle.
 
-Each check returns a :class:`CheckResult`; failures carry a witness with
-the offending generator ids / mode labels and the nonzero value.  Checks
-read the materialised tables of the algebra under test (not the generating
-rules), so a tampered dump is diagnosed here rather than at parse time.
+Each check body runs under the harness ``checking(name)`` of
+:mod:`gkmalg.report`, which times it and builds its :class:`CheckResult`.
+The body counts the distinct items it checks into ``details`` under one item
+key (``triples``, ``pairs``, ``bracket_pairs``, ``entries``, ``samples``,
+``modes`` or ``dim``) and fails by raising :class:`CheckFailed` with a witness:
+the offending generator ids or mode labels and the nonzero value.  Checks read
+the materialised tables of the algebra under test (not the generating rules),
+so a tampered dump is diagnosed here rather than at parse time.
 
-Triple-based checks run exhaustively up to a budget and switch to seeded
-random sampling above it; the report records which regime ran, and a fixed
-seed reproduces a sampled run exactly.
+:func:`_draw` alone picks the regime: a budget that covers the population
+checks every item in order ("exhaustive"); a smaller one checks that many
+distinct items of the same population, drawn by :func:`sample_items`
+("sampled", with the seed that reproduces the draw exactly).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from time import perf_counter
+from math import comb, factorial
 
 from .algebra import GKMAlgebra, GKMElement, GenId, build_algebra
 from .liealg import coefficients_in_span, jacobi_check_finite, killing_form
@@ -27,59 +32,86 @@ from .quadrature import (
     numeric_eigencheck,
     numeric_product_coefficient,
 )
-from .report import CheckResult, VerificationReport
-from .scalars import CSURD_ZERO, SURD_ZERO
+from .report import CheckFailed, CheckResult, VerificationReport, checking
+from .scalars import CSURD_ZERO, SURD_ONE, SURD_ZERO
 
 DEFAULT_BUDGET = 50_000
 
 
-def _gen_str(gen: GenId) -> str:
-    return repr(gen)
+# -- populations and the sampler ----------------------------------------------
 
 
-def _regime(total: int, budget: int, seed: int | None):
-    if total <= budget:
-        return "exhaustive", None
-    return "sampled", (seed if seed is not None else 0)
+class Combinations:
+    """The ``k``-combinations of ``items`` (with ``repeats``: multisets), lazily.
+
+    With ``lead``, each is preceded by one more item ranging over all of
+    ``items``.  Iteration is the exhaustive loop in ``itertools`` order;
+    ``len`` counts the population and ``[i]`` unranks its ``i``-th element
+    without listing the others.
+    """
+
+    def __init__(self, items, k: int, repeats: bool = False, lead: bool = False):
+        self.items, self.k, self.repeats, self.lead = list(items), k, repeats, lead
+        # a multiset c_0 <= ... <= c_k-1 of range(n) is the set c_j + j of range(n + k - 1)
+        self._span = len(self.items) + (k - 1 if repeats else 0)
+        self._tails = comb(self._span, k)
+
+    def __len__(self) -> int:
+        return (len(self.items) if self.lead else 1) * self._tails
+
+    def __iter__(self):
+        combos = itertools.combinations_with_replacement if self.repeats else itertools.combinations
+        heads = [(x,) for x in self.items] if self.lead else [()]
+        return (head + tail for head in heads for tail in combos(self.items, self.k))
+
+    def __getitem__(self, index: int) -> tuple:
+        head, rank = divmod(index, self._tails)
+        picks = [head] if self.lead else []
+        # lexicographic rank r of a k-set S is colex rank total-1-r of {span-1-s : s in S}
+        rest = self._tails - 1 - rank
+        for slot, size in enumerate(range(self.k, 0, -1)):
+            c = _colex_top(rest, size)
+            rest -= comb(c, size)
+            picks.append(self._span - 1 - c - (slot if self.repeats else 0))
+        return tuple(self.items[i] for i in picks)
 
 
-def _sample_combinations(items, k: int, count: int, seed: int):
-    rng = random.Random(seed)
-    n = len(items)
-    total = 1
-    for i in range(k):
-        total = total * (n - i) // (i + 1)
-    count = min(count, total)
-    seen = set()
-    out = []
-    while len(out) < count:
-        pick = tuple(sorted(rng.sample(range(n), k)))
-        if pick in seen:
-            continue
-        seen.add(pick)
-        out.append(tuple(items[i] for i in pick))
-    return out
+def _colex_top(rank: int, size: int) -> int:
+    """The largest c with comb(c, size) <= rank, from a float estimate."""
+    c = max(size - 1, int((factorial(size) * rank) ** (1 / size)) + size // 2)
+    while comb(c + 1, size) <= rank:
+        c += 1
+    while comb(c, size) > rank:
+        c -= 1
+    return c
+
+
+def sample_items(population, count: int, seed: int):
+    """``count`` distinct items of ``population`` (all if fewer), in seeded order.
+
+    Only the drawn indices are held, never the population.
+    """
+    picks = random.Random(seed).sample(range(len(population)), min(count, len(population)))
+    return (population[i] for i in picks)
+
+
+def _draw(result: CheckResult, key: str, population, sample: str | int, seed: int | None):
+    """Set ``result``'s regime and seed for a budget; yield the items to check, tallied."""
+    if sample != "all" and int(sample) < len(population):
+        result.regime, result.seed = "sampled", (seed if seed is not None else 0)
+        population = sample_items(population, int(sample), result.seed)
+    return result.tally(key, population)
 
 
 # -- mode-system axioms ---------------------------------------------------------
 
 
 def commutativity_check(ms: ModeSystem) -> CheckResult:
-    start = perf_counter()
-    for I, J in itertools.combinations(ms.modes, 2):
-        if ms.products[(I, J)] != ms.products[(J, I)]:
-            return CheckResult(
-                name="product_commutativity",
-                passed=False,
-                witness={"modes": [list(I), list(J)]},
-                wall_time=perf_counter() - start,
-            )
-    return CheckResult(
-        name="product_commutativity",
-        passed=True,
-        wall_time=perf_counter() - start,
-        details={"pairs": len(ms.modes) * (len(ms.modes) - 1) // 2},
-    )
+    with checking("product_commutativity") as result:
+        for I, J in result.tally("pairs", itertools.combinations(ms.modes, 2)):
+            if ms.products[(I, J)] != ms.products[(J, I)]:
+                raise CheckFailed({"modes": [list(I), list(J)]})
+    return result
 
 
 def _expand(ms: ModeSystem, table: dict, other) -> dict:
@@ -103,115 +135,52 @@ def associativity_check(
     Products of in-cutoff modes extend beyond the cutoff; the intermediate
     sums stay finite on every supported manifold, so the comparison is exact.
     """
-    start = perf_counter()
-    triples = list(itertools.combinations_with_replacement(ms.modes, 3))
-    regime, used_seed = _regime(len(triples), budget, seed)
-    if regime == "sampled":
-        rng = random.Random(used_seed)
-        triples = rng.sample(triples, budget)
-    checked = 0
-    for I, J, K in triples:
-        left = _expand(ms, ms.product(I, J), K)
-        mid = _expand(ms, ms.product(J, K), I)
-        if left != mid:
-            return CheckResult(
-                name="product_associativity",
-                passed=False,
-                regime=regime,
-                seed=used_seed,
-                witness={"modes": [list(I), list(J), list(K)]},
-                wall_time=perf_counter() - start,
-                details={"triples": checked},
-            )
-        right = _expand(ms, ms.product(I, K), J)
-        if left != right:
-            return CheckResult(
-                name="product_associativity",
-                passed=False,
-                regime=regime,
-                seed=used_seed,
-                witness={"modes": [list(I), list(K), list(J)]},
-                wall_time=perf_counter() - start,
-                details={"triples": checked},
-            )
-        checked += 1
-    return CheckResult(
-        name="product_associativity",
-        passed=True,
-        regime=regime,
-        seed=used_seed,
-        wall_time=perf_counter() - start,
-        details={"triples": checked},
-    )
+    with checking("product_associativity") as result:
+        population = Combinations(ms.modes, 3, repeats=True)
+        for I, J, K in _draw(result, "triples", population, budget, seed):
+            left = _expand(ms, ms.product(I, J), K)
+            if left != _expand(ms, ms.product(J, K), I):
+                raise CheckFailed({"modes": [list(I), list(J), list(K)]})
+            if left != _expand(ms, ms.product(I, K), J):
+                raise CheckFailed({"modes": [list(I), list(K), list(J)]})
+    return result
 
 
 def eigen_additivity_check(ms: ModeSystem) -> CheckResult:
-    start = perf_counter()
-    entries = 0
-    for (I, J), table in ms.products.items():
-        target = tuple(a + b for a, b in zip(ms.eigen(I), ms.eigen(J)))
-        for K, c in table.items():
-            entries += 1
-            if c.is_zero:
-                continue
-            if ms.eigen(K) != target:
-                return CheckResult(
-                    name="eigen_additivity",
-                    passed=False,
-                    witness={
+    with checking("eigen_additivity") as result:
+        entries = ((I, J, K, c) for (I, J), table in ms.products.items() for K, c in table.items())
+        for I, J, K, c in result.tally("entries", entries):
+            target = tuple(a + b for a, b in zip(ms.eigen(I), ms.eigen(J)))
+            if not c.is_zero and ms.eigen(K) != target:
+                raise CheckFailed(
+                    {
                         "modes": [list(I), list(J), list(K)],
                         "eigen_K": [str(v) for v in ms.eigen(K)],
                         "expected": [str(v) for v in target],
-                    },
-                    wall_time=perf_counter() - start,
+                    }
                 )
-    return CheckResult(
-        name="eigen_additivity",
-        passed=True,
-        wall_time=perf_counter() - start,
-        details={"entries": entries},
-    )
+    return result
 
 
 def unit_check(ms: ModeSystem) -> CheckResult:
-    start = perf_counter()
-    unit = ms.unit
-    one = SURD_ZERO + 1
-    for I in ms.modes:
-        expected = {I: one}
-        if ms.products[(unit, I)] != expected or ms.products[(I, unit)] != expected:
-            return CheckResult(
-                name="unit_mode",
-                passed=False,
-                witness={"mode": list(I)},
-                wall_time=perf_counter() - start,
-            )
-    return CheckResult(
-        name="unit_mode",
-        passed=True,
-        wall_time=perf_counter() - start,
-        details={"modes": len(ms.modes)},
-    )
+    with checking("unit_mode") as result:
+        for I in result.tally("modes", ms.modes):
+            expected = {I: SURD_ONE}
+            if ms.products[(ms.unit, I)] != expected or ms.products[(I, ms.unit)] != expected:
+                raise CheckFailed({"mode": list(I)})
+    return result
 
 
 def eta_involution_check(ms: ModeSystem) -> CheckResult:
-    start = perf_counter()
-    for I in ms.modes:
-        J, phase1 = ms.eta(I)
-        back, phase2 = ms.eta(J)
-        if back != I or phase1 * phase2 != 1:
-            return CheckResult(
-                name="eta_involution",
-                passed=False,
-                witness={"mode": list(I), "partner": list(J), "phases": [phase1, phase2]},
-                wall_time=perf_counter() - start,
-            )
-    return CheckResult(
-        name="eta_involution",
-        passed=True,
-        wall_time=perf_counter() - start,
-        details={"modes": len(ms.modes)},
-    )
+    with checking("eta_involution") as result:
+        for I in result.tally("modes", ms.modes):
+            J, phase1 = ms.eta(I)
+            back, phase2 = ms.eta(J)
+            if back != I or phase1 * phase2 != 1:
+                raise CheckFailed(
+                    {"mode": list(I), "partner": list(J), "phases": [phase1, phase2]}
+                )
+    return result
 
 
 def mode_axiom_checks(
@@ -246,99 +215,55 @@ def jacobi_check_gkm(
     antisymmetry.  Central terms ride along, so this simultaneously verifies
     the 2-cocycle identity.
     """
-    start = perf_counter()
-    gens = alg.generators()
-    if sample == "all":
-        regime, used_seed = "exhaustive", None
-        triples = itertools.combinations(gens, 3)
-        total = None
-    else:
-        regime, used_seed = "sampled", (seed if seed is not None else 0)
-        triples = _sample_combinations(gens, 3, int(sample), used_seed)
-        total = int(sample)
-    checked = 0
-    for x, y, z in triples:
-        ex, ey, ez = alg.generator(x), alg.generator(y), alg.generator(z)
-        acc = alg.bracket(alg.bracket(ex, ey), ez)
-        acc = acc + alg.bracket(alg.bracket(ey, ez), ex)
-        acc = acc + alg.bracket(alg.bracket(ez, ex), ey)
-        checked += 1
-        if not acc.is_zero:
-            gen, coeff = next(iter(acc.coeffs.items()))
-            return CheckResult(
-                name="jacobi_gkm",
-                passed=False,
-                regime=regime,
-                seed=used_seed,
-                witness={
-                    "generators": [_gen_str(x), _gen_str(y), _gen_str(z)],
-                    "component": _gen_str(gen),
-                    "value": str(coeff),
-                },
-                wall_time=perf_counter() - start,
-                details={"triples": checked},
-            )
-    return CheckResult(
-        name="jacobi_gkm",
-        passed=True,
-        regime=regime,
-        seed=used_seed,
-        wall_time=perf_counter() - start,
-        details={"triples": checked if total is None else total},
-    )
+    with checking("jacobi_gkm") as result:
+        triples = _draw(result, "triples", Combinations(alg.generators(), 3), sample, seed)
+        for x, y, z in triples:
+            ex, ey, ez = alg.generator(x), alg.generator(y), alg.generator(z)
+            acc = alg.bracket(alg.bracket(ex, ey), ez)
+            acc = acc + alg.bracket(alg.bracket(ey, ez), ex)
+            acc = acc + alg.bracket(alg.bracket(ez, ex), ey)
+            if not acc.is_zero:
+                gen, coeff = next(iter(acc.coeffs.items()))
+                raise CheckFailed(
+                    {
+                        "generators": [repr(x), repr(y), repr(z)],
+                        "component": repr(gen),
+                        "value": str(coeff),
+                    }
+                )
+    return result
 
 
 def antisymmetry_check(alg: GKMAlgebra) -> CheckResult:
-    start = perf_counter()
-    gens = alg.generators()
-    for x, y in itertools.combinations_with_replacement(gens, 2):
-        forward = alg.bracket_generators(x, y)
-        backward = alg.bracket_generators(y, x)
-        if not (forward + backward).is_zero:
-            return CheckResult(
-                name="bracket_antisymmetry",
-                passed=False,
-                witness={"generators": [_gen_str(x), _gen_str(y)]},
-                wall_time=perf_counter() - start,
-            )
-    return CheckResult(
-        name="bracket_antisymmetry",
-        passed=True,
-        wall_time=perf_counter() - start,
-        details={"pairs": len(gens) * (len(gens) + 1) // 2},
-    )
+    with checking("bracket_antisymmetry") as result:
+        pairs = itertools.combinations_with_replacement(alg.generators(), 2)
+        for x, y in result.tally("pairs", pairs):
+            forward = alg.bracket_generators(x, y)
+            backward = alg.bracket_generators(y, x)
+            if not (forward + backward).is_zero:
+                raise CheckFailed({"generators": [repr(x), repr(y)]})
+    return result
 
 
 def cocycle_antisymmetry_check(alg: GKMAlgebra) -> CheckResult:
     """omega_j(x, y) + omega_j(y, x) = 0 for all mode pairs and all j."""
-    start = perf_counter()
-    ms = alg.modes
-    checked = 0
-    for I in ms.modes:
-        J, phase_forward = ms.eta(I)
-        back, phase_back = ms.eta(J)
-        for j in range(1, ms.r + 1):
+    with checking("cocycle_antisymmetry") as result:
+        ms = alg.modes
+        for I, j in result.tally("pairs", itertools.product(ms.modes, range(1, ms.r + 1))):
+            J, phase_forward = ms.eta(I)
+            back, phase_back = ms.eta(J)
             forward = ms.eigen(I)[j - 1] * phase_forward
             backward = ms.eigen(J)[j - 1] * phase_back if back == I else None
-            checked += 1
             if backward is None or forward + backward != 0:
-                return CheckResult(
-                    name="cocycle_antisymmetry",
-                    passed=False,
-                    witness={
+                raise CheckFailed(
+                    {
                         "operator": j,
                         "modes": [list(I), list(J)],
                         "omega_IJ": str(forward),
                         "omega_JI": "undefined" if backward is None else str(backward),
-                    },
-                    wall_time=perf_counter() - start,
+                    }
                 )
-    return CheckResult(
-        name="cocycle_antisymmetry",
-        passed=True,
-        wall_time=perf_counter() - start,
-        details={"pairs": checked},
-    )
+    return result
 
 
 def invariance_check(
@@ -347,45 +272,16 @@ def invariance_check(
     seed: int | None = None,
 ) -> CheckResult:
     """<[x,y],z> + <y,[x,z]> = 0 over generator triples (x ordered, y<=z)."""
-    start = perf_counter()
-    gens = alg.generators()
-    pairs = list(itertools.combinations_with_replacement(range(len(gens)), 2))
-    if sample == "all":
-        regime, used_seed = "exhaustive", None
-        work = ((x, gens[i], gens[j]) for x in gens for i, j in pairs)
-    else:
-        regime, used_seed = "sampled", (seed if seed is not None else 0)
-        rng = random.Random(used_seed)
-        work = (
-            (rng.choice(gens), *rng.sample(gens, 2))
-            for _ in range(int(sample))
-        )
-    checked = 0
-    for x, y, z in work:
-        ex, ey, ez = alg.generator(x), alg.generator(y), alg.generator(z)
-        total = alg.killing(alg.bracket(ex, ey), ez) + alg.killing(ey, alg.bracket(ex, ez))
-        checked += 1
-        if not total.is_zero:
-            return CheckResult(
-                name="invariance",
-                passed=False,
-                regime=regime,
-                seed=used_seed,
-                witness={
-                    "generators": [_gen_str(x), _gen_str(y), _gen_str(z)],
-                    "value": str(total),
-                },
-                wall_time=perf_counter() - start,
-                details={"triples": checked},
-            )
-    return CheckResult(
-        name="invariance",
-        passed=True,
-        regime=regime,
-        seed=used_seed,
-        wall_time=perf_counter() - start,
-        details={"triples": checked},
-    )
+    with checking("invariance") as result:
+        population = Combinations(alg.generators(), 2, repeats=True, lead=True)
+        for x, y, z in _draw(result, "triples", population, sample, seed):
+            ex, ey, ez = alg.generator(x), alg.generator(y), alg.generator(z)
+            total = alg.killing(alg.bracket(ex, ey), ez) + alg.killing(ey, alg.bracket(ex, ez))
+            if not total.is_zero:
+                raise CheckFailed(
+                    {"generators": [repr(x), repr(y), repr(z)], "value": str(total)}
+                )
+    return result
 
 
 def killing_consistency_check(alg: GKMAlgebra) -> CheckResult:
@@ -395,35 +291,26 @@ def killing_consistency_check(alg: GKMAlgebra) -> CheckResult:
     metric invariant, so this f-vs-g consistency check is what pins the
     normalisation a dump claims.
     """
-    start = perf_counter()
-    base = alg.base
-    recomputed = killing_form(base.f, base.dim)
-    for a in range(base.dim):
-        for b in range(base.dim):
-            if recomputed[a][b] != base.g[a][b]:
-                return CheckResult(
-                    name="killing_consistency",
-                    passed=False,
-                    witness={
-                        "indices": [a + 1, b + 1],
-                        "stored": str(base.g[a][b]),
-                        "recomputed": str(recomputed[a][b]),
-                    },
-                    wall_time=perf_counter() - start,
-                )
-    return CheckResult(
-        name="killing_consistency",
-        passed=True,
-        wall_time=perf_counter() - start,
-        details={"dim": base.dim},
-    )
+    with checking("killing_consistency") as result:
+        base = alg.base
+        recomputed = killing_form(base.f, base.dim)
+        for a in range(base.dim):
+            for b in range(base.dim):
+                if recomputed[a][b] != base.g[a][b]:
+                    raise CheckFailed(
+                        {
+                            "indices": [a + 1, b + 1],
+                            "stored": str(base.g[a][b]),
+                            "recomputed": str(recomputed[a][b]),
+                        }
+                    )
+        result.details["dim"] = base.dim
+    return result
 
 
-def killing_table_check(alg: GKMAlgebra) -> CheckResult:
-    """The generator pairing table itself: <T,T> = g eta, <D,k> = delta, else 0."""
-    start = perf_counter()
+def _killing_table_entries(alg: GKMAlgebra):
+    """(p, q, expected <p, q>) for every pair the pairing table must satisfy."""
     ms = alg.modes
-    checked = 0
     for a in range(1, alg.base.dim + 1):
         for b in range(1, alg.base.dim + 1):
             gab = alg.base.killing_entry(a, b)
@@ -431,52 +318,33 @@ def killing_table_check(alg: GKMAlgebra) -> CheckResult:
                 partner, phase = ms.eta(I)
                 for J in ms.modes:
                     expected = gab * phase if J == partner else SURD_ZERO
-                    got = alg.killing_generators(("T", a, I), ("T", b, J))
-                    checked += 1
-                    if not got.im.is_zero or got.re != expected:
-                        return CheckResult(
-                            name="killing_table",
-                            passed=False,
-                            witness={
-                                "pair": [_gen_str(("T", a, I)), _gen_str(("T", b, J))],
-                                "value": str(got),
-                                "expected": str(expected),
-                            },
-                            wall_time=perf_counter() - start,
-                        )
-    r = alg.r
+                    yield ("T", a, I), ("T", b, J), expected
     sample_t = ("T", 1, ms.modes[0])
-    for i in range(1, r + 1):
-        for j in range(1, r + 1):
-            want = Fraction(1 if i == j else 0)
-            pairs = [
-                (("D", i), ("k", j), want),
-                (("k", i), ("D", j), Fraction(1 if i == j else 0)),
-                (("D", i), ("D", j), Fraction(0)),
-                (("k", i), ("k", j), Fraction(0)),
-                (("D", i), sample_t, Fraction(0)),
-                (("k", i), sample_t, Fraction(0)),
-            ]
-            for p, q, expected in pairs:
-                got = alg.killing_generators(p, q)
-                checked += 1
-                if not got.im.is_zero or got.re != expected:
-                    return CheckResult(
-                        name="killing_table",
-                        passed=False,
-                        witness={
-                            "pair": [_gen_str(p), _gen_str(q)],
-                            "value": str(got),
-                            "expected": str(expected),
-                        },
-                        wall_time=perf_counter() - start,
-                    )
-    return CheckResult(
-        name="killing_table",
-        passed=True,
-        wall_time=perf_counter() - start,
-        details={"pairs": checked},
-    )
+    for i in range(1, alg.r + 1):
+        for j in range(1, alg.r + 1):
+            delta = Fraction(1 if i == j else 0)
+            yield ("D", i), ("k", j), delta
+            yield ("k", i), ("D", j), delta
+            yield ("D", i), ("D", j), Fraction(0)
+            yield ("k", i), ("k", j), Fraction(0)
+            yield ("D", i), sample_t, Fraction(0)
+            yield ("k", i), sample_t, Fraction(0)
+
+
+def killing_table_check(alg: GKMAlgebra) -> CheckResult:
+    """The generator pairing table itself: <T,T> = g eta, <D,k> = delta, else 0."""
+    with checking("killing_table") as result:
+        for p, q, expected in result.tally("pairs", _killing_table_entries(alg)):
+            got = alg.killing_generators(p, q)
+            if not got.im.is_zero or got.re != expected:
+                raise CheckFailed(
+                    {
+                        "pair": [repr(p), repr(q)],
+                        "value": str(got),
+                        "expected": str(expected),
+                    }
+                )
+    return result
 
 
 def grading_check(alg: GKMAlgebra) -> CheckResult:
@@ -487,59 +355,44 @@ def grading_check(alg: GKMAlgebra) -> CheckResult:
     root line (or the Cartan span at a+b = 0, or vanish when a+b is not a
     root), and the central part must vanish unless a+b = 0 and m+n = 0.
     """
-    start = perf_counter()
-    if alg.cw is None:
-        return CheckResult(
-            name="grading",
-            passed=True,
-            regime="skipped",
-            wall_time=perf_counter() - start,
-            details={"note": "abelian base: no root grading to check"},
+    with checking("grading") as result:
+        if alg.cw is None:
+            result.regime = "skipped"
+            result.details["note"] = "abelian base: no root grading to check"
+            return result
+        cw = alg.cw
+        zero_root = tuple(Fraction(0) for _ in cw.roots[0])
+        labels = [lab for lab in alg.root_space_labels() if alg.root_space(*lab)]
+        root_set = set(cw.roots)
+        brackets = (
+            (alpha, m, beta, n, alg.bracket(u, v))
+            for (alpha, m), (beta, n) in itertools.combinations_with_replacement(labels, 2)
+            for u in alg.root_space(alpha, m)
+            for v in alg.root_space(beta, n)
         )
-    cw = alg.cw
-    zero_root = tuple(Fraction(0) for _ in cw.roots[0])
-    labels = [lab for lab in alg.root_space_labels() if alg.root_space(*lab)]
-    root_set = set(cw.roots)
-    checked = 0
-    for (alpha, m), (beta, n) in itertools.combinations_with_replacement(labels, 2):
-        target_root = tuple(x + y for x, y in zip(alpha, beta))
-        target_eigen = tuple(x + y for x, y in zip(m, n))
-        for u in alg.root_space(alpha, m):
-            for v in alg.root_space(beta, n):
-                w = alg.bracket(u, v)
-                checked += 1
-                witness = _grading_violation(
-                    alg, w, target_root, target_eigen, root_set, zero_root
+        for alpha, m, beta, n, w in result.tally("bracket_pairs", brackets):
+            target_root = tuple(x + y for x, y in zip(alpha, beta))
+            target_eigen = tuple(x + y for x, y in zip(m, n))
+            witness = _grading_violation(alg, w, target_root, target_eigen, root_set, zero_root)
+            if witness is not None:
+                witness.update(
+                    {
+                        "alpha": [str(x) for x in alpha],
+                        "m": [str(x) for x in m],
+                        "beta": [str(x) for x in beta],
+                        "n": [str(x) for x in n],
+                    }
                 )
-                if witness is not None:
-                    witness.update(
-                        {
-                            "alpha": [str(x) for x in alpha],
-                            "m": [str(x) for x in m],
-                            "beta": [str(x) for x in beta],
-                            "n": [str(x) for x in n],
-                        }
-                    )
-                    return CheckResult(
-                        name="grading",
-                        passed=False,
-                        witness=witness,
-                        wall_time=perf_counter() - start,
-                        details={"bracket_pairs": checked},
-                    )
-    return CheckResult(
-        name="grading",
-        passed=True,
-        wall_time=perf_counter() - start,
-        details={"bracket_pairs": checked, "labels": len(labels)},
-    )
+                raise CheckFailed(witness)
+        result.details["labels"] = len(labels)
+    return result
 
 
 def _grading_violation(alg, w: GKMElement, target_root, target_eigen, root_set, zero_root):
     central_allowed = target_root == zero_root and all(v == 0 for v in target_eigen)
     for gen, coeff in w.central_part().items():
         if not central_allowed and not coeff.is_zero:
-            return {"component": _gen_str(gen), "value": str(coeff), "kind": "central"}
+            return {"component": repr(gen), "value": str(coeff), "kind": "central"}
     t_by_mode: dict = {}
     for gen, coeff in w.t_part().items():
         _, a, K = gen
@@ -574,13 +427,8 @@ def torus_hierarchy_check(
     constants under the label map.  A nonzero suffix is the designed
     negative: eigenvalue additivity then drifts out of the image.
     """
-    start = perf_counter()
     if n < 2:
         raise ValueError("hierarchy check needs a torus of dimension >= 2")
-    big = build_algebra(base, TorusGeometry(n), cutoff, charges=(Fraction(1),) * n)
-    small = build_algebra(
-        base, TorusGeometry(n - 1), cutoff, charges=(Fraction(1),) * (n - 1)
-    )
 
     def up(gen: GenId) -> GenId:
         if gen[0] == "T":
@@ -601,41 +449,26 @@ def torus_hierarchy_check(
                 return None, gen
         return mapped, None
 
-    gens = small.generators()
-    checked = 0
-    for p, q in itertools.combinations_with_replacement(gens, 2):
-        expected = small.bracket_generators(p, q)
-        got = big.bracket_generators(up(p), up(q))
-        mapped, escape = down_element(got)
-        checked += 1
-        if mapped is None:
-            return CheckResult(
-                name=f"torus_hierarchy_{n}to{n - 1}",
-                passed=False,
-                witness={
-                    "generators": [_gen_str(p), _gen_str(q)],
-                    "escaping_component": _gen_str(escape),
-                },
-                wall_time=perf_counter() - start,
-                details={"pairs": checked},
-            )
-        if mapped != expected.coeffs:
-            return CheckResult(
-                name=f"torus_hierarchy_{n}to{n - 1}",
-                passed=False,
-                witness={
-                    "generators": [_gen_str(p), _gen_str(q)],
-                    "kind": "structure constants differ under the embedding",
-                },
-                wall_time=perf_counter() - start,
-                details={"pairs": checked},
-            )
-    return CheckResult(
-        name=f"torus_hierarchy_{n}to{n - 1}",
-        passed=True,
-        wall_time=perf_counter() - start,
-        details={"pairs": checked},
-    )
+    with checking(f"torus_hierarchy_{n}to{n - 1}") as result:
+        big = build_algebra(base, TorusGeometry(n), cutoff, charges=(Fraction(1),) * n)
+        small = build_algebra(
+            base, TorusGeometry(n - 1), cutoff, charges=(Fraction(1),) * (n - 1)
+        )
+        pairs = itertools.combinations_with_replacement(small.generators(), 2)
+        for p, q in result.tally("pairs", pairs):
+            mapped, escape = down_element(big.bracket_generators(up(p), up(q)))
+            if mapped is None:
+                raise CheckFailed(
+                    {"generators": [repr(p), repr(q)], "escaping_component": repr(escape)}
+                )
+            if mapped != small.bracket_generators(p, q).coeffs:
+                raise CheckFailed(
+                    {
+                        "generators": [repr(p), repr(q)],
+                        "kind": "structure constants differ under the embedding",
+                    }
+                )
+    return result
 
 
 # -- oracle agreement ---------------------------------------------------------
@@ -654,66 +487,48 @@ def oracle_agreement_check(
 ) -> CheckResult:
     """Exact tables vs quadrature: products, eta, eigenvalues, cocycles.
 
-    Enumerates every stored quantity, shuffles with the seed, and compares
-    up to ``samples`` of them; if the table is smaller than the budget the
-    coverage is total (regime stays "exhaustive").
+    Enumerates every stored quantity and compares all of them, or ``samples``
+    of them drawn with the seed when the table is larger than that.
     """
-    start = perf_counter()
-    ms = alg.modes if isinstance(alg, GKMAlgebra) else alg
-    grid = make_grid(ms.geometry, _oracle_band(ms))
-    quantities: list[tuple] = []
-    for (I, J), table in ms.products.items():
-        for K, c in table.items():
-            quantities.append(("product", (I, J, K), float(c)))
-    for I in ms.modes:
-        J, phase = ms.eta(I)
-        quantities.append(("eta", (I, J), float(phase)))
-        for j in range(1, ms.r + 1):
-            quantities.append(("eigen", (j, I), float(ms.eigen(I)[j - 1])))
-            quantities.append(("cocycle", (j, I, J), float(ms.cocycle_pairing(j, I, J))))
-    regime, used_seed = _regime(len(quantities), samples, seed)
-    rng = random.Random(seed)
-    rng.shuffle(quantities)
-    if regime == "sampled":
-        quantities = quantities[:samples]
-    worst = 0.0
-    for kind, args, exact in quantities:
-        if kind == "product":
-            numeric = numeric_product_coefficient(grid, *args)
-        elif kind == "eta":
-            numeric = numeric_conjugation_pairing(grid, *args)
-        elif kind == "eigen":
-            numeric = numeric_eigencheck(grid, *args)
-        else:
-            numeric = numeric_cocycle_pairing(grid, *args)
-        delta = abs(numeric - exact)
-        worst = max(worst, delta)
-        if delta > tol:
-            return CheckResult(
-                name="oracle_agreement",
-                passed=False,
-                regime=regime,
-                seed=used_seed,
-                witness={
-                    "quantity": kind,
-                    "labels": repr(args),
-                    "exact": exact,
-                    "numeric": [numeric.real, numeric.imag]
-                    if isinstance(numeric, complex)
-                    else numeric,
-                    "delta": delta,
-                },
-                wall_time=perf_counter() - start,
-                details={"band": grid.band},
-            )
-    return CheckResult(
-        name="oracle_agreement",
-        passed=True,
-        regime=regime,
-        seed=used_seed,
-        wall_time=perf_counter() - start,
-        details={"samples": len(quantities), "max_delta": worst, "band": grid.band},
-    )
+    with checking("oracle_agreement") as result:
+        ms = alg.modes if isinstance(alg, GKMAlgebra) else alg
+        grid = make_grid(ms.geometry, _oracle_band(ms))
+        numeric_of = {
+            "product": numeric_product_coefficient,
+            "eta": numeric_conjugation_pairing,
+            "eigen": numeric_eigencheck,
+            "cocycle": numeric_cocycle_pairing,
+        }
+        quantities: list[tuple] = []
+        for (I, J), table in ms.products.items():
+            for K, c in table.items():
+                quantities.append(("product", (I, J, K), float(c)))
+        for I in ms.modes:
+            J, phase = ms.eta(I)
+            quantities.append(("eta", (I, J), float(phase)))
+            for j in range(1, ms.r + 1):
+                quantities.append(("eigen", (j, I), float(ms.eigen(I)[j - 1])))
+                quantities.append(("cocycle", (j, I, J), float(ms.cocycle_pairing(j, I, J))))
+        result.details["band"] = grid.band
+        worst = 0.0
+        for kind, args, exact in _draw(result, "samples", quantities, samples, seed):
+            numeric = numeric_of[kind](grid, *args)
+            delta = abs(numeric - exact)
+            worst = max(worst, delta)
+            if delta > tol:
+                raise CheckFailed(
+                    {
+                        "quantity": kind,
+                        "labels": repr(args),
+                        "exact": exact,
+                        "numeric": [numeric.real, numeric.imag]
+                        if isinstance(numeric, complex)
+                        else numeric,
+                        "delta": delta,
+                    }
+                )
+        result.details["max_delta"] = worst
+    return result
 
 
 # -- suite driver ---------------------------------------------------------------
@@ -732,15 +547,9 @@ def run_suites(
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
     report = VerificationReport()
-    gens = len(alg.generators())
-    triples = gens * (gens - 1) * (gens - 2) // 6
-
-    def jacobi_sample():
-        return "all" if triples <= budget else budget
-
     if suite in ("all", "jacobi"):
         report.add(jacobi_check_finite(alg.base.f, alg.base.dim, alg.base.name))
-        report.add(jacobi_check_gkm(alg, sample=jacobi_sample(), seed=seed))
+        report.add(jacobi_check_gkm(alg, sample=budget, seed=seed))
     if suite in ("all", "cocycle"):
         report.add(cocycle_antisymmetry_check(alg))
         report.extend(alg.modes.hermiticity_check(j) for j in range(1, alg.r + 1))
@@ -749,9 +558,7 @@ def run_suites(
     if suite in ("all", "invariance"):
         report.add(killing_consistency_check(alg))
         report.add(killing_table_check(alg))
-        x_pairs = gens * gens * (gens + 1) // 2
-        sample = "all" if x_pairs <= budget else budget
-        report.add(invariance_check(alg, sample=sample, seed=seed))
+        report.add(invariance_check(alg, sample=budget, seed=seed))
     if suite == "all":
         report.add(antisymmetry_check(alg))
         # hermiticity already ran under the cocycle block

@@ -5,6 +5,7 @@ import pytest
 from gkmalg.algebra import build_algebra
 from gkmalg.scalars import ComplexSurd, SurdScalar
 from gkmalg.verify import (
+    Combinations,
     antisymmetry_check,
     cocycle_antisymmetry_check,
     grading_check,
@@ -13,6 +14,7 @@ from gkmalg.verify import (
     killing_consistency_check,
     killing_table_check,
     oracle_agreement_check,
+    sample_items,
     torus_hierarchy_check,
 )
 
@@ -139,6 +141,30 @@ def test_jacobi_exhaustive_small():
 def test_jacobi_sampled_regime(su2_s2):
     result = jacobi_check_gkm(su2_s2, sample=50, seed=11)
     assert result.passed and result.regime == "sampled" and result.seed == 11
+
+
+def test_sampled_counts_are_distinct_items_checked():
+    alg = build_algebra("su2", "s2", 1, charges=[1])  # 14 generators
+    jacobi = jacobi_check_gkm(alg, sample=10**4, seed=1)
+    assert jacobi.details["triples"] == 14 * 13 * 12 // 6
+    assert jacobi.regime == "exhaustive" and jacobi.seed is None
+    invariance = invariance_check(alg, sample=3000, seed=1)
+    assert invariance.details["triples"] == 14 * (14 * 15 // 2)
+    invariance = invariance_check(alg, sample=1000, seed=1)
+    assert invariance.details["triples"] == 1000 and invariance.regime == "sampled"
+
+
+@pytest.mark.parametrize("k,repeats,lead", [(3, False, False), (3, True, False), (2, True, True)])
+def test_sampler_draws_from_the_exhaustive_population(k, repeats, lead):
+    population = Combinations([f"g{i}" for i in range(7)], k, repeats=repeats, lead=lead)
+    exhaustive = list(population)
+    assert len(exhaustive) == len(population)
+    assert [population[i] for i in range(len(population))] == exhaustive
+    for count in (len(population), len(population) + 5):
+        assert sorted(sample_items(population, count, seed=3)) == sorted(exhaustive)
+    drawn = list(sample_items(population, 20, seed=3))
+    assert len(set(drawn)) == 20 and set(drawn) <= set(exhaustive)
+    assert drawn == list(sample_items(population, 20, seed=3))
 
 
 def test_grading_check_passes():

@@ -1,4 +1,5 @@
 import json
+import shlex
 from fractions import Fraction
 
 import pytest
@@ -212,6 +213,38 @@ def test_every_suite_fails_on_designed_negative(s2_dump, tmp_path, suite, mutate
     failing = [c for c in out["checks"] if not c["passed"]]
     assert failing and all("witness" in c for c in failing)
     assert "replay" in failing[0]["witness"]
+
+    def failing_checks():
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        return [{k: v for k, v in c.items() if k != "wall_time_s"} for c in checks if not c["passed"]]
+
+    # a non-default oracle count must survive the replay line; a 7-quantity draw
+    # catches the tampered oracle coefficient only at some seeds, so take the first
+    for seed in range(200):
+        argv = ["verify", str(tampered), "--suite", suite, "--seed", str(seed)]
+        if main(argv + ["--oracle-samples", "7"]) == 3:
+            break
+        capsys.readouterr()
+    found = failing_checks()
+    assert found, "no seed caught the tamper"
+    replay = shlex.split(found[0]["witness"]["replay"])
+    assert replay[:2] == ["gkmalg", "verify"]
+    assert main(replay[1:]) == 3
+    assert failing_checks() == found
+
+
+def test_report_contract_regimes_seeds_and_item_keys():
+    alg = build_algebra("su2", "t2", 1, charges=[1, 1])
+    report = run_suites(alg, "all", seed=4, budget=200, oracle_samples=50)
+    item_keys = {"triples", "pairs", "bracket_pairs", "entries", "samples", "modes", "dim"}
+    regimes = set()
+    for check in report.checks:
+        regimes.add(check.regime)
+        assert check.regime in ("exhaustive", "sampled", "skipped"), check.name
+        assert (check.seed is not None) == (check.regime == "sampled"), check.name
+        if check.regime != "skipped":
+            assert len(item_keys & set(check.details)) == 1, check.name
+    assert regimes == {"exhaustive", "sampled"}
 
 
 def test_roots_cli(s2_dump, capsys):
