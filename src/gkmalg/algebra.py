@@ -11,19 +11,43 @@ Nonzero generator brackets::
     [T_aI, T_bJ] = i f_ab^c c_IJ^K T_cK  +  g_ab eta_IJ sum_j I(j) k_j
     [D_j,  T_aI] = I(j) T_aI
 
-with I(j) the eigenvalue of D_j on mode I.  The factor i is carried
-explicitly in the complex coefficients; f stays real.  Central elements are
-kept as formal generators so the cocycle identity is checkable on its own;
+with I(j) the eigenvalue of D_j on mode I.  Central elements are kept as
+formal generators so the cocycle identity is checkable on its own;
 evaluating them against the fixed rational charges is a separate fold.
 
 The invariant bilinear form pairs <T_aI, T_bJ> = g_ab eta_IJ and
 <D_i, k_j> = delta_ij, all other pairings zero.
+
+Bracket rows.  Brackets are computed in the real basis X_aI = i T_aI, with
+D_j and k_j kept, where every structure constant is real::
+
+    [X_aI, X_bJ] = -f_ab^c c_IJ^K X_cK  -  g_ab eta_IJ sum_j I(j) k_j
+    [D_j,  X_aI] = I(j) X_aI
+
+Each generator has an int id: its position in :meth:`GKMAlgebra.generators`,
+then the next free id for each out-of-cutoff T_cK that a product reaches.
+The row of a generator pair (i, j) is a tuple of terms ``(k, d, q)``, each
+meaning ``q * sqrt(d)`` times generator k, with d squarefree and q a
+Fraction.  A coefficient with several surd terms (a tampered ``1 + sqrt 2``,
+say) is several terms with the same k.  Rows are built from the f, product,
+eta and eigenvalue tables on first use and memoised in ``_pair_cache``.
+
+:class:`GKMElement` brackets, with complex coefficients in the T basis, are
+a view over the rows.  Writing each generator as ``s * X`` with s = -i for T
+and s = 1 for D and k, the coefficient of w in [p, q] is the row value times
+``s_p s_q / s_w``.  In the X basis the form is <X_aI, X_bJ> = -g_ab eta_IJ
+and <D_i, k_j> is unchanged, so it is real too.  These phases are nonzero,
+so Jacobi, antisymmetry and invariance hold on the rows exactly when they
+hold on the elements; :mod:`gkmalg.verify` checks them on the rows.  A
+tampered eta makes the stored form asymmetric, so invariance is evaluated
+as <[x,y],z> + <y,[x,z]> with the arguments in exactly that order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping
 
 from .liealg import (
@@ -35,9 +59,45 @@ from .liealg import (
     make_algebra,
 )
 from .modes import Eigen, Geometry, ModeLabel, ModeSystem, make_mode_system, parse_manifold
-from .scalars import CSURD_ZERO, ComplexSurd
+from .scalars import CSURD_ZERO, SURD_ONE, ComplexSurd, SurdScalar
 
 GenId = tuple  # ("T", a, mode) | ("D", j) | ("k", j)
+Row = tuple  # ((k, d, q), ...): sum of q * sqrt(d) * generator k, in the X basis
+
+
+def surd_product(d1: int, q1, d2: int, q2) -> tuple[int, Fraction]:
+    """``(d, q)`` with ``q sqrt(d) = q1 sqrt(d1) * q2 sqrt(d2)``, for squarefree d1, d2."""
+    if d1 == 1:
+        return d2, q1 * q2
+    if d2 == 1:
+        return d1, q1 * q2
+    if d1 == d2:
+        return 1, q1 * q2 * d1
+    g = gcd(d1, d2)
+    return (d1 // g) * (d2 // g), q1 * q2 * g
+
+
+def _add_product(acc: dict, k: int, x: SurdScalar, y: SurdScalar, scale) -> None:
+    """Add ``scale * x * y`` to generator k of a row under construction."""
+    terms = acc.setdefault(k, {})
+    for d1, q1 in x.terms.items():
+        for d2, q2 in y.terms.items():
+            d, q = surd_product(d1, q1, d2, q2)
+            total = terms.get(d, 0) + scale * q
+            if total:
+                terms[d] = total
+            else:
+                terms.pop(d, None)
+    if not terms:
+        del acc[k]
+
+
+def _times_minus_i(z: ComplexSurd, n: int) -> ComplexSurd:
+    """``z * (-i)**n``: the phase from the X basis back to the T basis."""
+    n %= 4
+    if n & 1:
+        z = ComplexSurd(z.im, -z.re)
+    return -z if n & 2 else z
 
 
 class GKMElement:
@@ -117,7 +177,9 @@ class GKMAlgebra:
     # <D_i, k_j> pairing; the identity matrix is forced by invariance of the
     # form, kept as data so fault-injection tests can demonstrate why.
     dk_pairing: tuple[tuple[Fraction, ...], ...] = field(default=())
-    _pair_cache: dict = field(default_factory=dict, repr=False)
+    _pair_cache: dict = field(default_factory=dict, repr=False)  # (i, j) -> Row
+    _gens: list = field(default_factory=list, repr=False)  # id -> generator
+    _gen_ids: dict = field(default_factory=dict, repr=False)  # generator -> id
 
     def __post_init__(self):
         if len(self.charges) != self.modes.r:
@@ -155,78 +217,101 @@ class GKMAlgebra:
     def zero(self) -> GKMElement:
         return GKMElement(self, {})
 
+    # -- generator ids and bracket rows ---------------------------------------
+
+    def generator_ids(self) -> range:
+        """The ids of :meth:`generators`, in that order."""
+        gens = self.generators()
+        if not self._gens:
+            self._gens.extend(gens)
+            self._gen_ids.update((g, i) for i, g in enumerate(gens))
+        return range(len(gens))
+
+    def gen_id(self, gen: GenId) -> int:
+        """The id of a generator; an out-of-cutoff one gets the next free id."""
+        if not self._gens:
+            self.generator_ids()
+        i = self._gen_ids.get(gen)
+        if i is None:
+            i = self._gen_ids[gen] = len(self._gens)
+            self._gens.append(gen)
+        return i
+
+    def generator_of(self, i: int) -> GenId:
+        return self._gens[i]
+
+    def _bracket_gens(self, i: int, j: int) -> Row:
+        """Build and memoise the row of [X_i, X_j] from the stored tables."""
+        p, q = self._gens[i], self._gens[j]
+        kp, kq = p[0], q[0]
+        row: Row = ()
+        if kp == "D" and kq == "T":
+            lam = self.modes.eigen(q[2])[p[1] - 1]
+            row = ((j, 1, Fraction(lam)),) if lam else ()
+        elif kp == "T" and kq == "D":
+            lam = self.modes.eigen(p[2])[q[1] - 1]
+            row = ((i, 1, -Fraction(lam)),) if lam else ()
+        elif kp == "T" and kq == "T":
+            _, a, I = p
+            _, b, J = q
+            acc: dict[int, dict[int, Fraction]] = {}
+            frow = self.base.structure(a, b)
+            if frow:
+                prods = self.modes.product(I, J)
+                for c, fabc in frow.items():
+                    for K, cval in prods.items():
+                        _add_product(acc, self.gen_id(("T", c, K)), fabc, cval, -1)
+            gab = self.base.killing_entry(a, b)
+            if not gab.is_zero:
+                partner, phase = self.modes.eta(I)
+                if partner == J:
+                    for n, lam in enumerate(self.modes.eigen(I), start=1):
+                        if lam:
+                            _add_product(acc, self.gen_id(("k", n)), gab, SURD_ONE, -phase * lam)
+            row = tuple((k, d, q) for k, terms in acc.items() for d, q in terms.items())
+        self._pair_cache[(i, j)] = row
+        return row
+
+    def bracket_row(self, i: int, j: int) -> Row:
+        """The memoised X-basis row of [X_i, X_j] (the verification hot path)."""
+        row = self._pair_cache.get((i, j))
+        return self._bracket_gens(i, j) if row is None else row
+
+    def _row_view(self, i: int, j: int) -> list[tuple[GenId, SurdScalar, int]]:
+        """(generator w, real row value, n) with the T-basis coefficient value * (-i)**n."""
+        values: dict[int, dict[int, Fraction]] = {}
+        for k, d, q in self.bracket_row(i, j):
+            values.setdefault(k, {})[d] = q
+        gens = self._gens
+        turns = (gens[i][0] == "T") + (gens[j][0] == "T")
+        return [
+            (gens[k], SurdScalar._raw(terms), turns - (gens[k][0] == "T"))
+            for k, terms in values.items()
+        ]
+
     # -- bracket ------------------------------------------------------------
 
-    def _bracket_gens(self, p: GenId, q: GenId) -> dict[GenId, ComplexSurd]:
-        kp, kq = p[0], q[0]
-        if kp == "k" or kq == "k":
-            return {}
-        if kp == "D" and kq == "D":
-            return {}
-        if kp == "D":
-            lam = self.modes.eigen(q[2])[p[1] - 1]
-            return {q: ComplexSurd.rational(lam)} if lam else {}
-        if kq == "D":
-            lam = self.modes.eigen(p[2])[q[1] - 1]
-            return {p: ComplexSurd.rational(-lam)} if lam else {}
-
-        _, a, I = p
-        _, b, J = q
-        out: dict[GenId, ComplexSurd] = {}
-        frow = self.base.structure(a, b)
-        if frow:
-            prods = self.modes.product(I, J)
-            for c, fabc in frow.items():
-                for K, cval in prods.items():
-                    coeff = ComplexSurd.imaginary(fabc * cval)
-                    gen = ("T", c, K)
-                    acc = out.get(gen)
-                    total = coeff if acc is None else acc + coeff
-                    if total.is_zero:
-                        out.pop(gen, None)
-                    else:
-                        out[gen] = total
-        gab = self.base.killing_entry(a, b)
-        if not gab.is_zero:
-            partner, phase = self.modes.eta(I)
-            if partner == J:
-                weight = gab * phase
-                for j, lam in enumerate(self.modes.eigen(I), start=1):
-                    if lam:
-                        gen = ("k", j)
-                        contrib = ComplexSurd.real(weight * lam)
-                        acc = out.get(gen)
-                        total = contrib if acc is None else acc + contrib
-                        if total.is_zero:
-                            out.pop(gen, None)
-                        else:
-                            out[gen] = total
-        return out
-
     def bracket_generators(self, p: GenId, q: GenId) -> GKMElement:
-        """Memoised generator bracket (the verification hot path)."""
-        cached = self._pair_cache.get((p, q))
-        if cached is None:
-            cached = self._bracket_gens(p, q)
-            self._pair_cache[(p, q)] = cached
-        return GKMElement(self, dict(cached))
+        """[p, q] of two generators, as a view over their row."""
+        view = self._row_view(self.gen_id(p), self.gen_id(q))
+        return GKMElement(
+            self, {w: _times_minus_i(ComplexSurd.real(v), n) for w, v, n in view}
+        )
 
     def bracket(self, x: GKMElement, y: GKMElement) -> GKMElement:
         if x.algebra is not self or y.algebra is not self:
             raise ValueError("elements belong to different algebras")
         total: dict[GenId, ComplexSurd] = {}
         for p, cp in x.coeffs.items():
+            i = self.gen_id(p)
             for q, cq in y.coeffs.items():
-                pair = self._pair_cache.get((p, q))
-                if pair is None:
-                    pair = self._bracket_gens(p, q)
-                    self._pair_cache[(p, q)] = pair
-                if not pair:
+                view = self._row_view(i, self.gen_id(q))
+                if not view:
                     continue
                 weight = cp * cq
-                for gen, coeff in pair.items():
+                for gen, value, n in view:
+                    term = _times_minus_i(weight * value, n)
                     acc = total.get(gen)
-                    term = weight * coeff
                     out = term if acc is None else acc + term
                     if out.is_zero:
                         total.pop(gen, None)
@@ -250,6 +335,13 @@ class GKMAlgebra:
         if kp == "k" and kq == "D":
             return ComplexSurd.rational(self.dk_pairing[q[1] - 1][p[1] - 1])
         return CSURD_ZERO
+
+    def form_row(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
+        """<X_i, X_j> as ``(d, q)`` terms: the T-basis pairing over s_i s_j."""
+        p, q = self._gens[i], self._gens[j]
+        value = self.killing_generators(p, q).re
+        sign = -1 if p[0] == q[0] == "T" else 1
+        return tuple((d, sign * c) for d, c in value.terms.items())
 
     def killing(self, x: GKMElement, y: GKMElement) -> ComplexSurd:
         total = CSURD_ZERO

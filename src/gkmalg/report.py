@@ -93,9 +93,14 @@ def checking(name: str):
 
 @dataclass
 class VerificationReport:
-    """Ordered collection of check results with an overall verdict."""
+    """Ordered collection of check results with an overall verdict.
+
+    ``stats`` holds run-level counters (cache sizes after the run); it is
+    written only when set, so the other keys keep their meaning.
+    """
 
     checks: list[CheckResult] = field(default_factory=list)
+    stats: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -111,11 +116,17 @@ class VerificationReport:
         return [c for c in self.checks if not c.passed]
 
     def to_dict(self) -> dict:
-        return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
+        out = {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
+        if self.stats:
+            out["stats"] = self.stats
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "VerificationReport":
-        return cls(checks=[CheckResult.from_dict(c) for c in data.get("checks", [])])
+        return cls(
+            checks=[CheckResult.from_dict(c) for c in data.get("checks", [])],
+            stats=data.get("stats", {}),
+        )
 
     def render_text(self) -> str:
         lines = []

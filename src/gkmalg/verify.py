@@ -22,7 +22,7 @@ import random
 from fractions import Fraction
 from math import comb, factorial
 
-from .algebra import GKMAlgebra, GKMElement, GenId, build_algebra
+from .algebra import GKMAlgebra, GKMElement, GenId, build_algebra, surd_product
 from .liealg import coefficients_in_span, jacobi_check_finite, killing_form
 from .modes import ModeSystem, TorusGeometry
 from .quadrature import (
@@ -34,6 +34,7 @@ from .quadrature import (
 )
 from .report import CheckFailed, CheckResult, VerificationReport, checking
 from .scalars import CSURD_ZERO, SURD_ONE, SURD_ZERO
+from .wigner import cache_size
 
 DEFAULT_BUDGET = 50_000
 
@@ -204,6 +205,17 @@ def mode_axiom_checks(
 # -- algebra-level checks ---------------------------------------------------------
 
 
+def _jacobiator_vanishes(row, x: int, y: int, z: int) -> bool:
+    """[[x,y],z] + [[y,z],x] + [[z,x],y] = 0 on the X-basis rows, exactly."""
+    acc: dict[tuple[int, int], Fraction] = {}
+    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+        for w, d1, q1 in row(a, b):
+            for u, d2, q2 in row(w, c):
+                d, q = surd_product(d1, q1, d2, q2)
+                acc[u, d] = acc.get((u, d), 0) + q
+    return not any(acc.values())
+
+
 def jacobi_check_gkm(
     alg: GKMAlgebra,
     sample: str | int = "all",
@@ -213,35 +225,44 @@ def jacobi_check_gkm(
 
     Distinct unordered triples span the full identity by trilinearity and
     antisymmetry.  Central terms ride along, so this simultaneously verifies
-    the 2-cocycle identity.
+    the 2-cocycle identity.  Triples are checked on the bracket rows; a
+    failing one is recomputed on elements for a T-basis witness.
     """
     with checking("jacobi_gkm") as result:
-        triples = _draw(result, "triples", Combinations(alg.generators(), 3), sample, seed)
-        for x, y, z in triples:
+        row = alg.bracket_row
+        triples = _draw(result, "triples", Combinations(alg.generator_ids(), 3), sample, seed)
+        for ids in triples:
+            if _jacobiator_vanishes(row, *ids):
+                continue
+            x, y, z = (alg.generator_of(i) for i in ids)
             ex, ey, ez = alg.generator(x), alg.generator(y), alg.generator(z)
             acc = alg.bracket(alg.bracket(ex, ey), ez)
             acc = acc + alg.bracket(alg.bracket(ey, ez), ex)
             acc = acc + alg.bracket(alg.bracket(ez, ex), ey)
-            if not acc.is_zero:
-                gen, coeff = next(iter(acc.coeffs.items()))
-                raise CheckFailed(
-                    {
-                        "generators": [repr(x), repr(y), repr(z)],
-                        "component": repr(gen),
-                        "value": str(coeff),
-                    }
-                )
+            if acc.is_zero:
+                raise RuntimeError(f"bracket rows and elements disagree on {x, y, z}")
+            gen, coeff = next(iter(acc.coeffs.items()))
+            raise CheckFailed(
+                {
+                    "generators": [repr(x), repr(y), repr(z)],
+                    "component": repr(gen),
+                    "value": str(coeff),
+                }
+            )
     return result
 
 
 def antisymmetry_check(alg: GKMAlgebra) -> CheckResult:
     with checking("bracket_antisymmetry") as result:
-        pairs = itertools.combinations_with_replacement(alg.generators(), 2)
+        row = alg.bracket_row
+        pairs = itertools.combinations_with_replacement(alg.generator_ids(), 2)
         for x, y in result.tally("pairs", pairs):
-            forward = alg.bracket_generators(x, y)
-            backward = alg.bracket_generators(y, x)
-            if not (forward + backward).is_zero:
-                raise CheckFailed({"generators": [repr(x), repr(y)]})
+            acc: dict[tuple[int, int], Fraction] = {}
+            for k, d, q in row(x, y) + row(y, x):
+                acc[k, d] = acc.get((k, d), 0) + q
+            if any(acc.values()):
+                gens = (alg.generator_of(x), alg.generator_of(y))
+                raise CheckFailed({"generators": [repr(g) for g in gens]})
     return result
 
 
@@ -271,16 +292,41 @@ def invariance_check(
     sample: str | int = "all",
     seed: int | None = None,
 ) -> CheckResult:
-    """<[x,y],z> + <y,[x,z]> = 0 over generator triples (x ordered, y<=z)."""
+    """<[x,y],z> + <y,[x,z]> = 0 over generator triples (x ordered, y<=z).
+
+    Evaluated on the bracket and form rows with the arguments in this order
+    (a tampered eta makes the stored form asymmetric); a failing triple is
+    recomputed on elements for a T-basis witness.
+    """
     with checking("invariance") as result:
-        population = Combinations(alg.generators(), 2, repeats=True, lead=True)
-        for x, y, z in _draw(result, "triples", population, sample, seed):
+        row, forms = alg.bracket_row, {}
+
+        def form(i: int, j: int):
+            pairing = forms.get((i, j))
+            if pairing is None:
+                pairing = forms[i, j] = alg.form_row(i, j)
+            return pairing
+
+        population = Combinations(alg.generator_ids(), 2, repeats=True, lead=True)
+        for ids in _draw(result, "triples", population, sample, seed):
+            x, y, z = ids
+            acc: dict[int, Fraction] = {}
+            for w, d1, q1 in row(x, y):
+                for d2, q2 in form(w, z):
+                    d, q = surd_product(d1, q1, d2, q2)
+                    acc[d] = acc.get(d, 0) + q
+            for w, d1, q1 in row(x, z):
+                for d2, q2 in form(y, w):
+                    d, q = surd_product(d1, q1, d2, q2)
+                    acc[d] = acc.get(d, 0) + q
+            if not any(acc.values()):
+                continue
+            x, y, z = (alg.generator_of(i) for i in ids)
             ex, ey, ez = alg.generator(x), alg.generator(y), alg.generator(z)
             total = alg.killing(alg.bracket(ex, ey), ez) + alg.killing(ey, alg.bracket(ex, ez))
-            if not total.is_zero:
-                raise CheckFailed(
-                    {"generators": [repr(x), repr(y), repr(z)], "value": str(total)}
-                )
+            if total.is_zero:
+                raise RuntimeError(f"bracket rows and elements disagree on {x, y, z}")
+            raise CheckFailed({"generators": [repr(x), repr(y), repr(z)], "value": str(total)})
     return result
 
 
@@ -572,4 +618,9 @@ def run_suites(
             )
     if suite in ("all", "oracle"):
         report.add(oracle_agreement_check(alg, samples=oracle_samples, seed=seed))
+    report.stats = {
+        "bracket_rows": len(alg._pair_cache),
+        "ext_products": len(alg.modes._ext_products),
+        "wigner_cache": cache_size(),
+    }
     return report

@@ -1,9 +1,13 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from gkmalg.algebra import build_algebra
+from gkmalg.modes import parse_manifold
 from gkmalg.scalars import ComplexSurd, SurdScalar
+from gkmalg.serialize import dump_algebra
 from gkmalg.verify import (
     Combinations,
     antisymmetry_check,
@@ -247,3 +251,80 @@ def test_vector_element_and_fold(su2_t1):
     assert comm.fold_charges() == ComplexSurd.rational(1)
     t_part = comm.t_part()
     assert set(t_part) == {("T", 3, (0,))}
+
+
+def _bump_product(delta):
+    def tamper(alg):
+        table = alg.modes.products[((1, 0), (1, 1))]
+        table[(2, 1)] = table[(2, 1)] + delta
+
+    return tamper
+
+
+def _set(name, key, value):
+    return lambda alg: getattr(alg.modes, name).__setitem__(key, value)
+
+
+T = "('T', {}, {})".format
+TAMPERS = {
+    "none": lambda alg: None,
+    "product+1": _bump_product(1),
+    "product+(1+sqrt2)": _bump_product(SurdScalar({1: 1, 2: 1})),
+    "eta": _set("eta_table", (1, 1), ((1, -1), 1)),
+    "eigen": _set("eigen_table", (1, 1), (2,)),
+    "dk_pairing": lambda alg: setattr(alg, "dk_pairing", ((2,),)),
+}
+# (jacobi_gkm, invariance) outcome per tamper of su2/s2/c2: the triples checked
+# and the witness (None: passed), as computed with T-basis ComplexSurd brackets
+JACOBI_WITNESS = {
+    "generators": [T(1, (0, 0)), T(1, (1, 0)), T(2, (1, 1))],
+    "component": T(2, (2, 1)),
+}
+INVARIANCE_WITNESS = {"generators": [T(1, (1, 0)), T(2, (1, 1)), T(3, (2, -1))]}
+ETA_JACOBI = {"generators": [T(1, (0, 0)), T(2, (1, -1)), T(3, (1, 1))], "component": "('k', 1)"}
+TT_D = {"generators": [T(1, (1, -1)), T(1, (1, 1)), "('D', 1)"]}
+TAMPER_PINS = {
+    "none": ((3654, None), (12615, None)),
+    "product+1": (
+        (37, {**JACOBI_WITNESS, "value": "-1"}),
+        (1164, {**INVARIANCE_WITNESS, "value": "(-2)i"}),
+    ),
+    "product+(1+sqrt2)": (
+        (37, {**JACOBI_WITNESS, "value": "-1 - √2"}),
+        (1164, {**INVARIANCE_WITNESS, "value": "(-2 - 2√2)i"}),
+    ),
+    "eta": ((218, {**ETA_JACOBI, "value": "(4)i"}), (544, {**TT_D, "value": "4"})),
+    "eigen": (
+        (218, {**ETA_JACOBI, "value": "(-2)i"}),
+        (11777, {"generators": ["('D', 1)", T(1, (1, -1)), T(1, (1, 1))], "value": "-2"}),
+    ),
+    "dk_pairing": ((3654, None), (544, {**TT_D, "value": "2"})),
+}
+
+
+@pytest.mark.parametrize("tamper", list(TAMPERS))
+def test_tampers_keep_their_verdicts_counts_and_witnesses(tamper):
+    alg = build_algebra("su2", "s2", 2, charges=[1])
+    TAMPERS[tamper](alg)
+    for check, (triples, witness) in zip((jacobi_check_gkm, invariance_check), TAMPER_PINS[tamper]):
+        result = check(alg, sample=20000, seed=0)
+        assert result.regime == "exhaustive"
+        assert (result.passed, result.details["triples"]) == (witness is None, triples)
+        assert result.witness == witness
+
+
+@pytest.mark.parametrize(
+    "base,manifold,rows,digest",
+    [
+        ("su2", "s2", 114, "43d739d9c353ac9ae13d6b6517bf9535924be0e3621fdc610275b99ed9671c25"),
+        ("su3", "t1", 498, "e48bec1ef1a5ce8cb2cab77032b4bbb3c1af47fb3884a37125653f8bfa7d0d30"),
+        ("su2", "s3", 210, "570a1d016ee73c92d00f6d954262ed4b4cf74391e0fc021cd5f3aa95777e6fd1"),
+    ],
+)
+def test_bracket_table_matches_the_t_basis_construction(base, manifold, rows, digest):
+    # digests of the bracket tables built directly in the T basis with
+    # ComplexSurd coefficients; the view over the X-basis rows must match them
+    alg = build_algebra(base, manifold, 1, charges=[1] * parse_manifold(manifold).r)
+    table = dump_algebra(alg, include_brackets=True)["brackets"]
+    text = json.dumps(table, sort_keys=True, separators=(",", ":"))
+    assert (len(table), hashlib.sha256(text.encode()).hexdigest()) == (rows, digest)

@@ -9,6 +9,7 @@ from gkmalg.cli import main
 from gkmalg.report import VerificationReport
 from gkmalg.serialize import DumpFormatError, dump_algebra, load_algebra, save_algebra
 from gkmalg.verify import run_suites
+from gkmalg.wigner import cache_size
 
 
 @pytest.fixture()
@@ -245,6 +246,21 @@ def test_report_contract_regimes_seeds_and_item_keys():
         if check.regime != "skipped":
             assert len(item_keys & set(check.details)) == 1, check.name
     assert regimes == {"exhaustive", "sampled"}
+
+
+def test_report_stats_block_is_additive():
+    alg = build_algebra("su2", "s2", 1, charges=[1])
+    report = run_suites(alg, "all", seed=0, budget=100, oracle_samples=10)
+    data = report.to_dict()
+    assert set(data) == {"passed", "checks", "stats"}
+    assert data["stats"] == {
+        "bracket_rows": len(alg._pair_cache),
+        "ext_products": len(alg.modes._ext_products),
+        "wigner_cache": cache_size(),
+    }
+    assert min(data["stats"].values()) > 0
+    assert VerificationReport.from_dict(json.loads(json.dumps(data))).to_dict() == data
+    assert set(VerificationReport(checks=report.checks).to_dict()) == {"passed", "checks"}
 
 
 def test_roots_cli(s2_dump, capsys):

@@ -1,0 +1,39 @@
+"""The per-layer tracer of ``perfbench/`` patches gkmalg functions by name.
+
+A rename in the package must fail here instead of silently emptying a traced
+benchmark run (``perfbench/run.py --trace 1``).
+"""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import tracer  # noqa: E402
+
+from gkmalg.algebra import GKMAlgebra, build_algebra  # noqa: E402
+from gkmalg.verify import jacobi_check_gkm  # noqa: E402
+
+PATCHED = [(owner, attr) for owner, attr, _ in tracer._SPANNED + tracer._COUNTED] + [
+    (GKMAlgebra, "bracket"),
+    (GKMAlgebra, "bracket_generators"),
+]
+
+
+def test_tracer_patches_and_restores_every_attribute():
+    originals = [owner.__dict__[attr] for owner, attr in PATCHED]
+    t = tracer.Tracer()
+    t.install()
+    try:
+        patched = [owner.__dict__[attr] for owner, attr in PATCHED]
+    finally:
+        t.uninstall()
+    assert all(p is not o for p, o in zip(patched, originals))
+    assert all(owner.__dict__[attr] is o for (owner, attr), o in zip(PATCHED, originals))
+
+
+def test_tracer_sees_every_bracket_row_built():
+    with tracer.installed(tracer.Tracer()) as t:
+        alg = build_algebra("su2", "t1", 1, charges=[1])
+        assert jacobi_check_gkm(alg).passed
+    assert t.summarise()["calls"]["algebra.bracket_gens"] == len(alg._pair_cache) > 0
