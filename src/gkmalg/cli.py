@@ -8,7 +8,8 @@ Exit codes are a stable contract:
 * 3 - verification failure (report carries a reproducible witness)
 
 Set ``GKMALG_WIGNER_CACHE`` to a directory to persist the memoised 3j
-table between invocations.
+table between invocations.  Set ``GKMALG_TRACEBACK=1`` to print the
+traceback of an internal error (exit 1) after its one-line message.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import os
 import re
 import shlex
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,6 +38,7 @@ EXIT_VERIFICATION = 3
 
 _CACHE_ENV = "GKMALG_WIGNER_CACHE"
 _CACHE_FILE = "wigner3j-cache.json"
+_TRACEBACK_ENV = "GKMALG_TRACEBACK"
 
 
 def _cache_path() -> Path | None:
@@ -48,7 +51,7 @@ def _load_wigner_cache() -> None:
     if path and path.exists():
         try:
             wigner_mod.load_cache(path)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             print(f"warning: ignoring unreadable wigner cache: {exc}", file=sys.stderr)
 
 
@@ -287,6 +290,8 @@ def main(argv=None) -> int:
             code = _cmd_wigner(args)
     except Exception as exc:  # unexpected: report as internal failure
         print(f"internal error: {exc}", file=sys.stderr)
+        if os.environ.get(_TRACEBACK_ENV) == "1":
+            traceback.print_exc(file=sys.stderr)
         return EXIT_INTERNAL
     _save_wigner_cache()
     return code

@@ -246,12 +246,10 @@ def vec_is_zero(vec: Vector) -> bool:
     return all(v.is_zero for v in vec)
 
 
-def coefficients_in_span(vec: Vector, basis: Sequence[Vector]):
-    """Coefficients of vec over basis, or None if it falls outside the span.
+def staircase_pivots(basis: Sequence[Vector]) -> list[int]:
+    """Per basis vector, its first nonzero coordinate where every other one vanishes.
 
-    Requires each basis vector to own a pivot coordinate where every other
-    basis vector vanishes (true for the Cartan sets and single root vectors
-    used here); exact division by the single-surd pivots does the rest.
+    Raises ValueError when some basis vector has no such pivot coordinate.
     """
     pivots = []
     for i, b in enumerate(basis):
@@ -265,6 +263,17 @@ def coefficients_in_span(vec: Vector, basis: Sequence[Vector]):
         if pivot is None:
             raise ValueError("basis has no staircase pivot structure")
         pivots.append(pivot)
+    return pivots
+
+
+def coefficients_in_span(vec: Vector, basis: Sequence[Vector]):
+    """Coefficients of vec over basis, or None if it falls outside the span.
+
+    Requires each basis vector to own a pivot coordinate where every other
+    basis vector vanishes (true for the Cartan sets and single root vectors
+    used here); exact division by the single-surd pivots does the rest.
+    """
+    pivots = staircase_pivots(basis)
     residual = list(vec)
     coeffs = []
     for b, pivot in zip(basis, pivots):

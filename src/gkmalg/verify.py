@@ -9,6 +9,11 @@ the offending generator ids or mode labels and the nonzero value.  Checks read
 the materialised tables of the algebra under test (not the generating rules),
 so a tampered dump is diagnosed here rather than at parse time.
 
+Jacobi, invariance, antisymmetry and the root grading are evaluated exactly
+on the X-basis bracket rows of :mod:`gkmalg.algebra`; a failing item is
+replayed on :class:`GKMElement` brackets, so its witness is in the T basis,
+and a replay that disagrees with the rows raises ``RuntimeError``.
+
 :func:`_draw` alone picks the regime: a budget that covers the population
 checks every item in order ("exhaustive"); a smaller one checks that many
 distinct items of the same population, drawn by :func:`sample_items`
@@ -23,7 +28,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .algebra import GKMAlgebra, GKMElement, GenId, build_algebra, surd_product
-from .liealg import coefficients_in_span, jacobi_check_finite, killing_form
+from .liealg import coefficients_in_span, jacobi_check_finite, killing_form, staircase_pivots
 from .modes import ModeSystem, TorusGeometry
 from .quadrature import (
     make_grid,
@@ -400,41 +405,160 @@ def grading_check(alg: GKMAlgebra) -> CheckResult:
     must carry eigenvalue m+n, the base part must sit inside the expected
     root line (or the Cartan span at a+b = 0, or vanish when a+b is not a
     root), and the central part must vanish unless a+b = 0 and m+n = 0.
+    Each bracket is summed exactly on the X-basis rows (see
+    :func:`_grading_items`); a failing one is recomputed on elements by
+    :func:`_grading_violation` for a T-basis witness.
     """
     with checking("grading") as result:
         if alg.cw is None:
             result.regime = "skipped"
             result.details["note"] = "abelian base: no root grading to check"
             return result
-        cw = alg.cw
-        zero_root = tuple(Fraction(0) for _ in cw.roots[0])
-        labels = [lab for lab in alg.root_space_labels() if alg.root_space(*lab)]
-        root_set = set(cw.roots)
-        brackets = (
-            (alpha, m, beta, n, alg.bracket(u, v))
-            for (alpha, m), (beta, n) in itertools.combinations_with_replacement(labels, 2)
-            for u in alg.root_space(alpha, m)
-            for v in alg.root_space(beta, n)
-        )
-        for alpha, m, beta, n, w in result.tally("bracket_pairs", brackets):
+        spaces = _root_spaces(alg)
+        items = _grading_items(alg, spaces)
+        for alpha, m, beta, n, u, v, holds in result.tally("bracket_pairs", items):
+            if holds:
+                continue
             target_root = tuple(x + y for x, y in zip(alpha, beta))
             target_eigen = tuple(x + y for x, y in zip(m, n))
-            witness = _grading_violation(alg, w, target_root, target_eigen, root_set, zero_root)
-            if witness is not None:
-                witness.update(
-                    {
-                        "alpha": [str(x) for x in alpha],
-                        "m": [str(x) for x in m],
-                        "beta": [str(x) for x in beta],
-                        "n": [str(x) for x in n],
-                    }
-                )
-                raise CheckFailed(witness)
-        result.details["labels"] = len(labels)
+            witness = _grading_violation(alg, alg.bracket(u, v), target_root, target_eigen)
+            if witness is None:
+                raise RuntimeError(f"bracket rows and elements disagree on {u!r}, {v!r}")
+            witness.update(
+                {
+                    "alpha": [str(x) for x in alpha],
+                    "m": [str(x) for x in m],
+                    "beta": [str(x) for x in beta],
+                    "n": [str(x) for x in n],
+                }
+            )
+            raise CheckFailed(witness)
+        result.details["labels"] = len(spaces)
     return result
 
 
-def _grading_violation(alg, w: GKMElement, target_root, target_eigen, root_set, zero_root):
+def _complex_terms(z) -> tuple:
+    """A complex surd as ``(d, q, flag)`` terms, each meaning ``q sqrt(d) i**flag``."""
+    re = tuple((d, q, 0) for d, q in z.re.terms.items())
+    return re + tuple((d, q, 1) for d, q in z.im.terms.items())
+
+
+def _times(d1: int, q1, f1: int, d2: int, q2, f2: int) -> tuple:
+    """The product of the terms ``(d1, q1, f1)`` and ``(d2, q2, f2)``."""
+    d, q = surd_product(d1, q1, d2, q2)
+    return (d, -q, 0) if f1 & f2 else (d, q, f1 | f2)
+
+
+def _root_spaces(alg: GKMAlgebra) -> dict:
+    """Each nonempty root-space label -> its basis, as (element, X-basis terms).
+
+    The X-basis terms of an element are ``[(gen id, terms)]``: since
+    T_aI = -i X_aI, the X coefficient of ``z T_aI`` is ``-i z``.
+    """
+    spaces = {}
+    for label in alg.root_space_labels():
+        basis = alg.root_space(*label)
+        if basis:
+            spaces[label] = [
+                (u, [(alg.gen_id(g), _complex_terms(-z.times_i())) for g, z in u.coeffs.items()])
+                for u in basis
+            ]
+    return spaces
+
+
+def _span_relations(basis) -> tuple:
+    """The linear relations that cut span(basis) out, from its staircase pivots.
+
+    One ``(c, ((p, terms of b[c] / b[p]), ...))`` per non-pivot coordinate c,
+    over the basis vectors b with pivot p and b[c] != 0: a vector lies in the
+    span exactly when each ``vec[c] = sum vec[p] * b[c] / b[p]`` holds, which
+    is the residual test of :func:`coefficients_in_span`.
+    """
+    pivots = staircase_pivots(basis)
+    return tuple(
+        (c, tuple((p, _complex_terms(b[c] / b[p])) for b, p in zip(basis, pivots) if b[c]))
+        for c in range(len(basis[0]))
+        if c not in pivots
+    )
+
+
+def _in_span(vec: dict, relations) -> bool:
+    """Whether ``vec`` (coordinate -> ``{(d, flag): q}``) satisfies every relation."""
+    for c, ratios in relations:
+        acc = {key: -q for key, q in vec.get(c, {}).items()}
+        for p, terms in ratios:
+            for (d1, f1), q1 in vec.get(p, {}).items():
+                for d2, q2, f2 in terms:
+                    d, q, f = _times(d1, q1, f1, d2, q2, f2)
+                    acc[d, f] = acc.get((d, f), 0) + q
+        if any(acc.values()):
+            return False
+    return True
+
+
+def _graded(alg: GKMAlgebra, acc: dict, central_ok: bool, eigen, relations) -> bool:
+    """Whether a bracket summed into ``{(gen id, d, flag): q}`` is in its target space.
+
+    ``relations`` are the span relations of the target root line or Cartan
+    span, or None when the target is neither.
+    """
+    vecs: dict = {}
+    for (k, d, f), q in acc.items():
+        if not q:
+            continue
+        gen = alg.generator_of(k)
+        if gen[0] == "k" and not central_ok:
+            return False
+        if gen[0] == "T":
+            vecs.setdefault(gen[2], {}).setdefault(gen[1] - 1, {})[d, f] = q
+    return all(
+        relations is not None and alg.modes.eigen(K) == eigen and _in_span(vec, relations)
+        for K, vec in vecs.items()
+    )
+
+
+def _grading_items(alg: GKMAlgebra, spaces: dict):
+    """Every grading item in check order, with its verdict on the bracket rows.
+
+    Yields ``(alpha, m, beta, n, u, v, holds)`` for each basis element u of
+    g_(alpha,m) and v of g_(beta,n), over label pairs in
+    ``combinations_with_replacement`` order.  [u, v] = sum c_p c_q row(p, q)
+    is summed exactly into ``{(gen id, d, flag): q}`` before it is tested.
+    """
+    cw, row = alg.cw, alg.bracket_row
+    zero_root = tuple(Fraction(0) for _ in cw.roots[0])
+    lines: dict = {}  # target root -> span relations, None outside the root system
+    pairs = itertools.combinations_with_replacement(spaces.items(), 2)
+    for ((alpha, m), us), ((beta, n), vs) in pairs:
+        root = tuple(x + y for x, y in zip(alpha, beta))
+        eigen = tuple(x + y for x, y in zip(m, n))
+        if root not in lines:
+            if root in cw.root_vectors:
+                lines[root] = _span_relations([cw.root_vectors[root]])
+            else:
+                lines[root] = _span_relations(cw.cartan) if root == zero_root else None
+        central_ok = root == zero_root and not any(eigen)
+        for u, xu in us:
+            for v, xv in vs:
+                acc: dict = {}
+                for p, cps in xu:
+                    for q, cqs in xv:
+                        terms = row(p, q)
+                        if not terms:
+                            continue
+                        for d1, q1, f1 in cps:
+                            for d2, q2, f2 in cqs:
+                                d12, q12, f = _times(d1, q1, f1, d2, q2, f2)
+                                for k, d3, q3 in terms:
+                                    d, c = surd_product(d12, q12, d3, q3)
+                                    acc[k, d, f] = acc.get((k, d, f), 0) + c
+                holds = _graded(alg, acc, central_ok, eigen, lines[root])
+                yield alpha, m, beta, n, u, v, holds
+
+
+def _grading_violation(alg: GKMAlgebra, w: GKMElement, target_root, target_eigen):
+    """The witness for an element ``w`` outside the target root space, else None."""
+    zero_root = tuple(Fraction(0) for _ in alg.cw.roots[0])
     central_allowed = target_root == zero_root and all(v == 0 for v in target_eigen)
     for gen, coeff in w.central_part().items():
         if not central_allowed and not coeff.is_zero:
@@ -450,7 +574,7 @@ def _grading_violation(alg, w: GKMElement, target_root, target_eigen, root_set, 
             continue
         if alg.modes.eigen(K) != target_eigen:
             return {"mode": list(K), "kind": "eigenvalue drift"}
-        if target_root in root_set:
+        if target_root in alg.cw.root_vectors:
             basis = [alg.cw.root_vectors[target_root]]
         elif target_root == zero_root:
             basis = list(alg.cw.cartan)

@@ -13,10 +13,13 @@ trick for keeping half-integer spins in integer arithmetic.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from pathlib import Path
 
 from .scalars import SURD_ZERO, SurdScalar
 
@@ -223,18 +226,46 @@ def clear_cache() -> None:
 
 
 def save_cache(path) -> None:
-    """Persist the memoised 3j table as JSON (integer-string coefficients)."""
+    """Persist the memoised 3j table as JSON (integer-string coefficients).
+
+    The table goes to a temporary file in the same directory that then
+    replaces ``path``, so an interrupted run never leaves a truncated file.
+    """
     payload = [[list(key), value.to_records()] for key, value in _CACHE.items()]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _is_canonical(key: tuple[int, ...]) -> bool:
+    """Whether ``key`` is the cache key of a symbol that obeys the selection rules."""
+    try:
+        t = SpinTriple(*key[0::2], *key[1::2])
+    except (TypeError, ValueError):
+        return False
+    return _selection_ok(t) and _canonical_key(t)[0] == key
 
 
 def load_cache(path) -> int:
-    """Merge a persisted table into the memo cache; returns entries loaded."""
+    """Merge a persisted table into the memo cache; returns entries loaded.
+
+    Every key must be canonical and obey the selection rules, or the whole
+    file is rejected with a ValueError and nothing is merged.  The values
+    are trusted as stored.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    loaded = 0
+    entries = {}
     for key, records in payload:
-        _CACHE[tuple(int(x) for x in key)] = SurdScalar.from_records(records)
-        loaded += 1
-    return loaded
+        key = tuple(int(x) for x in key)
+        if not _is_canonical(key):
+            raise ValueError(f"non-canonical 3j cache key {list(key)}")
+        entries[key] = SurdScalar.from_records(records)
+    _CACHE.update(entries)
+    return len(entries)

@@ -6,10 +6,13 @@ import pytest
 
 from gkmalg.algebra import build_algebra
 from gkmalg.modes import parse_manifold
-from gkmalg.scalars import ComplexSurd, SurdScalar
+from gkmalg.scalars import SURD_ZERO, ComplexSurd, SurdScalar
 from gkmalg.serialize import dump_algebra
 from gkmalg.verify import (
     Combinations,
+    _grading_items,
+    _grading_violation,
+    _root_spaces,
     antisymmetry_check,
     cocycle_antisymmetry_check,
     grading_check,
@@ -328,3 +331,99 @@ def test_bracket_table_matches_the_t_basis_construction(base, manifold, rows, di
     table = dump_algebra(alg, include_brackets=True)["brackets"]
     text = json.dumps(table, sort_keys=True, separators=(",", ":"))
     assert (len(table), hashlib.sha256(text.encode()).hexdigest()) == (rows, digest)
+
+
+def _bump_structure(a, b, c):
+    def tamper(alg):
+        f = alg.base.f
+        f[(a, b)][c] = f[(a, b)].get(c, SURD_ZERO) + 1
+        f[(b, a)][c] = f[(b, a)].get(c, SURD_ZERO) - 1
+
+    return tamper
+
+
+def _double_first_f12(alg):
+    row = alg.base.f[(1, 2)]
+    c = next(iter(row))
+    row[c] = row[c] * 2  # f is no longer antisymmetric
+
+
+def _product_mode(value):
+    return lambda alg: alg.modes.products[((1, 0), (1, 0))].__setitem__((1, 1), value)
+
+
+def _labels(alpha, m, beta, n):
+    return {"alpha": alpha, "m": [m], "beta": beta, "n": [n]}
+
+
+GRADING_TAMPERS = {
+    "product": _product_mode(SurdScalar.rational(1)),
+    "product+(1+sqrt2)": _product_mode(SurdScalar({1: 1, 2: 1})),
+    "eta": _set("eta_table", (1, 1), ((1, 1), 1)),
+    "f13": _bump_structure(1, 3, 3),
+    "f12": _bump_structure(1, 2, 4),
+    "f45": _bump_structure(4, 5, 3),
+    "f12 doubled": _double_first_f12,
+    "eigen": _set("eigen_table", (1, 1), (2,)),
+}
+SU2_DRIFT = {"mode": [1, 1], "kind": "eigenvalue drift", **_labels(["-1"], "0", ["1"], "0")}
+SU3_DRIFT = {
+    "mode": [1, 1], "kind": "eigenvalue drift", **_labels(["-1", "0"], "0", ["1/2", "-1"], "0")
+}
+GRADING_PINS = [
+    ("su2", 2, None, 393, None),
+    ("su2", 2, "product", 111, SU2_DRIFT),
+    ("su2", 2, "product+(1+sqrt2)", 111, SU2_DRIFT),
+    ("su2", 2, "eta", 170, {"component": "('k', 1)", "value": "1", "kind": "central",
+                            **_labels(["-1"], "1", ["1"], "1")}),
+    ("su2", 2, "f13", 19, {"mode": [4, -4], "kind": "base part outside expected root line",
+                           **_labels(["-1"], "-2", ["0"], "-2")}),
+    ("su2", 2, "f12 doubled", 1, {"mode": [4, -4], "kind": "bracket outside the root system",
+                                  **_labels(["-1"], "-2", ["-1"], "-2")}),
+    ("su2", 2, "eigen", 17, {"mode": [1, -1], "kind": "eigenvalue drift",
+                             **_labels(["-1"], "-2", ["1"], "2")}),
+    ("su3", 1, None, 542, None),
+    ("su3", 1, "product", 60, SU3_DRIFT),
+    ("su3", 1, "product+(1+sqrt2)", 60, SU3_DRIFT),
+    ("su3", 1, "eta", 115, {"component": "('k', 1)", "value": "1", "kind": "central",
+                            **_labels(["-1", "0"], "1", ["1", "0"], "1")}),
+    ("su3", 1, "f12 doubled", 1, {"mode": [2, -2], "kind": "bracket outside the root system",
+                                  **_labels(["-1", "0"], "-1", ["-1", "0"], "-1")}),
+    ("su3", 1, "eigen", 16, {"mode": [0, 0], "kind": "eigenvalue drift",
+                             **_labels(["-1", "0"], "-1", ["1/2", "-1"], "2")}),
+    ("su3", 1, "f12", 21, {"mode": [2, -2], "kind": "base part outside expected root line",
+                           **_labels(["-1", "0"], "-1", ["1", "0"], "-1")}),
+    # a known non-detection: this f tamper keeps every root-space bracket graded
+    ("su3", 1, "f45", 542, None),
+]
+
+
+@pytest.mark.parametrize("base,cutoff,tamper,pairs,witness", GRADING_PINS)
+def test_grading_tampers_keep_their_verdicts_counts_and_witnesses(
+    base, cutoff, tamper, pairs, witness
+):
+    # verdicts, counts and witnesses as computed with T-basis ComplexSurd brackets
+    alg = build_algebra(base, "s2", cutoff, charges=[1])
+    if tamper is not None:
+        GRADING_TAMPERS[tamper](alg)
+        alg._pair_cache.clear()
+    result = grading_check(alg)
+    assert (result.passed, result.details["bracket_pairs"]) == (witness is None, pairs)
+    assert result.witness == witness
+
+
+@pytest.mark.parametrize(
+    "base,manifold,tamper",
+    [("su2", "s2", None), ("su3", "t1", None), ("su2", "s2", "f13"), ("su3", "t1", "f12")],
+)
+def test_grading_rows_agree_with_elements_on_every_pair(base, manifold, tamper):
+    alg = build_algebra(base, manifold, 1, charges=[1])
+    if tamper is not None:
+        GRADING_TAMPERS[tamper](alg)
+    verdicts = set()
+    for alpha, m, beta, n, u, v, holds in _grading_items(alg, _root_spaces(alg)):
+        root = tuple(x + y for x, y in zip(alpha, beta))
+        eigen = tuple(x + y for x, y in zip(m, n))
+        assert holds == (_grading_violation(alg, alg.bracket(u, v), root, eigen) is None)
+        verdicts.add(holds)
+    assert verdicts == ({True} if tamper is None else {True, False})

@@ -322,3 +322,38 @@ def test_build_with_brackets_flag(tmp_path, capsys):
     assert data["brackets"], "bracket table requested but missing"
     loaded = load_algebra(str(path))
     assert run_suites(loaded, suite="jacobi").passed
+
+
+def test_wigner_cache_with_a_non_canonical_key_is_ignored_with_a_warning(
+    tmp_path, monkeypatch, capsys
+):
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    poisoned = [[[0, 0, 2, 0, 2, 0], [{"radicand": 1, "num": "7", "den": "1"}]]]
+    (cache_dir / "wigner3j-cache.json").write_text(json.dumps(poisoned))
+    monkeypatch.setenv("GKMALG_WIGNER_CACHE", str(cache_dir))
+    assert main(["wigner", "--3j", "1", "1", "0", "0", "0", "0", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert "warning: ignoring unreadable wigner cache" in captured.err
+    assert json.loads(captured.out)["float"] == pytest.approx(-(3**0.5) / 3)
+
+
+@pytest.mark.parametrize("setting", [None, "1"])
+def test_internal_error_traceback_is_opt_in(monkeypatch, capsys, setting):
+    def boom(args):
+        raise RuntimeError("bracket rows and elements disagree")
+
+    monkeypatch.setattr("gkmalg.cli._cmd_wigner", boom)
+    monkeypatch.delenv("GKMALG_WIGNER_CACHE", raising=False)
+    if setting is None:
+        monkeypatch.delenv("GKMALG_TRACEBACK", raising=False)
+    else:
+        monkeypatch.setenv("GKMALG_TRACEBACK", setting)
+    assert main(["wigner", "--3j", "1", "1", "0", "0", "0", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: bracket rows and elements disagree\n")
+    if setting is None:
+        assert err == "internal error: bracket rows and elements disagree\n"
+    else:
+        assert "Traceback (most recent call last)" in err
+        assert err.rstrip().endswith("RuntimeError: bracket rows and elements disagree")

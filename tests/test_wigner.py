@@ -7,6 +7,7 @@ the triple-product coefficients.
 """
 
 import itertools
+import json
 from fractions import Fraction
 from math import factorial
 
@@ -19,6 +20,8 @@ from gkmalg.wigner import (
     clear_cache,
     clebsch_gordan,
     gaunt_normalized,
+    load_cache,
+    save_cache,
     wigner3j,
 )
 
@@ -176,3 +179,35 @@ def test_cache_determinism():
     assert first == again
     assert cache_size() == size_after_first  # symmetry variants reuse the entry
     assert permuted == first  # even permutation
+
+
+def test_cache_file_round_trip_leaves_no_temporary(tmp_path):
+    clear_cache()
+    expected = wigner3j(SpinTriple(2, 2, 0, 0, 0, 0))
+    path = tmp_path / "cache.json"
+    save_cache(path)
+    save_cache(path)  # replaces the file in place
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+    clear_cache()
+    assert load_cache(path) == 1
+    assert wigner3j(SpinTriple(2, 2, 0, 0, 0, 0)) == expected
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        [0, 0, 2, 0, 2, 0],  # columns out of canonical order
+        [2, 0, 2, 0, 0, 0, 0],  # wrong length
+        [2, 2, 2, 2, 0, 0],  # m-sum not zero
+    ],
+)
+def test_cache_file_with_a_bad_key_is_rejected_whole(tmp_path, key):
+    clear_cache()
+    good = [[2, 0, 2, 0, 0, 0], [{"radicand": 3, "num": "-1", "den": "3"}]]
+    bad = [key, [{"radicand": 1, "num": "7", "den": "1"}]]
+    path = tmp_path / "cache.json"
+    path.write_text(json.dumps([good, bad]))
+    with pytest.raises(ValueError, match="non-canonical"):
+        load_cache(path)
+    assert cache_size() == 0  # nothing merged, not even the good entry
+    assert wigner3j(SpinTriple(2, 2, 0, 0, 0, 0)) == SurdScalar.sqrt(3, Fraction(-1, 3))
