@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from .report import CheckFailed, CheckResult, checking
 from .scalars import SURD_ONE, SURD_ZERO, SurdScalar
-from .wigner import SpinTriple, clebsch_gordan, gaunt_normalized
+from .wigner import SpinTriple, clebsch_gordan, d_product_norm, gaunt_normalized
 
 ModeLabel = tuple[int, ...]
 Eigen = tuple[Fraction, ...]
@@ -108,7 +108,8 @@ class Sphere2Geometry:
         l2, m2 = J
         m3 = m1 + m2
         out: dict[ModeLabel, SurdScalar] = {}
-        for l3 in range(abs(l1 - l2), l1 + l2 + 1):
+        # (l1 l2 l3; 0 0 0) vanishes for odd l1 + l2 + l3
+        for l3 in range(abs(l1 - l2), l1 + l2 + 1, 2):
             if abs(m3) > l3:
                 continue
             c = gaunt_normalized(l1, m1, l2, m2, l3, m3)
@@ -193,11 +194,7 @@ class Sphere3Geometry:
             right = clebsch_gordan(SpinTriple(tj1, tj2, tj3, tmp1, tmp2, tmp3))
             if right.is_zero:
                 continue
-            # sqrt((2j1+1)(2j2+1)/(2j3+1)) = sqrt(prod) / (2j3+1)
-            norm = SurdScalar.sqrt(
-                (tj1 + 1) * (tj2 + 1) * (tj3 + 1), Fraction(1, tj3 + 1)
-            )
-            out[(tj3, tm3, tmp3)] = norm * left * right
+            out[(tj3, tm3, tmp3)] = d_product_norm(tj1, tj2, tj3) * left * right
         return out
 
     def eta(self, I: ModeLabel) -> tuple[ModeLabel, int]:
@@ -327,15 +324,21 @@ def enumerate_modes(geometry: Geometry, cutoff: int) -> list[ModeLabel]:
 def make_mode_system(geometry: Geometry, cutoff: int) -> ModeSystem:
     """Build the tables for all ordered in-cutoff pairs.
 
-    Each (I, J) entry is a pure function of the labels, so the map phase
-    could be fanned out across workers; the single merge below is the only
-    ordering-sensitive step and is deterministic.
+    The product is commutative, so each unordered pair is computed once:
+    (I, J) with I at or before J in ``modes`` comes from the geometry and
+    (J, I) is a copy of it.  A copy, not the same dict, so that a tamper of
+    one ordering stays visible to ``product_commutativity``.  Entries are
+    inserted in (I, J) row order either way, which fixes the order the
+    oracle enumerates them in.
     """
     modes = geometry.enumerate_modes(cutoff)
     products: dict[tuple[ModeLabel, ModeLabel], dict[ModeLabel, SurdScalar]] = {}
-    for I in modes:
-        for J in modes:
-            products[(I, J)] = geometry.product(I, J)
+    for i, I in enumerate(modes):
+        for j, J in enumerate(modes):
+            if j < i:
+                products[(I, J)] = dict(products[(J, I)])
+            else:
+                products[(I, J)] = geometry.product(I, J)
     eta_table = {I: geometry.eta(I) for I in modes}
     eigen_table = {I: geometry.eigen(I) for I in modes}
     return ModeSystem(

@@ -17,6 +17,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import dps_to_prec, from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_pos, mpf_sqrt
 
 # Rational scalars are plain stdlib fractions: normalised (gcd 1, positive
 # denominator) and big-integer backed, which is exactly the contract needed.
@@ -238,18 +239,23 @@ class SurdScalar:
     # -- numeric conversion --------------------------------------------------
 
     def evalf(self, precision: int = 17) -> mpmath.mpf:
-        """Value as an mpmath float correct to ``precision`` significant digits."""
+        """Value as an mpmath float correct to ``precision`` significant digits.
+
+        Each term and the running sum are rounded to nearest at ten extra
+        digits, and the sum then to ``precision`` digits.  The low-level
+        ``mpmath.libmp`` calls take their precision as an argument, so no
+        global working precision is set and restored per value.
+        """
         if precision < 1:
             raise ValueError("precision must be >= 1")
-        with mpmath.workdps(precision + 10):
-            total = mpmath.mpf(0)
-            for d, q in self._terms.items():
-                term = mpmath.mpf(q.numerator) / q.denominator
-                if d != 1:
-                    term *= mpmath.sqrt(d)
-                total += term
-        with mpmath.workdps(precision):
-            return +total
+        wp = dps_to_prec(precision + 10)
+        total = fzero
+        for d, q in self._terms.items():
+            term = mpf_div(mpf_pos(from_int(q.numerator), wp, "n"), from_int(q.denominator), wp, "n")
+            if d != 1:
+                term = mpf_mul(term, mpf_sqrt(from_int(d), wp, "n"), wp, "n")
+            total = mpf_add(total, term, wp, "n")
+        return mpmath.mp.make_mpf(mpf_pos(total, dps_to_prec(precision), "n"))
 
     def __float__(self):
         return float(self.evalf(17))

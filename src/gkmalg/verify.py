@@ -658,7 +658,8 @@ def oracle_agreement_check(
     """Exact tables vs quadrature: products, eta, eigenvalues, cocycles.
 
     Enumerates every stored quantity and compares all of them, or ``samples``
-    of them drawn with the seed when the table is larger than that.
+    of them drawn with the seed when the table is larger than that.  Exact
+    values are turned into floats only for the quantities drawn.
     """
     with checking("oracle_agreement") as result:
         ms = alg.modes if isinstance(alg, GKMAlgebra) else alg
@@ -672,16 +673,17 @@ def oracle_agreement_check(
         quantities: list[tuple] = []
         for (I, J), table in ms.products.items():
             for K, c in table.items():
-                quantities.append(("product", (I, J, K), float(c)))
+                quantities.append(("product", (I, J, K), c))
         for I in ms.modes:
             J, phase = ms.eta(I)
-            quantities.append(("eta", (I, J), float(phase)))
+            quantities.append(("eta", (I, J), phase))
             for j in range(1, ms.r + 1):
-                quantities.append(("eigen", (j, I), float(ms.eigen(I)[j - 1])))
-                quantities.append(("cocycle", (j, I, J), float(ms.cocycle_pairing(j, I, J))))
+                quantities.append(("eigen", (j, I), ms.eigen(I)[j - 1]))
+                quantities.append(("cocycle", (j, I, J), ms.cocycle_pairing(j, I, J)))
         result.details["band"] = grid.band
         worst = 0.0
-        for kind, args, exact in _draw(result, "samples", quantities, samples, seed):
+        for kind, args, value in _draw(result, "samples", quantities, samples, seed):
+            exact = float(value)
             numeric = numeric_of[kind](grid, *args)
             delta = abs(numeric - exact)
             worst = max(worst, delta)

@@ -18,7 +18,7 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from pathlib import Path
 
 from .scalars import SURD_ZERO, SurdScalar
@@ -71,28 +71,24 @@ def _primes_upto(n: int) -> tuple[int, ...]:
     return tuple(i for i in range(n + 1) if sieve[i])
 
 
-def _factorial_exponent(n: int, p: int) -> int:
-    # Legendre's formula for the exponent of p in n!
-    e, q = 0, p
-    while q <= n:
-        e += n // q
-        q *= p
-    return e
-
-
 def _sqrt_factorial_ratio(numerators: list[int], denominators: list[int]) -> SurdScalar:
     """Exact sqrt of prod(n_i!) / prod(d_i!) as a single surd term."""
     top = max(numerators + denominators, default=1)
-    coeff = Fraction(1)
-    radicand = 1
+    num = den = radicand = 1
     for p in _primes_upto(max(top, 2)):
-        e = sum(_factorial_exponent(n, p) for n in numerators)
-        e -= sum(_factorial_exponent(d, p) for d in denominators)
-        if e:
-            coeff *= Fraction(p) ** (e // 2)
-            if e % 2:
-                radicand *= p
-    return SurdScalar._raw({radicand: coeff})
+        # Legendre's formula: the exponent of p in n! is the sum of n // p^i
+        e, q = 0, p
+        while q <= top:
+            e += sum(n // q for n in numerators) - sum(d // q for d in denominators)
+            q *= p
+        half, odd = divmod(e, 2)
+        if half > 0:
+            num *= p**half
+        elif half < 0:
+            den *= p**-half
+        if odd:
+            radicand *= p
+    return SurdScalar._raw({radicand: Fraction(num, den)})
 
 
 def _selection_ok(t: SpinTriple) -> bool:
@@ -103,27 +99,32 @@ def _selection_ok(t: SpinTriple) -> bool:
     return abs(t.tj1 - t.tj2) <= t.tj3 <= t.tj1 + t.tj2
 
 
-def _canonical_key(t: SpinTriple) -> tuple[tuple[int, ...], int]:
-    """Symmetry-reduced cache key and the phase restoring the original symbol.
-
-    Column permutations and global m-negation change a 3j symbol by at most
-    (-1)^(j1+j2+j3); sorting columns and fixing the sign of the m-vector
-    collapses those 12 variants onto one representative.
-    """
-    cols = list(t.columns())
-    jsum = (t.tj1 + t.tj2 + t.tj3) // 2
+def _sort_columns(cols: list[tuple[int, int]]) -> int:
+    """Sort three columns into descending order in place; returns the swaps made."""
     swaps = 0
-    for i in range(2):  # insertion sort, parity tracked
+    for i in range(2):
         for k in range(2 - i):
             if cols[k] < cols[k + 1]:
                 cols[k], cols[k + 1] = cols[k + 1], cols[k]
                 swaps += 1
-    flips = swaps
-    ms = [tm for _, tm in cols]
-    first = next((tm for tm in ms if tm), 0)
+    return swaps
+
+
+def _canonical_key(t: SpinTriple) -> tuple[tuple[int, ...], int]:
+    """Symmetry-reduced cache key and the phase restoring the original symbol.
+
+    Column permutations and global m-negation change a 3j symbol by at most
+    (-1)^(j1+j2+j3).  The key has its columns sorted and its first nonzero
+    m positive; columns are sorted again after a negation, so a key is its
+    own key and the keys ``save_cache`` writes pass ``load_cache``.
+    """
+    cols = list(t.columns())
+    jsum = (t.tj1 + t.tj2 + t.tj3) // 2
+    flips = _sort_columns(cols)
+    first = next((tm for _, tm in cols if tm), 0)
     if first < 0:
         cols = [(tj, -tm) for tj, tm in cols]
-        flips += 1
+        flips += 1 + _sort_columns(cols)
     phase = -1 if (jsum % 2 and flips % 2) else 1
     key = tuple(x for col in cols for x in col)
     return key, phase
@@ -137,17 +138,20 @@ def _racah_sum(tj1, tj2, tj3, tm1, tm2, tm3) -> SurdScalar:
     kmax = min((tj1 + tj2 - tj3) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
     if kmax < kmin:
         return SURD_ZERO
-    total = Fraction(0)
-    for k in range(kmin, kmax + 1):
-        den = (
-            factorial(k)
-            * factorial((tj1 + tj2 - tj3) // 2 - k)
-            * factorial((tj1 - tm1) // 2 - k)
-            * factorial((tj2 + tm2) // 2 - k)
-            * factorial((tj3 - tj2 + tm1) // 2 + k)
-            * factorial((tj3 - tj1 - tm2) // 2 + k)
-        )
-        total += Fraction(-1 if k % 2 else 1, den)
+    den_k = [
+        factorial(k)
+        * factorial((tj1 + tj2 - tj3) // 2 - k)
+        * factorial((tj1 - tm1) // 2 - k)
+        * factorial((tj2 + tm2) // 2 - k)
+        * factorial((tj3 - tj2 + tm1) // 2 + k)
+        * factorial((tj3 - tj1 - tm2) // 2 + k)
+        for k in range(kmin, kmax + 1)
+    ]
+    # the alternating sum of 1/den over one common denominator
+    common = lcm(*den_k)
+    total = Fraction(
+        sum(-(common // d) if k % 2 else common // d for k, d in enumerate(den_k, kmin)), common
+    )
     if not total:
         return SURD_ZERO
     nums = [
@@ -194,6 +198,36 @@ def clebsch_gordan(t: SpinTriple) -> SurdScalar:
     return SurdScalar.sqrt(t.tj3 + 1, sign) * base
 
 
+# m-independent factors of the mode products, one per (j1, j2, j3); the
+# product tables ask for each of them once per (m1, m2) pair
+_GAUNT_FACTORS: dict[tuple[int, int, int], SurdScalar] = {}
+_D_NORMS: dict[tuple[int, int, int], SurdScalar] = {}
+
+
+def _gaunt_factor(l1: int, l2: int, l3: int) -> SurdScalar:
+    """sqrt((2l1+1)(2l2+1)(2l3+1)) (l1 l2 l3; 0 0 0), memoised."""
+    factor = _GAUNT_FACTORS.get((l1, l2, l3))
+    if factor is None:
+        zero3j = wigner3j(SpinTriple(2 * l1, 2 * l2, 2 * l3, 0, 0, 0))
+        norm = SurdScalar.sqrt((2 * l1 + 1) * (2 * l2 + 1) * (2 * l3 + 1))
+        factor = _GAUNT_FACTORS[(l1, l2, l3)] = norm * zero3j
+    return factor
+
+
+def d_product_norm(tj1: int, tj2: int, tj3: int) -> SurdScalar:
+    """sqrt((2j1+1)(2j2+1)/(2j3+1)) = sqrt((2j1+1)(2j2+1)(2j3+1)) / (2j3+1), memoised.
+
+    The factor in front of the two Clebsch-Gordan coefficients of the
+    product rule for unit-normalised SU(2) modes (doubled labels).
+    """
+    norm = _D_NORMS.get((tj1, tj2, tj3))
+    if norm is None:
+        norm = _D_NORMS[(tj1, tj2, tj3)] = SurdScalar.sqrt(
+            (tj1 + 1) * (tj2 + 1) * (tj3 + 1), Fraction(1, tj3 + 1)
+        )
+    return norm
+
+
 def gaunt_normalized(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> SurdScalar:
     """Triple-product coefficient for unit-normalised spherical modes.
 
@@ -203,15 +237,14 @@ def gaunt_normalized(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> Su
     for l, m in ((l1, m1), (l2, m2), (l3, m3)):
         if not isinstance(l, int) or not isinstance(m, int) or l < 0 or abs(m) > l:
             raise ValueError(f"bad spherical label (l={l}, m={m})")
-    zero3j = wigner3j(SpinTriple(2 * l1, 2 * l2, 2 * l3, 0, 0, 0))
-    if zero3j.is_zero:
+    factor = _gaunt_factor(l1, l2, l3)
+    if factor.is_zero:
         return SURD_ZERO
     m3j = wigner3j(SpinTriple(2 * l1, 2 * l2, 2 * l3, 2 * m1, 2 * m2, -2 * m3))
     if m3j.is_zero:
         return SURD_ZERO
-    sign = -1 if m3 % 2 else 1
-    norm = SurdScalar.sqrt((2 * l1 + 1) * (2 * l2 + 1) * (2 * l3 + 1), sign)
-    return norm * zero3j * m3j
+    c = factor * m3j
+    return -c if m3 % 2 else c
 
 
 # -- cache maintenance --------------------------------------------------------
@@ -222,7 +255,10 @@ def cache_size() -> int:
 
 
 def clear_cache() -> None:
+    """Empty the 3j memo and the product factors derived from it."""
     _CACHE.clear()
+    _GAUNT_FACTORS.clear()
+    _D_NORMS.clear()
 
 
 def save_cache(path) -> None:
@@ -255,9 +291,9 @@ def _is_canonical(key: tuple[int, ...]) -> bool:
 def load_cache(path) -> int:
     """Merge a persisted table into the memo cache; returns entries loaded.
 
-    Every key must be canonical and obey the selection rules, or the whole
-    file is rejected with a ValueError and nothing is merged.  The values
-    are trusted as stored.
+    Every key must be canonical and obey the selection rules, and every
+    value must equal the symbol re-derived from its key, or the whole file
+    is rejected with a ValueError and nothing is merged.
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -266,6 +302,9 @@ def load_cache(path) -> int:
         key = tuple(int(x) for x in key)
         if not _is_canonical(key):
             raise ValueError(f"non-canonical 3j cache key {list(key)}")
-        entries[key] = SurdScalar.from_records(records)
+        value = SurdScalar.from_records(records)
+        if value != _racah_sum(*key[0::2], *key[1::2]):
+            raise ValueError(f"wrong 3j cache value for key {list(key)}: {value}")
+        entries[key] = value
     _CACHE.update(entries)
     return len(entries)

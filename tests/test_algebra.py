@@ -243,6 +243,26 @@ def test_oracle_agreement_and_fault():
     assert result.witness["quantity"] == "product"
 
 
+def test_oracle_converts_only_the_drawn_quantities(monkeypatch):
+    alg = build_algebra("su2", "s2", 4, charges=[1])
+    evalf = SurdScalar.evalf
+    calls = []
+    monkeypatch.setattr(SurdScalar, "evalf", lambda self, *a: calls.append(1) or evalf(self, *a))
+    result = oracle_agreement_check(alg, samples=50, seed=0)
+    assert result.passed and result.regime == "sampled"
+    assert 0 < len(calls) <= 50
+    # seed 10 draws the tampered entry as its 13th sample; witness as before
+    _bump_product(1)(alg)
+    result = oracle_agreement_check(alg, samples=50, seed=10)
+    assert result.details["samples"] == 13
+    assert {k: result.witness[k] for k in ("quantity", "labels", "exact", "delta")} == {
+        "quantity": "product",
+        "labels": "((1, 0), (1, 1), (2, 1))",
+        "exact": 1.7745966692414834,
+        "delta": 1.0000000000000002,
+    }
+
+
 def test_vector_element_and_fold(su2_t1):
     alg = su2_t1
     cw = alg.cw

@@ -1,7 +1,10 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
+from gkmalg.algebra import build_algebra
 from gkmalg.modes import (
     Sphere2Geometry,
     Sphere3Geometry,
@@ -10,7 +13,8 @@ from gkmalg.modes import (
     parse_manifold,
 )
 from gkmalg.scalars import SurdScalar
-from gkmalg.verify import mode_axiom_checks
+from gkmalg.serialize import dump_algebra
+from gkmalg.verify import commutativity_check, mode_axiom_checks
 from gkmalg.wigner import SpinTriple, clebsch_gordan
 
 
@@ -138,3 +142,37 @@ def test_products_extend_beyond_cutoff():
     table = ms.product((3, 0), (2, 0))  # both beyond the cutoff
     assert (5, 0) in table and (1, 0) in table
     assert ms.product((1, 0), (1, 0))[(2, 0)] == SurdScalar.sqrt(5, Fraction(2, 5))
+
+
+@pytest.mark.parametrize(
+    "manifold,cutoff,digest",
+    [
+        ("t2", 2, "811341e3f7bdc7c48c4e471590efd7d0c77618fcf2b2c92b6dae43c25336eb27"),
+        ("s2", 4, "0c7be29006d571cdc4d1add6b46051adc97d0b9ded9cddf4146c59eb910beb36"),
+        ("s3", 3, "ad1006bda4e12de489d05e865040bdb84a20a80e5e225931bf7acd32ba8c9612"),
+        ("s3-integer", 4, "c82731ddec9800cd000ed7956a036985c9c5ddcbae574d3a4359c18d680a756c"),
+    ],
+)
+def test_mirrored_table_build_is_unchanged(manifold, cutoff, digest):
+    # digests of the dumps (provenance dropped) when every ordered pair was
+    # computed from the geometry on its own
+    alg = build_algebra("su2", manifold, cutoff, charges=[1] * parse_manifold(manifold).r)
+    ms = alg.modes
+    for (I, J), table in ms.products.items():
+        assert table == ms.geometry.product(I, J)
+        if I != J:
+            assert table is not ms.products[(J, I)]
+    body = {k: v for k, v in dump_algebra(alg).items() if k != "provenance"}
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("ordering", ["computed", "mirrored"])
+def test_tampering_one_ordering_breaks_commutativity(ordering):
+    ms = make_mode_system(Sphere2Geometry(), 2)
+    I, J = (1, 0), (2, 1)  # I comes first, so (J, I) is the mirrored copy
+    table = ms.products[(I, J) if ordering == "computed" else (J, I)]
+    table[(3, 1)] = table[(3, 1)] + 1
+    result = commutativity_check(ms)
+    assert not result.passed
+    assert result.witness == {"modes": [list(I), list(J)]}

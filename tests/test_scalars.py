@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,3 +158,25 @@ def test_immutability():
     z = ComplexSurd.rational(1)
     with pytest.raises(AttributeError):
         z.re = SURD_ZERO
+
+
+def _evalf_reference(x: SurdScalar, precision: int):
+    # the high-level mpmath evaluation that evalf reproduces with libmp calls
+    with mpmath.workdps(precision + 10):
+        total = mpmath.mpf(0)
+        for d, q in x.terms.items():
+            term = mpmath.mpf(q.numerator) / q.denominator
+            if d != 1:
+                term *= mpmath.sqrt(d)
+            total += term
+    with mpmath.workdps(precision):
+        return +total
+
+
+@given(surds(), st.integers(min_value=1, max_value=40))
+@settings(max_examples=200, deadline=None)
+def test_evalf_matches_the_high_level_evaluation_bit_for_bit(a, precision):
+    big = SurdScalar({1: Fraction(10**40 + 1, 3**50), 9699690: Fraction(-(7**45), 10**30)})
+    for x in (a, big, a * big):
+        assert x.evalf(precision)._mpf_ == _evalf_reference(x, precision)._mpf_
+        assert float(x) == float(_evalf_reference(x, 17))

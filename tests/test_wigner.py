@@ -13,6 +13,7 @@ from math import factorial
 
 import pytest
 
+from gkmalg.modes import Sphere2Geometry, make_mode_system
 from gkmalg.scalars import SURD_ZERO, SurdScalar
 from gkmalg.wigner import (
     SpinTriple,
@@ -193,6 +194,20 @@ def test_cache_file_round_trip_leaves_no_temporary(tmp_path):
     assert wigner3j(SpinTriple(2, 2, 0, 0, 0, 0)) == expected
 
 
+def test_cache_written_after_a_table_build_loads_back(tmp_path):
+    # negating the m's can unsort the columns: (2 1 1; -1 1 0) has the key
+    # (2 1 1; 1 0 -1), which must be its own key for the file to load
+    clear_cache()
+    expected = wigner3j(SpinTriple(4, 2, 2, -2, 2, 0))
+    make_mode_system(Sphere2Geometry(), 2)
+    path = tmp_path / "cache.json"
+    save_cache(path)
+    saved = cache_size()
+    clear_cache()
+    assert load_cache(path) == saved
+    assert wigner3j(SpinTriple(4, 2, 2, -2, 2, 0)) == expected
+
+
 @pytest.mark.parametrize(
     "key",
     [
@@ -211,3 +226,15 @@ def test_cache_file_with_a_bad_key_is_rejected_whole(tmp_path, key):
         load_cache(path)
     assert cache_size() == 0  # nothing merged, not even the good entry
     assert wigner3j(SpinTriple(2, 2, 0, 0, 0, 0)) == SurdScalar.sqrt(3, Fraction(-1, 3))
+
+
+def test_cache_file_with_a_wrong_value_is_rejected_whole(tmp_path):
+    clear_cache()
+    good = [[2, 0, 2, 0, 0, 0], [{"radicand": 3, "num": "-1", "den": "3"}]]
+    poisoned = [[2, 2, 2, -2, 0, 0], [{"radicand": 1, "num": "7", "den": "1"}]]
+    path = tmp_path / "cache.json"
+    path.write_text(json.dumps([good, poisoned]))
+    with pytest.raises(ValueError, match=r"wrong 3j cache value for key \[2, 2, 2, -2, 0, 0\]"):
+        load_cache(path)
+    assert cache_size() == 0
+    assert wigner3j(SpinTriple(2, 2, 0, 2, -2, 0)) == SurdScalar.sqrt(3, Fraction(1, 3))
