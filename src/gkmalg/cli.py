@@ -7,9 +7,9 @@ Exit codes are a stable contract:
 * 2 - usage error (bad flags, unsupported manifold, malformed labels)
 * 3 - verification failure (report carries a reproducible witness)
 
-Set ``GKMALG_WIGNER_CACHE`` to a directory to persist the memoised 3j
-table between invocations.  Set ``GKMALG_TRACEBACK=1`` to print the
-traceback of an internal error (exit 1) after its one-line message.
+3j symbols are memoised within one process only; nothing is persisted
+between invocations.  Set ``GKMALG_TRACEBACK=1`` to print the traceback of
+an internal error (exit 1) after its one-line message.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import traceback
 from fractions import Fraction
 from pathlib import Path
 
-from . import wigner as wigner_mod
 from .algebra import build_algebra
 from .modes import parse_manifold
 from .serialize import DumpFormatError, dump_algebra, load_algebra
@@ -36,40 +35,17 @@ EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_VERIFICATION = 3
 
-_CACHE_ENV = "GKMALG_WIGNER_CACHE"
-_CACHE_FILE = "wigner3j-cache.json"
 _TRACEBACK_ENV = "GKMALG_TRACEBACK"
 
 
-def _cache_path() -> Path | None:
-    root = os.environ.get(_CACHE_ENV)
-    return Path(root) / _CACHE_FILE if root else None
-
-
-def _load_wigner_cache() -> None:
-    path = _cache_path()
-    if path and path.exists():
-        try:
-            wigner_mod.load_cache(path)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            print(f"warning: ignoring unreadable wigner cache: {exc}", file=sys.stderr)
-
-
-def _save_wigner_cache() -> None:
-    path = _cache_path()
-    if path:
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            wigner_mod.save_cache(path)
-        except OSError as exc:
-            print(f"warning: could not persist wigner cache: {exc}", file=sys.stderr)
-
-
-def _parse_fraction(text: str) -> Fraction:
+def _positive_int(text: str) -> int:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,11 +77,11 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument(
         "--budget",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_BUDGET,
         help="max exhaustive triples before switching to seeded sampling",
     )
-    v.add_argument("--oracle-samples", type=int, default=500)
+    v.add_argument("--oracle-samples", type=_positive_int, default=500)
     v.add_argument("--format", choices=("json", "text"), default="json")
 
     r = sub.add_parser("roots", help="print a root space basis and its dimension")
@@ -278,7 +254,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    _load_wigner_cache()
     try:
         if args.command == "build":
             code = _cmd_build(args)
@@ -293,7 +268,6 @@ def main(argv=None) -> int:
         if os.environ.get(_TRACEBACK_ENV) == "1":
             traceback.print_exc(file=sys.stderr)
         return EXIT_INTERNAL
-    _save_wigner_cache()
     return code
 
 

@@ -160,7 +160,7 @@ def load_algebra(source) -> GKMAlgebra:
         return _load_v1(data)
     except DumpFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise DumpFormatError(f"malformed dump: {exc}") from exc
 
 

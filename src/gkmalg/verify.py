@@ -102,7 +102,12 @@ def sample_items(population, count: int, seed: int):
 
 
 def _draw(result: CheckResult, key: str, population, sample: str | int, seed: int | None):
-    """Set ``result``'s regime and seed for a budget; yield the items to check, tallied."""
+    """Set ``result``'s regime and seed for a budget; yield the items to check, tallied.
+
+    A numeric budget below 1 is a ValueError: it would pass on no items.
+    """
+    if sample != "all" and int(sample) < 1:
+        raise ValueError(f"sample size must be at least 1, got {sample}")
     if sample != "all" and int(sample) < len(population):
         result.regime, result.seed = "sampled", (seed if seed is not None else 0)
         population = sample_items(population, int(sample), result.seed)

@@ -12,14 +12,10 @@ trick for keeping half-integer spins in integer arithmetic.
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
-from pathlib import Path
 
 from .scalars import SURD_ZERO, SurdScalar
 
@@ -116,7 +112,7 @@ def _canonical_key(t: SpinTriple) -> tuple[tuple[int, ...], int]:
     Column permutations and global m-negation change a 3j symbol by at most
     (-1)^(j1+j2+j3).  The key has its columns sorted and its first nonzero
     m positive; columns are sorted again after a negation, so a key is its
-    own key and the keys ``save_cache`` writes pass ``load_cache``.
+    own key.
     """
     cols = list(t.columns())
     jsum = (t.tj1 + t.tj2 + t.tj3) // 2
@@ -260,51 +256,3 @@ def clear_cache() -> None:
     _GAUNT_FACTORS.clear()
     _D_NORMS.clear()
 
-
-def save_cache(path) -> None:
-    """Persist the memoised 3j table as JSON (integer-string coefficients).
-
-    The table goes to a temporary file in the same directory that then
-    replaces ``path``, so an interrupted run never leaves a truncated file.
-    """
-    payload = [[list(key), value.to_records()] for key, value in _CACHE.items()]
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def _is_canonical(key: tuple[int, ...]) -> bool:
-    """Whether ``key`` is the cache key of a symbol that obeys the selection rules."""
-    try:
-        t = SpinTriple(*key[0::2], *key[1::2])
-    except (TypeError, ValueError):
-        return False
-    return _selection_ok(t) and _canonical_key(t)[0] == key
-
-
-def load_cache(path) -> int:
-    """Merge a persisted table into the memo cache; returns entries loaded.
-
-    Every key must be canonical and obey the selection rules, and every
-    value must equal the symbol re-derived from its key, or the whole file
-    is rejected with a ValueError and nothing is merged.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    entries = {}
-    for key, records in payload:
-        key = tuple(int(x) for x in key)
-        if not _is_canonical(key):
-            raise ValueError(f"non-canonical 3j cache key {list(key)}")
-        value = SurdScalar.from_records(records)
-        if value != _racah_sum(*key[0::2], *key[1::2]):
-            raise ValueError(f"wrong 3j cache value for key {list(key)}: {value}")
-        entries[key] = value
-    _CACHE.update(entries)
-    return len(entries)

@@ -9,7 +9,7 @@ from gkmalg.cli import main
 from gkmalg.report import VerificationReport
 from gkmalg.serialize import DumpFormatError, dump_algebra, load_algebra, save_algebra
 from gkmalg.verify import run_suites
-from gkmalg.wigner import cache_size
+from gkmalg.wigner import cache_size, clear_cache
 
 
 @pytest.fixture()
@@ -143,6 +143,45 @@ def test_verify_corrupt_dump_exit1(tmp_path, capsys):
     assert main(["verify", str(bad)]) == 1
     missing = tmp_path / "missing.json"
     assert main(["verify", str(missing)]) == 1
+
+
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        (lambda d: d.__setitem__("charges", ["1/0"]), "Fraction(1, 0)"),
+        (lambda d: d["base"]["g"][0].__setitem__(0, 9), "index out of range"),
+        (lambda d: d["modes"].__setitem__("geometry", "s2"), "has no attribute"),
+    ],
+    ids=["zero-denominator-charge", "base-g-index", "geometry-not-an-object"],
+)
+def test_malformed_dump_is_reported_as_malformed(s2_dump, tmp_path, mutate, message, capsys):
+    bad = _tamper(s2_dump, tmp_path, mutate)
+    with pytest.raises(DumpFormatError):
+        load_algebra(bad)
+    capsys.readouterr()
+    assert main(["verify", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed dump: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--budget", "0"], ["--budget", "-1"], ["--oracle-samples", "0"], ["--oracle-samples", "-1"],
+     ["--budget", "many"]],
+)
+def test_verify_rejects_a_non_positive_budget(s2_dump, flags, capsys):
+    assert main(["verify", str(s2_dump), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and flags[0] in captured.err
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_run_suites_rejects_a_non_positive_budget(budget):
+    alg = build_algebra("su2", "s2", 1, charges=[1])
+    with pytest.raises(ValueError, match="sample size must be at least 1"):
+        run_suites(alg, "jacobi", budget=budget)
+    with pytest.raises(ValueError, match="sample size must be at least 1"):
+        run_suites(alg, "oracle", oracle_samples=budget)
 
 
 @pytest.mark.parametrize(
@@ -297,17 +336,29 @@ def test_wigner_cli(capsys):
     assert main(["wigner", "--3j", "1/3", "1", "1", "0", "0", "0"]) == 2
 
 
-def test_wigner_cache_env(tmp_path, monkeypatch, capsys):
+def test_wigner_cache_variable_is_ignored(tmp_path, monkeypatch, capsys):
+    # [2, 2, 2, -2, 0, 0] is the memo key of (1 1 0; 1 -1 0) = sqrt(3)/3; the file says 7
     cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    poisoned = [[[2, 2, 2, -2, 0, 0], [{"radicand": 1, "num": "7", "den": "1"}]]]
+    (cache_dir / "wigner3j-cache.json").write_text(json.dumps(poisoned))
+    before = {p.name: p.read_bytes() for p in cache_dir.iterdir()}
     monkeypatch.setenv("GKMALG_WIGNER_CACHE", str(cache_dir))
-    assert main(["wigner", "--3j", "2", "2", "2", "1", "-1", "0"]) == 0
-    capsys.readouterr()
-    cache_file = cache_dir / "wigner3j-cache.json"
-    assert cache_file.exists()
-    entries = json.loads(cache_file.read_text())
-    assert entries
-    # second run loads the cache without error and reproduces the value
-    assert main(["wigner", "--3j", "2", "2", "2", "1", "-1", "0"]) == 0
+    clear_cache()
+    assert main(["wigner", "--3j", "1", "1", "0", "1", "-1", "0", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["float"] == pytest.approx(3**0.5 / 3)
+    out = tmp_path / "a.json"
+    build = ["build", "--algebra", "su2", "--manifold", "s2", "--cutoff", "2", "--charges", "1"]
+    assert main([*build, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    clear_cache()
+    expected = dump_algebra(build_algebra("su2", "s2", 2, charges=[1]))
+    assert json.loads(out.read_text())["modes"] == expected["modes"]
+    assert main(["verify", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert {p.name: p.read_bytes() for p in cache_dir.iterdir()} == before
 
 
 def test_build_with_brackets_flag(tmp_path, capsys):
@@ -324,27 +375,12 @@ def test_build_with_brackets_flag(tmp_path, capsys):
     assert run_suites(loaded, suite="jacobi").passed
 
 
-def test_wigner_cache_with_a_non_canonical_key_is_ignored_with_a_warning(
-    tmp_path, monkeypatch, capsys
-):
-    cache_dir = tmp_path / "cache"
-    cache_dir.mkdir()
-    poisoned = [[[0, 0, 2, 0, 2, 0], [{"radicand": 1, "num": "7", "den": "1"}]]]
-    (cache_dir / "wigner3j-cache.json").write_text(json.dumps(poisoned))
-    monkeypatch.setenv("GKMALG_WIGNER_CACHE", str(cache_dir))
-    assert main(["wigner", "--3j", "1", "1", "0", "0", "0", "0", "--format", "json"]) == 0
-    captured = capsys.readouterr()
-    assert "warning: ignoring unreadable wigner cache" in captured.err
-    assert json.loads(captured.out)["float"] == pytest.approx(-(3**0.5) / 3)
-
-
 @pytest.mark.parametrize("setting", [None, "1"])
 def test_internal_error_traceback_is_opt_in(monkeypatch, capsys, setting):
     def boom(args):
         raise RuntimeError("bracket rows and elements disagree")
 
     monkeypatch.setattr("gkmalg.cli._cmd_wigner", boom)
-    monkeypatch.delenv("GKMALG_WIGNER_CACHE", raising=False)
     if setting is None:
         monkeypatch.delenv("GKMALG_TRACEBACK", raising=False)
     else:

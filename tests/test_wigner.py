@@ -7,22 +7,20 @@ the triple-product coefficients.
 """
 
 import itertools
-import json
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from gkmalg.modes import Sphere2Geometry, make_mode_system
 from gkmalg.scalars import SURD_ZERO, SurdScalar
 from gkmalg.wigner import (
     SpinTriple,
+    _canonical_key,
+    _racah_sum,
     cache_size,
     clear_cache,
     clebsch_gordan,
     gaunt_normalized,
-    load_cache,
-    save_cache,
     wigner3j,
 )
 
@@ -182,59 +180,44 @@ def test_cache_determinism():
     assert permuted == first  # even permutation
 
 
-def test_cache_file_round_trip_leaves_no_temporary(tmp_path):
-    clear_cache()
-    expected = wigner3j(SpinTriple(2, 2, 0, 0, 0, 0))
-    path = tmp_path / "cache.json"
-    save_cache(path)
-    save_cache(path)  # replaces the file in place
-    assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
-    clear_cache()
-    assert load_cache(path) == 1
-    assert wigner3j(SpinTriple(2, 2, 0, 0, 0, 0)) == expected
+def _symbols(max_tj: int):
+    """Every symbol with all 2j <= max_tj that obeys the selection rules."""
+    for tj1, tj2, tj3 in itertools.product(range(max_tj + 1), repeat=3):
+        if (tj1 + tj2 + tj3) % 2 or not abs(tj1 - tj2) <= tj3 <= tj1 + tj2:
+            continue
+        for tm1 in range(-tj1, tj1 + 1, 2):
+            for tm2 in range(-tj2, tj2 + 1, 2):
+                tm3 = -tm1 - tm2
+                if abs(tm3) <= tj3:
+                    yield SpinTriple(tj1, tj2, tj3, tm1, tm2, tm3)
 
 
-def test_cache_written_after_a_table_build_loads_back(tmp_path):
+def test_canonical_key_is_its_own_key():
     # negating the m's can unsort the columns: (2 1 1; -1 1 0) has the key
-    # (2 1 1; 1 0 -1), which must be its own key for the file to load
-    clear_cache()
-    expected = wigner3j(SpinTriple(4, 2, 2, -2, 2, 0))
-    make_mode_system(Sphere2Geometry(), 2)
-    path = tmp_path / "cache.json"
-    save_cache(path)
-    saved = cache_size()
-    clear_cache()
-    assert load_cache(path) == saved
-    assert wigner3j(SpinTriple(4, 2, 2, -2, 2, 0)) == expected
+    # (2 1 1; 1 0 -1), which must map to itself with phase +1
+    count = 0
+    for t in _symbols(8):
+        key, _ = _canonical_key(t)
+        assert _canonical_key(SpinTriple(*key[0::2], *key[1::2])) == (key, 1), t
+        count += 1
+    assert count == 4451
 
 
 @pytest.mark.parametrize(
-    "key",
-    [
-        [0, 0, 2, 0, 2, 0],  # columns out of canonical order
-        [2, 0, 2, 0, 0, 0, 0],  # wrong length
-        [2, 2, 2, 2, 0, 0],  # m-sum not zero
-    ],
+    "labels", [(4, 2, 2, -2, 2, 0), (6, 6, 4, 2, -4, 2), (3, 5, 4, 1, -3, 2), (8, 4, 6, 0, 2, -2)]
 )
-def test_cache_file_with_a_bad_key_is_rejected_whole(tmp_path, key):
-    clear_cache()
-    good = [[2, 0, 2, 0, 0, 0], [{"radicand": 3, "num": "-1", "den": "3"}]]
-    bad = [key, [{"radicand": 1, "num": "7", "den": "1"}]]
-    path = tmp_path / "cache.json"
-    path.write_text(json.dumps([good, bad]))
-    with pytest.raises(ValueError, match="non-canonical"):
-        load_cache(path)
-    assert cache_size() == 0  # nothing merged, not even the good entry
-    assert wigner3j(SpinTriple(2, 2, 0, 0, 0, 0)) == SurdScalar.sqrt(3, Fraction(-1, 3))
-
-
-def test_cache_file_with_a_wrong_value_is_rejected_whole(tmp_path):
-    clear_cache()
-    good = [[2, 0, 2, 0, 0, 0], [{"radicand": 3, "num": "-1", "den": "3"}]]
-    poisoned = [[2, 2, 2, -2, 0, 0], [{"radicand": 1, "num": "7", "den": "1"}]]
-    path = tmp_path / "cache.json"
-    path.write_text(json.dumps([good, poisoned]))
-    with pytest.raises(ValueError, match=r"wrong 3j cache value for key \[2, 2, 2, -2, 0, 0\]"):
-        load_cache(path)
-    assert cache_size() == 0
-    assert wigner3j(SpinTriple(2, 2, 0, 2, -2, 0)) == SurdScalar.sqrt(3, Fraction(1, 3))
+def test_wigner3j_is_equal_across_symmetry_variants(labels):
+    """Column permutations and m-negation change the symbol by (-1)^(j1+j2+j3) at most."""
+    t = SpinTriple(*labels)
+    value = wigner3j(t)
+    assert not value.is_zero
+    jsum_odd = ((t.tj1 + t.tj2 + t.tj3) // 2) % 2
+    cols = t.columns()
+    for perm in itertools.permutations(range(3)):
+        odd = sum(perm[i] > perm[k] for i in range(3) for k in range(i + 1, 3)) % 2
+        tjs = [cols[i][0] for i in perm]
+        for negate in (False, True):
+            tms = [-cols[i][1] if negate else cols[i][1] for i in perm]
+            sign = -1 if jsum_odd and (odd + negate) % 2 else 1
+            got = wigner3j(SpinTriple(*tjs, *tms))
+            assert got == value * sign == _racah_sum(*tjs, *tms), (tjs, tms)
