@@ -38,10 +38,11 @@ and s = 1 for D and k, the coefficient of w in [p, q] is the row value times
 ``s_p s_q / s_w``.  In the X basis the form is <X_aI, X_bJ> = -g_ab eta_IJ
 and <D_i, k_j> is unchanged, so it is real too.  These phases are nonzero,
 so Jacobi, antisymmetry and invariance hold on the rows exactly when they
-hold on the elements; :mod:`gkmalg.verify` checks them on the rows, and
-brackets root-space elements there too, with complex X-basis coefficients.  A
+hold on the elements; :mod:`gkmalg.verify` checks them on the rows.  A
 tampered eta makes the stored form asymmetric, so invariance is evaluated
-as <[x,y],z> + <y,[x,z]> with the arguments in exactly that order.
+as <[x,y],z> + <y,[x,z]> with the arguments in exactly that order.  The
+root grading is checked on the tables the T-T rows are built from, by the
+same formula, and root-space elements are bracketed only for a witness.
 """
 
 from __future__ import annotations

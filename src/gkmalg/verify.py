@@ -9,10 +9,12 @@ the offending generator ids or mode labels and the nonzero value.  Checks read
 the materialised tables of the algebra under test (not the generating rules),
 so a tampered dump is diagnosed here rather than at parse time.
 
-Jacobi, invariance, antisymmetry and the root grading are evaluated exactly
-on the X-basis bracket rows of :mod:`gkmalg.algebra`; a failing item is
-replayed on :class:`GKMElement` brackets, so its witness is in the T basis,
-and a replay that disagrees with the rows raises ``RuntimeError``.
+Jacobi, invariance and antisymmetry are evaluated exactly on the X-basis
+bracket rows of :mod:`gkmalg.algebra`.  The root grading is decided on the
+factorised tables the T-T rows are built from: a base part from the f and g
+tables, a mode part from the product, eta and eigenvalue tables.  A failing
+item is replayed on :class:`GKMElement` brackets, only to build a T-basis
+witness, and a replay that disagrees with the verdict raises ``RuntimeError``.
 
 :func:`_draw` alone picks the regime: a budget that covers the population
 checks every item in order ("exhaustive"); a smaller one checks that many
@@ -28,7 +30,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .algebra import GKMAlgebra, GKMElement, GenId, build_algebra, surd_product
-from .liealg import coefficients_in_span, jacobi_check_finite, killing_form, staircase_pivots
+from .liealg import coefficients_in_span, jacobi_check_finite, killing_form
 from .modes import ModeSystem, TorusGeometry
 from .quadrature import (
     make_grid,
@@ -410,9 +412,9 @@ def grading_check(alg: GKMAlgebra) -> CheckResult:
     must carry eigenvalue m+n, the base part must sit inside the expected
     root line (or the Cartan span at a+b = 0, or vanish when a+b is not a
     root), and the central part must vanish unless a+b = 0 and m+n = 0.
-    Each bracket is summed exactly on the X-basis rows (see
-    :func:`_grading_items`); a failing one is recomputed on elements by
-    :func:`_grading_violation` for a T-basis witness.
+    Each bracket is decided from its base and mode factors (see
+    :func:`_grading_items`); only a failing one is replayed on elements, by
+    :func:`_grading_violation`, for a T-basis witness.
     """
     with checking("grading") as result:
         if alg.cw is None:
@@ -442,122 +444,87 @@ def grading_check(alg: GKMAlgebra) -> CheckResult:
     return result
 
 
-def _complex_terms(z) -> tuple:
-    """A complex surd as ``(d, q, flag)`` terms, each meaning ``q sqrt(d) i**flag``."""
-    re = tuple((d, q, 0) for d, q in z.re.terms.items())
-    return re + tuple((d, q, 1) for d, q in z.im.terms.items())
-
-
-def _times(d1: int, q1, f1: int, d2: int, q2, f2: int) -> tuple:
-    """The product of the terms ``(d1, q1, f1)`` and ``(d2, q2, f2)``."""
-    d, q = surd_product(d1, q1, d2, q2)
-    return (d, -q, 0) if f1 & f2 else (d, q, f1 | f2)
-
-
 def _root_spaces(alg: GKMAlgebra) -> dict:
-    """Each nonempty root-space label -> its basis, as (element, X-basis terms).
+    """Each nonempty root-space label -> its basis, as ``(u, x, code, I)``.
 
-    The X-basis terms of an element are ``[(gen id, terms)]``: since
-    T_aI = -i X_aI, the X coefficient of ``z T_aI`` is ``-i z``.
+    Every basis element u = x (x) rho_I is one base vector x, a tuple over
+    T_1..T_dim, carried by one mode I; ``code`` numbers the distinct base
+    vectors by value, so memo keys on them hash cheaply.
     """
-    spaces = {}
+    spaces, codes, dims = {}, {}, range(1, alg.base.dim + 1)
     for label in alg.root_space_labels():
-        basis = alg.root_space(*label)
+        basis = []
+        for u in alg.root_space(*label):
+            I = next(iter(u.coeffs))[2]
+            x = tuple(u.coefficient(("T", a, I)) for a in dims)
+            basis.append((u, x, codes.setdefault(x, len(codes)), I))
         if basis:
-            spaces[label] = [
-                (u, [(alg.gen_id(g), _complex_terms(-z.times_i())) for g, z in u.coeffs.items()])
-                for u in basis
-            ]
+            spaces[label] = basis
     return spaces
 
 
-def _span_relations(basis) -> tuple:
-    """The linear relations that cut span(basis) out, from its staircase pivots.
+def _base_part(alg: GKMAlgebra, x, y, root) -> tuple:
+    """``(inside, paired)`` for base vectors x, y and the target root.
 
-    One ``(c, ((p, terms of b[c] / b[p]), ...))`` per non-pivot coordinate c,
-    over the basis vectors b with pivot p and b[c] != 0: a vector lies in the
-    span exactly when each ``vec[c] = sum vec[p] * b[c] / b[p]`` holds, which
-    is the residual test of :func:`coefficients_in_span`.
+    ``inside`` is None when [x, y] vanishes, else whether it lies in the
+    target root line (the Cartan span at root 0; nothing outside the root
+    system); ``paired`` is whether <x, y> != 0.
     """
-    pivots = staircase_pivots(basis)
-    return tuple(
-        (c, tuple((p, _complex_terms(b[c] / b[p])) for b, p in zip(basis, pivots) if b[c]))
-        for c in range(len(basis[0]))
-        if c not in pivots
-    )
+    base, cw = alg.base, alg.cw
+    w = base.bracket_vectors(x, y)
+    if all(c.is_zero for c in w):
+        inside = None
+    elif root in cw.root_vectors:
+        inside = coefficients_in_span(w, [cw.root_vectors[root]]) is not None
+    else:
+        inside = not any(root) and coefficients_in_span(w, cw.cartan) is not None
+    return inside, not base.killing_vectors(x, y).is_zero
 
 
-def _in_span(vec: dict, relations) -> bool:
-    """Whether ``vec`` (coordinate -> ``{(d, flag): q}``) satisfies every relation."""
-    for c, ratios in relations:
-        acc = {key: -q for key, q in vec.get(c, {}).items()}
-        for p, terms in ratios:
-            for (d1, f1), q1 in vec.get(p, {}).items():
-                for d2, q2, f2 in terms:
-                    d, q, f = _times(d1, q1, f1, d2, q2, f2)
-                    acc[d, f] = acc.get((d, f), 0) + q
-        if any(acc.values()):
-            return False
-    return True
+def _mode_part(ms: ModeSystem, I, J) -> tuple:
+    """``(products, drift, central)`` for modes I, J, from the stored tables.
 
-
-def _graded(alg: GKMAlgebra, acc: dict, central_ok: bool, eigen, relations) -> bool:
-    """Whether a bracket summed into ``{(gen id, d, flag): q}`` is in its target space.
-
-    ``relations`` are the span relations of the target root line or Cartan
-    span, or None when the target is neither.
+    ``products``: some entry of rho_I rho_J is nonzero; ``drift``: some
+    nonzero entry K has eigenvalues other than I's plus J's; ``central``:
+    some cocycle factor omega_j(rho_I, rho_J) = I(j) eta_IJ is nonzero.
     """
-    vecs: dict = {}
-    for (k, d, f), q in acc.items():
-        if not q:
-            continue
-        gen = alg.generator_of(k)
-        if gen[0] == "k" and not central_ok:
-            return False
-        if gen[0] == "T":
-            vecs.setdefault(gen[2], {}).setdefault(gen[1] - 1, {})[d, f] = q
-    return all(
-        relations is not None and alg.modes.eigen(K) == eigen and _in_span(vec, relations)
-        for K, vec in vecs.items()
-    )
+    target = tuple(a + b for a, b in zip(ms.eigen(I), ms.eigen(J)))
+    eigens = [ms.eigen(K) for K, c in ms.product(I, J).items() if not c.is_zero]
+    central = any(not ms.cocycle_pairing(j, I, J).is_zero for j in range(1, ms.r + 1))
+    return bool(eigens), any(e != target for e in eigens), central
 
 
 def _grading_items(alg: GKMAlgebra, spaces: dict):
-    """Every grading item in check order, with its verdict on the bracket rows.
+    """Every grading item in check order, with its verdict from the stored tables.
 
     Yields ``(alpha, m, beta, n, u, v, holds)`` for each basis element u of
     g_(alpha,m) and v of g_(beta,n), over label pairs in
-    ``combinations_with_replacement`` order.  [u, v] = sum c_p c_q row(p, q)
-    is summed exactly into ``{(gen id, d, flag): q}`` before it is tested.
+    ``combinations_with_replacement`` order.  For u = x (x) rho_I and
+    v = y (x) rho_J the bracket factorises as
+
+        [u, v] = sum_K c_IJ^K [x, y] (x) rho_K  +  <x, y> eta_IJ sum_j I(j) k_j,
+
+    the formula :meth:`GKMAlgebra._bracket_gens` builds the T-T rows by, so
+    the verdict is decided from a base part per distinct (x, y, target root)
+    and a mode part per (I, J), each computed once.
     """
-    cw, row = alg.cw, alg.bracket_row
-    zero_root = tuple(Fraction(0) for _ in cw.roots[0])
-    lines: dict = {}  # target root -> span relations, None outside the root system
+    ms, bases, modes = alg.modes, {}, {}
     pairs = itertools.combinations_with_replacement(spaces.items(), 2)
     for ((alpha, m), us), ((beta, n), vs) in pairs:
-        root = tuple(x + y for x, y in zip(alpha, beta))
-        eigen = tuple(x + y for x, y in zip(m, n))
-        if root not in lines:
-            if root in cw.root_vectors:
-                lines[root] = _span_relations([cw.root_vectors[root]])
-            else:
-                lines[root] = _span_relations(cw.cartan) if root == zero_root else None
-        central_ok = root == zero_root and not any(eigen)
-        for u, xu in us:
-            for v, xv in vs:
-                acc: dict = {}
-                for p, cps in xu:
-                    for q, cqs in xv:
-                        terms = row(p, q)
-                        if not terms:
-                            continue
-                        for d1, q1, f1 in cps:
-                            for d2, q2, f2 in cqs:
-                                d12, q12, f = _times(d1, q1, f1, d2, q2, f2)
-                                for k, d3, q3 in terms:
-                                    d, c = surd_product(d12, q12, d3, q3)
-                                    acc[k, d, f] = acc.get((k, d, f), 0) + c
-                holds = _graded(alg, acc, central_ok, eigen, lines[root])
+        root = tuple(a + b for a, b in zip(alpha, beta))
+        central_ok = not any(root) and not any(a + b for a, b in zip(m, n))
+        memo = bases.setdefault(root, {})
+        for u, x, cx, I in us:
+            for v, y, cy, J in vs:
+                base = memo.get((cx, cy))
+                if base is None:
+                    base = memo[cx, cy] = _base_part(alg, x, y, root)
+                mode = modes.get((I, J))
+                if mode is None:
+                    mode = modes[I, J] = _mode_part(ms, I, J)
+                (inside, paired), (products, drift, central) = base, mode
+                graded = inside is None or not products or (inside and not drift)
+                holds = graded and (central_ok or not (paired and central))
                 yield alpha, m, beta, n, u, v, holds
 
 

@@ -110,17 +110,17 @@ def _canonical_key(t: SpinTriple) -> tuple[tuple[int, ...], int]:
     """Symmetry-reduced cache key and the phase restoring the original symbol.
 
     Column permutations and global m-negation change a 3j symbol by at most
-    (-1)^(j1+j2+j3).  The key has its columns sorted and its first nonzero
-    m positive; columns are sorted again after a negation, so a key is its
-    own key.
+    (-1)^(j1+j2+j3).  The key is the larger of the column-sorted symbol and
+    its column-sorted m-negation, so every symmetry variant has one key and
+    a key is its own key.
     """
     cols = list(t.columns())
-    jsum = (t.tj1 + t.tj2 + t.tj3) // 2
+    negated = [(tj, -tm) for tj, tm in cols]
     flips = _sort_columns(cols)
-    first = next((tm for _, tm in cols if tm), 0)
-    if first < 0:
-        cols = [(tj, -tm) for tj, tm in cols]
-        flips += 1 + _sort_columns(cols)
+    negated_flips = 1 + _sort_columns(negated)
+    if negated > cols:
+        cols, flips = negated, negated_flips
+    jsum = (t.tj1 + t.tj2 + t.tj3) // 2
     phase = -1 if (jsum % 2 and flips % 2) else 1
     key = tuple(x for col in cols for x in col)
     return key, phase

@@ -433,11 +433,46 @@ def test_grading_tampers_keep_their_verdicts_counts_and_witnesses(
 
 
 @pytest.mark.parametrize(
+    "tamper",
+    [
+        # [x rho_I, y rho_J] has the central part <x, y> eta_IJ sum_j I(j) k_j: an eta
+        # pairing modes of unequal eigenvalue adds nothing when I(j) = 0 or the phase is 0
+        _set("eta_table", (1, 0), ((1, 1), 1)),
+        _set("eta_table", (1, 1), ((1, 1), 0)),
+        # a product entry stored as zero adds no mode, whatever its eigenvalue
+        _product_mode(SURD_ZERO),
+    ],
+    ids=["eta to a zero eigenvalue", "eta phase 0", "zero product entry"],
+)
+def test_grading_passes_tampers_that_add_nothing_to_a_bracket(tamper):
+    alg = build_algebra("su2", "s2", 1, charges=[1])
+    tamper(alg)
+    assert grading_check(alg).passed
+
+
+# su2 has no index 4, so f12 is an su3-only tamper; f45 is the known non-detection
+GRADING_AGREEMENT_TAMPERS = [
+    (base, "s2", tamper)
+    for base in ("su2", "su3")
+    for tamper in GRADING_TAMPERS
+    if tamper != "f45" and not (base == "su2" and tamper == "f12")
+]
+
+
+@pytest.mark.parametrize(
     "base,manifold,tamper",
-    [("su2", "s2", None), ("su3", "t1", None), ("su2", "s2", "f13"), ("su3", "t1", "f12")],
+    [
+        ("su2", "s2", None),
+        ("su3", "t1", None),
+        ("su2", "s3", None),
+        ("su2", "t2", None),
+        ("su2", "s3-integer", None),
+        ("su3", "t1", "f12"),
+        *GRADING_AGREEMENT_TAMPERS,
+    ],
 )
 def test_grading_rows_agree_with_elements_on_every_pair(base, manifold, tamper):
-    alg = build_algebra(base, manifold, 1, charges=[1])
+    alg = build_algebra(base, manifold, 1, charges=[1] * parse_manifold(manifold).r)
     if tamper is not None:
         GRADING_TAMPERS[tamper](alg)
     verdicts = set()

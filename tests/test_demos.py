@@ -23,3 +23,5 @@ def test_demo_runs(demo, tmp_path):
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+    # TMPDIR points here, so a work directory the demo left behind shows up
+    assert not list(tmp_path.glob("gkmalg-demo-*"))

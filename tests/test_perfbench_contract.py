@@ -1,15 +1,23 @@
-"""The per-layer tracer of ``perfbench/`` patches gkmalg functions by name.
+"""The benchmark's contract with the package, checked without timing anything.
 
-A rename in the package must fail here instead of silently emptying a traced
-benchmark run (``perfbench/run.py --trace 1``).
+The per-layer tracer of ``perfbench/`` patches gkmalg functions by name: a
+rename in the package must fail here instead of silently emptying a traced
+benchmark run (``perfbench/run.py --trace 1``).  And every benchmark case
+must pass the correctness gate against ``perfbench/expected.json``, so a
+changed dump digest, regime or item count fails here, not only in a
+benchmark run.
 """
 
+import json
+import random
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import tracer  # noqa: E402
+import worker  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 from gkmalg.algebra import GKMAlgebra, build_algebra  # noqa: E402
 from gkmalg.verify import jacobi_check_gkm  # noqa: E402
@@ -37,3 +45,14 @@ def test_tracer_sees_every_bracket_row_built():
         alg = build_algebra("su2", "t1", 1, charges=[1])
         assert jacobi_check_gkm(alg).passed
     assert t.summarise()["calls"]["algebra.bracket_gens"] == len(alg._pair_cache) > 0
+
+
+def test_every_benchmark_case_passes_the_gate():
+    expected = json.loads(worker.EXPECTED.read_text(encoding="utf-8"))
+    errors = []
+    for wl in WORKLOADS.values():
+        rng = random.Random(0)  # the seeds `worker.py --record` draws
+        for case in wl.cases:
+            job = worker.run_job(wl, case, rng.randrange(2**31))
+            errors += worker.gate(job, expected[wl.name][case.id])
+    assert errors == []

@@ -203,6 +203,26 @@ def test_canonical_key_is_its_own_key():
     assert count == 4451
 
 
+def _orbit(t: SpinTriple) -> frozenset:
+    """Every column permutation of the symbol and of its m-negation."""
+    out = set()
+    for perm in itertools.permutations(t.columns()):
+        for sign in (1, -1):
+            out.add(tuple(tj for tj, _ in perm) + tuple(sign * tm for _, tm in perm))
+    return frozenset(out)
+
+
+def test_canonical_key_folds_each_symmetry_orbit_onto_one_key():
+    # (3 3 2; 1 -2 1) and its m-negation (3 3 2; -1 2 -1) share an orbit but
+    # sort to different columns; both must land on one key
+    keys, orbits = set(), set()
+    for t in _symbols(8):
+        keys.add(_canonical_key(t)[0])
+        orbits.add(_orbit(t))
+        assert wigner3j(t) == _racah_sum(t.tj1, t.tj2, t.tj3, t.tm1, t.tm2, t.tm3), t
+    assert len(keys) == len(orbits) == 449
+
+
 @pytest.mark.parametrize(
     "labels", [(4, 2, 2, -2, 2, 0), (6, 6, 4, 2, -4, 2), (3, 5, 4, 1, -3, 2), (8, 4, 6, 0, 2, -2)]
 )
