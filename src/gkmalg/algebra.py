@@ -24,13 +24,17 @@ D_j and k_j kept, where every structure constant is real::
     [X_aI, X_bJ] = -f_ab^c c_IJ^K X_cK  -  g_ab eta_IJ sum_j I(j) k_j
     [D_j,  X_aI] = I(j) X_aI
 
-Each generator has an int id: its position in :meth:`GKMAlgebra.generators`,
-then the next free id for each out-of-cutoff T_cK that a product reaches.
-The row of a generator pair (i, j) is a tuple of terms ``(k, d, q)``, each
-meaning ``q * sqrt(d)`` times generator k, with d squarefree and q a
-Fraction.  A coefficient with several surd terms (a tampered ``1 + sqrt 2``,
-say) is several terms with the same k.  Rows are built from the f, product,
-eta and eigenvalue tables on first use and memoised in ``_pair_cache``.
+Each generator has an int id: its position in :meth:`GKMAlgebra.generators`
+(numbered at construction), then the next free id for each out-of-cutoff
+T_cK that a product reaches.  The row of a generator pair (i, j) is a tuple
+of terms ``(k, d, q)``, each meaning ``q * sqrt(d)`` times generator k, with
+d squarefree and q a Fraction.  A coefficient with several surd terms (a
+tampered ``1 + sqrt 2``, say) is several terms with the same k.  Rows are
+built on first use and memoised in ``_pair_cache``.  A T-T row sums
+f_ab^c c_IJ^K and g_ab omega_j(I, J), the cocycle factor of
+:meth:`ModeSystem.cocycle_pairing`, term by term with
+:func:`gkmalg.scalars.add_product` into one flat ``(k, d) -> q`` map, the
+form the checks sum in, and keeps the terms that do not cancel.
 
 :class:`GKMElement` brackets, with complex coefficients in the T basis, are
 a view over the rows.  Writing each generator as ``s * X`` with s = -i for T
@@ -49,7 +53,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Mapping
 
 from .liealg import (
@@ -61,37 +64,10 @@ from .liealg import (
     make_algebra,
 )
 from .modes import Eigen, Geometry, ModeLabel, ModeSystem, make_mode_system, parse_manifold
-from .scalars import CSURD_ZERO, SURD_ONE, ComplexSurd, SurdScalar
+from .scalars import CSURD_ZERO, ComplexSurd, SurdScalar, add_product
 
 GenId = tuple  # ("T", a, mode) | ("D", j) | ("k", j)
 Row = tuple  # ((k, d, q), ...): sum of q * sqrt(d) * generator k, in the X basis
-
-
-def surd_product(d1: int, q1, d2: int, q2) -> tuple[int, Fraction]:
-    """``(d, q)`` with ``q sqrt(d) = q1 sqrt(d1) * q2 sqrt(d2)``, for squarefree d1, d2."""
-    if d1 == 1:
-        return d2, q1 * q2
-    if d2 == 1:
-        return d1, q1 * q2
-    if d1 == d2:
-        return 1, q1 * q2 * d1
-    g = gcd(d1, d2)
-    return (d1 // g) * (d2 // g), q1 * q2 * g
-
-
-def _add_product(acc: dict, k: int, x: SurdScalar, y: SurdScalar, scale) -> None:
-    """Add ``scale * x * y`` to generator k of a row under construction."""
-    terms = acc.setdefault(k, {})
-    for d1, q1 in x.terms.items():
-        for d2, q2 in y.terms.items():
-            d, q = surd_product(d1, q1, d2, q2)
-            total = terms.get(d, 0) + scale * q
-            if total:
-                terms[d] = total
-            else:
-                terms.pop(d, None)
-    if not terms:
-        del acc[k]
 
 
 def _times_minus_i(z: ComplexSurd, n: int) -> ComplexSurd:
@@ -180,8 +156,8 @@ class GKMAlgebra:
     # form, kept as data so fault-injection tests can demonstrate why.
     dk_pairing: tuple[tuple[Fraction, ...], ...] = field(default=())
     _pair_cache: dict = field(default_factory=dict, repr=False)  # (i, j) -> Row
-    _gens: list = field(default_factory=list, repr=False)  # id -> generator
-    _gen_ids: dict = field(default_factory=dict, repr=False)  # generator -> id
+    _gens: list = field(init=False, repr=False)  # id -> generator
+    _gen_ids: dict = field(init=False, repr=False)  # generator -> id
 
     def __post_init__(self):
         if len(self.charges) != self.modes.r:
@@ -193,6 +169,8 @@ class GKMAlgebra:
             self.dk_pairing = tuple(
                 tuple(Fraction(1 if i == j else 0) for j in range(r)) for i in range(r)
             )
+        self._gens = self.generators()
+        self._gen_ids = {g: i for i, g in enumerate(self._gens)}
 
     # -- structure ----------------------------------------------------------
 
@@ -223,16 +201,10 @@ class GKMAlgebra:
 
     def generator_ids(self) -> range:
         """The ids of :meth:`generators`, in that order."""
-        gens = self.generators()
-        if not self._gens:
-            self._gens.extend(gens)
-            self._gen_ids.update((g, i) for i, g in enumerate(gens))
-        return range(len(gens))
+        return range(self.base.dim * len(self.modes.modes) + 2 * self.r)
 
     def gen_id(self, gen: GenId) -> int:
         """The id of a generator; an out-of-cutoff one gets the next free id."""
-        if not self._gens:
-            self.generator_ids()
         i = self._gen_ids.get(gen)
         if i is None:
             i = self._gen_ids[gen] = len(self._gens)
@@ -256,21 +228,20 @@ class GKMAlgebra:
         elif kp == "T" and kq == "T":
             _, a, I = p
             _, b, J = q
-            acc: dict[int, dict[int, Fraction]] = {}
+            # sum f_ab^c c_IJ^K and g_ab omega_n(I, J); the X-basis row is minus that
+            acc: dict[tuple[int, int], Fraction] = {}
             frow = self.base.structure(a, b)
             if frow:
                 prods = self.modes.product(I, J)
                 for c, fabc in frow.items():
                     for K, cval in prods.items():
-                        _add_product(acc, self.gen_id(("T", c, K)), fabc, cval, -1)
+                        add_product(acc, self.gen_id(("T", c, K)), fabc, cval)
             gab = self.base.killing_entry(a, b)
-            if not gab.is_zero:
-                partner, phase = self.modes.eta(I)
-                if partner == J:
-                    for n, lam in enumerate(self.modes.eigen(I), start=1):
-                        if lam:
-                            _add_product(acc, self.gen_id(("k", n)), gab, SURD_ONE, -phase * lam)
-            row = tuple((k, d, q) for k, terms in acc.items() for d, q in terms.items())
+            if not gab.is_zero and self.modes.eta(I)[0] == J:
+                for n in range(1, self.r + 1):
+                    omega = self.modes.cocycle_pairing(n, I, J)
+                    add_product(acc, self.gen_id(("k", n)), gab, omega)
+            row = tuple((k, d, -q) for (k, d), q in acc.items() if q)
         self._pair_cache[(i, j)] = row
         return row
 

@@ -143,8 +143,7 @@ def _cmd_build(args) -> int:
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    n_gens = alg.base.dim * len(alg.modes.modes) + 2 * alg.r
-    print(f"wrote {args.out}: {n_gens} generators within cutoff {args.cutoff}")
+    print(f"wrote {args.out}: {len(alg.generator_ids())} generators within cutoff {args.cutoff}")
     return EXIT_OK
 
 

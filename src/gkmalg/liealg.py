@@ -246,37 +246,23 @@ def vec_is_zero(vec: Vector) -> bool:
     return all(v.is_zero for v in vec)
 
 
-def staircase_pivots(basis: Sequence[Vector]) -> list[int]:
-    """Per basis vector, its first nonzero coordinate where every other one vanishes.
-
-    Raises ValueError when some basis vector has no such pivot coordinate.
-    """
-    pivots = []
-    for i, b in enumerate(basis):
-        pivot = None
-        for idx, entry in enumerate(b):
-            if entry.is_zero:
-                continue
-            if all(other[idx].is_zero for k, other in enumerate(basis) if k != i):
-                pivot = idx
-                break
-        if pivot is None:
-            raise ValueError("basis has no staircase pivot structure")
-        pivots.append(pivot)
-    return pivots
-
-
 def coefficients_in_span(vec: Vector, basis: Sequence[Vector]):
     """Coefficients of vec over basis, or None if it falls outside the span.
 
     Requires each basis vector to own a pivot coordinate where every other
     basis vector vanishes (true for the Cartan sets and single root vectors
-    used here); exact division by the single-surd pivots does the rest.
+    used here), else raises ValueError; exact division by the single-surd
+    pivots does the rest.
     """
-    pivots = staircase_pivots(basis)
     residual = list(vec)
     coeffs = []
-    for b, pivot in zip(basis, pivots):
+    for i, b in enumerate(basis):
+        others = [other for k, other in enumerate(basis) if k != i]
+        for pivot, entry in enumerate(b):
+            if not entry.is_zero and all(other[pivot].is_zero for other in others):
+                break
+        else:
+            raise ValueError("basis has no staircase pivot structure")
         lam = residual[pivot] / b[pivot]
         coeffs.append(lam)
         if not lam.is_zero:

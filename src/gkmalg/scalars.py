@@ -7,14 +7,20 @@ inverses of its single-term members, and admits an exact zero test: the
 sqrt(d) over distinct squarefree d are linearly independent over Q, so a
 value is zero iff its canonical term map is empty.
 
+Every product reduces to :func:`surd_product` on two terms:
+:meth:`SurdScalar.__mul__` is built on it, and :func:`add_product` applies
+it term by term into the flat ``(key, d) -> q`` sums of the bracket rows and
+exact checks, which are zero exactly when every entry is.
+
 Values are immutable after construction and safe to share between workers.
 Floats enter only at the oracle boundary via :meth:`SurdScalar.evalf`.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from math import gcd
+from types import MappingProxyType
 
 import mpmath
 from mpmath.libmp import dps_to_prec, from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_pos, mpf_sqrt
@@ -46,6 +52,31 @@ def squarefree_split(n: int) -> tuple[int, int]:
                 d *= p
         p += 1 if p == 2 else 2
     return s, d * m
+
+
+def surd_product(d1: int, q1, d2: int, q2) -> tuple[int, Fraction]:
+    """``(d, q)`` with ``q sqrt(d) = q1 sqrt(d1) * q2 sqrt(d2)``, for squarefree d1, d2."""
+    if d1 == 1:
+        return d2, q1 * q2
+    if d2 == 1:
+        return d1, q1 * q2
+    if d1 == d2:
+        return 1, q1 * q2 * d1
+    # both squarefree, so d1*d2 = g^2 * (d1/g)(d2/g)
+    g = gcd(d1, d2)
+    return (d1 // g) * (d2 // g), q1 * q2 * g
+
+
+def add_product(acc: dict, key, x: SurdScalar, y: SurdScalar) -> None:
+    """Add ``x * y`` to the flat sum ``acc`` of ``(key, d) -> q``, term by term.
+
+    Entries that cancel stay in ``acc`` as zeros; the reader drops them.
+    """
+    for d1, q1 in x._terms.items():
+        for d2, q2 in y._terms.items():
+            d, q = surd_product(d1, q1, d2, q2)
+            prev = acc.get((key, d))
+            acc[key, d] = q if prev is None else prev + q
 
 
 def _as_fraction(x) -> Fraction:
@@ -121,8 +152,9 @@ class SurdScalar:
     # -- predicates and views ----------------------------------------------
 
     @property
-    def terms(self) -> dict[int, Fraction]:
-        return dict(self._terms)
+    def terms(self) -> MappingProxyType:
+        """The canonical ``radicand -> coefficient`` map, read-only."""
+        return MappingProxyType(self._terms)
 
     @property
     def is_zero(self) -> bool:
@@ -186,13 +218,7 @@ class SurdScalar:
         out: dict[int, Fraction] = {}
         for d1, q1 in self._terms.items():
             for d2, q2 in other._terms.items():
-                # both radicands squarefree, so d1*d2 = g^2 * (d1/g)(d2/g)
-                if d1 == d2:
-                    d, q = 1, q1 * q2 * d1
-                else:
-                    g = math.gcd(d1, d2)
-                    d = (d1 // g) * (d2 // g)
-                    q = q1 * q2 * g
+                d, q = surd_product(d1, q1, d2, q2)
                 acc = out.get(d)
                 total = q if acc is None else acc + q
                 if total:

@@ -220,4 +220,7 @@ def _load_v1(data: dict) -> GKMAlgebra:
         cw = None
     else:
         cw = cartan_weyl(make_algebra(base.name))
-    return GKMAlgebra(base=base, modes=ms, charges=charges, cw=cw)
+    alg = GKMAlgebra(base=base, modes=ms, charges=charges, cw=cw)
+    if data["generators"] != [_gen_key(g) for g in alg.generators()]:
+        raise DumpFormatError("malformed dump: generator list disagrees with base, modes and r")
+    return alg

@@ -29,7 +29,7 @@ import random
 from fractions import Fraction
 from math import comb, factorial
 
-from .algebra import GKMAlgebra, GKMElement, GenId, build_algebra, surd_product
+from .algebra import GKMAlgebra, GKMElement, GenId, build_algebra
 from .liealg import coefficients_in_span, jacobi_check_finite, killing_form
 from .modes import ModeSystem, TorusGeometry
 from .quadrature import (
@@ -40,7 +40,7 @@ from .quadrature import (
     numeric_product_coefficient,
 )
 from .report import CheckFailed, CheckResult, VerificationReport, checking
-from .scalars import CSURD_ZERO, SURD_ONE, SURD_ZERO
+from .scalars import CSURD_ZERO, SURD_ONE, SURD_ZERO, add_product, surd_product
 from .wigner import cache_size
 
 DEFAULT_BUDGET = 50_000
@@ -128,16 +128,12 @@ def commutativity_check(ms: ModeSystem) -> CheckResult:
 
 
 def _expand(ms: ModeSystem, table: dict, other) -> dict:
-    """sum_L c_L * (rho_L rho_other) as a merged coefficient map."""
-    out: dict = {}
+    """sum_L c_L * (rho_L rho_other) as its nonzero ``(M, d) -> q`` surd terms."""
+    acc: dict = {}
     for L, cl in table.items():
         for M, cm in ms.product(L, other).items():
-            acc = out.get(M, SURD_ZERO) + cl * cm
-            if acc.is_zero:
-                out.pop(M, None)
-            else:
-                out[M] = acc
-    return out
+            add_product(acc, M, cl, cm)
+    return {key: q for key, q in acc.items() if q}
 
 
 def associativity_check(

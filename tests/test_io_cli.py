@@ -151,8 +151,9 @@ def test_verify_corrupt_dump_exit1(tmp_path, capsys):
         (lambda d: d.__setitem__("charges", ["1/0"]), "Fraction(1, 0)"),
         (lambda d: d["base"]["g"][0].__setitem__(0, 9), "index out of range"),
         (lambda d: d["modes"].__setitem__("geometry", "s2"), "has no attribute"),
+        (lambda d: d["generators"].pop(), "generator list disagrees"),
     ],
-    ids=["zero-denominator-charge", "base-g-index", "geometry-not-an-object"],
+    ids=["zero-denominator-charge", "base-g-index", "geometry-not-an-object", "generator-list"],
 )
 def test_malformed_dump_is_reported_as_malformed(s2_dump, tmp_path, mutate, message, capsys):
     bad = _tamper(s2_dump, tmp_path, mutate)

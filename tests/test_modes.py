@@ -14,7 +14,7 @@ from gkmalg.modes import (
 )
 from gkmalg.scalars import SurdScalar
 from gkmalg.serialize import dump_algebra
-from gkmalg.verify import commutativity_check, mode_axiom_checks
+from gkmalg.verify import associativity_check, commutativity_check, mode_axiom_checks
 from gkmalg.wigner import SpinTriple, clebsch_gordan
 
 
@@ -176,3 +176,15 @@ def test_tampering_one_ordering_breaks_commutativity(ordering):
     result = commutativity_check(ms)
     assert not result.passed
     assert result.witness == {"modes": [list(I), list(J)]}
+
+
+@pytest.mark.parametrize("bump", [1, 1 + SurdScalar.sqrt(2)], ids=["rational", "surd"])
+def test_tampered_product_breaks_associativity(bump):
+    ms = make_mode_system(Sphere2Geometry(), 2)
+    for key in (((1, 0), (1, 1)), ((1, 1), (1, 0))):
+        ms.products[key][(2, 1)] = ms.products[key][(2, 1)] + bump
+    assert commutativity_check(ms).passed
+    result = associativity_check(ms)
+    assert not result.passed
+    assert result.regime == "exhaustive" and result.details["triples"] == 55
+    assert result.witness == {"modes": [[1, -1], [1, 0], [1, 1]]}
