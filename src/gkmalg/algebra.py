@@ -42,11 +42,13 @@ and s = 1 for D and k, the coefficient of w in [p, q] is the row value times
 ``s_p s_q / s_w``.  In the X basis the form is <X_aI, X_bJ> = -g_ab eta_IJ
 and <D_i, k_j> is unchanged, so it is real too.  These phases are nonzero,
 so Jacobi, antisymmetry and invariance hold on the rows exactly when they
-hold on the elements; :mod:`gkmalg.verify` checks them on the rows.  A
-tampered eta makes the stored form asymmetric, so invariance is evaluated
-as <[x,y],z> + <y,[x,z]> with the arguments in exactly that order.  The
-root grading is checked on the tables the T-T rows are built from, by the
-same formula, and root-space elements are bracketed only for a witness.
+hold on the elements; :mod:`gkmalg.verify` checks them on the rows, and
+:meth:`GKMAlgebra._t_value`, the one place the phase rule is written, turns
+a nonzero row sum into the T-basis witness value.  A tampered eta makes the
+stored form asymmetric, so invariance is evaluated as <[x,y],z> + <y,[x,z]>
+with the arguments in exactly that order.  The root grading is checked on
+the tables the T-T rows are built from, by the same formula, and root-space
+elements are bracketed only to replay a failing item.
 """
 
 from __future__ import annotations
@@ -68,14 +70,6 @@ from .scalars import CSURD_ZERO, ComplexSurd, SurdScalar, add_product
 
 GenId = tuple  # ("T", a, mode) | ("D", j) | ("k", j)
 Row = tuple  # ((k, d, q), ...): sum of q * sqrt(d) * generator k, in the X basis
-
-
-def _times_minus_i(z: ComplexSurd, n: int) -> ComplexSurd:
-    """``z * (-i)**n``: the phase from the X basis back to the T basis."""
-    n %= 4
-    if n & 1:
-        z = ComplexSurd(z.im, -z.re)
-    return -z if n & 2 else z
 
 
 class GKMElement:
@@ -250,26 +244,34 @@ class GKMAlgebra:
         row = self._pair_cache.get((i, j))
         return self._bracket_gens(i, j) if row is None else row
 
-    def _row_view(self, i: int, j: int) -> list[tuple[GenId, SurdScalar, int]]:
-        """(generator w, real row value, n) with the T-basis coefficient value * (-i)**n."""
+    def _t_value(
+        self, terms: Mapping[int, Fraction], inputs: Iterable[int], out: int | None = None
+    ) -> ComplexSurd:
+        """The T-basis value of X-basis ``d -> q`` terms of a product of ``inputs``.
+
+        Each T generator is -i times its X, so the value gains a factor
+        ``(-i)**(#T inputs - [output is T])``; ``out`` is the id of the output
+        generator, None for a scalar such as a pairing.
+        """
+        gens = self._gens
+        n = sum(gens[i][0] == "T" for i in inputs) - (out is not None and gens[out][0] == "T")
+        z = ComplexSurd.real(SurdScalar._raw({d: q for d, q in terms.items() if q}))
+        if n % 2:
+            z = ComplexSurd(z.im, -z.re)
+        return -z if n % 4 >= 2 else z
+
+    def _row_view(self, i: int, j: int) -> list[tuple[GenId, ComplexSurd]]:
+        """(generator w, T-basis coefficient of w) over the row of [X_i, X_j]."""
         values: dict[int, dict[int, Fraction]] = {}
         for k, d, q in self.bracket_row(i, j):
             values.setdefault(k, {})[d] = q
-        gens = self._gens
-        turns = (gens[i][0] == "T") + (gens[j][0] == "T")
-        return [
-            (gens[k], SurdScalar._raw(terms), turns - (gens[k][0] == "T"))
-            for k, terms in values.items()
-        ]
+        return [(self._gens[k], self._t_value(terms, (i, j), k)) for k, terms in values.items()]
 
     # -- bracket ------------------------------------------------------------
 
     def bracket_generators(self, p: GenId, q: GenId) -> GKMElement:
         """[p, q] of two generators, as a view over their row."""
-        view = self._row_view(self.gen_id(p), self.gen_id(q))
-        return GKMElement(
-            self, {w: _times_minus_i(ComplexSurd.real(v), n) for w, v, n in view}
-        )
+        return GKMElement(self, dict(self._row_view(self.gen_id(p), self.gen_id(q))))
 
     def bracket(self, x: GKMElement, y: GKMElement) -> GKMElement:
         if x.algebra is not self or y.algebra is not self:
@@ -282,8 +284,8 @@ class GKMAlgebra:
                 if not view:
                     continue
                 weight = cp * cq
-                for gen, value, n in view:
-                    term = _times_minus_i(weight * value, n)
+                for gen, value in view:
+                    term = weight * value
                     acc = total.get(gen)
                     out = term if acc is None else acc + term
                     if out.is_zero:

@@ -202,16 +202,26 @@ def _load_v1(data: dict) -> GKMAlgebra:
         _mode_parse(I): tuple(_rat_parse(v) for v in vals)
         for I, vals in mode_blk["eigen"]
     }
+    cutoff = int(mode_blk["cutoff"])
+    # an absent row would fall back to the geometry rules and go unchecked
+    if modes != geometry.enumerate_modes(cutoff):
+        raise DumpFormatError("malformed dump: mode list disagrees with the geometry and cutoff")
+    if products.keys() != {(I, J) for I in modes for J in modes}:
+        raise DumpFormatError("malformed dump: product rows are not every ordered mode pair")
+    if eta_table.keys() != set(modes) or eigen_table.keys() != set(modes):
+        raise DumpFormatError("malformed dump: eta or eigen rows are not the modes")
+    if any(len(vals) != geometry.r for vals in eigen_table.values()):
+        raise DumpFormatError(f"malformed dump: an eigenvalue vector's length is not {geometry.r}")
+    if int(mode_blk["r"]) != geometry.r:
+        raise DumpFormatError("malformed dump: stored operator count disagrees with the manifold")
     ms = ModeSystem(
         geometry=geometry,
-        cutoff=int(mode_blk["cutoff"]),
+        cutoff=cutoff,
         modes=modes,
         products=products,
         eta_table=eta_table,
         eigen_table=eigen_table,
     )
-    if int(mode_blk["r"]) != ms.r:
-        raise DumpFormatError("stored operator count disagrees with the manifold")
     charges = tuple(_rat_parse(c) for c in data["charges"])
     # Cartan-Weyl data is derived from the algebra *name*, not the stored
     # tables: a tampered f/g must surface as a verification witness, not as

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gkmalg.algebra import build_algebra
+from gkmalg.algebra import GKMAlgebra, build_algebra
 from gkmalg.modes import parse_manifold
 from gkmalg.scalars import SURD_ZERO, ComplexSurd, SurdScalar
 from gkmalg.serialize import dump_algebra
@@ -21,6 +21,7 @@ from gkmalg.verify import (
     killing_consistency_check,
     killing_table_check,
     oracle_agreement_check,
+    run_suites,
     sample_items,
     torus_hierarchy_check,
 )
@@ -232,6 +233,16 @@ def test_hierarchy_pass_and_negative():
     assert not bad.passed
     with pytest.raises(ValueError):
         torus_hierarchy_check(1, 2)
+    bad = torus_hierarchy_check(2, 1, base="su2", embed_suffix=(1,))
+    assert (bad.details["pairs"], bad.witness) == (3, {
+        "generators": ["('T', 1, (-1,))", "('T', 1, (1,))"],
+        "kind": "structure constants differ under the embedding",
+    })
+    bad = torus_hierarchy_check(2, 0, base="su2", embed_suffix=(1,))
+    assert (bad.details["pairs"], bad.witness) == (2, {
+        "generators": ["('T', 1, (0,))", "('T', 2, (0,))"],
+        "escaping_component": "('T', 3, (0, 2))",
+    })
 
 
 def test_oracle_agreement_and_fault():
@@ -276,10 +287,10 @@ def test_vector_element_and_fold(su2_t1):
     assert set(t_part) == {("T", 3, (0,))}
 
 
-def _bump_product(delta):
+def _bump_product(delta, I=(1, 0), J=(1, 1), K=(2, 1)):
     def tamper(alg):
-        table = alg.modes.products[((1, 0), (1, 1))]
-        table[(2, 1)] = table[(2, 1)] + delta
+        table = alg.modes.products[(I, J)]
+        table[K] = table[K] + delta
 
     return tamper
 
@@ -293,6 +304,8 @@ TAMPERS = {
     "none": lambda alg: None,
     "product+1": _bump_product(1),
     "product+(1+sqrt2)": _bump_product(SurdScalar({1: 1, 2: 1})),
+    # the Jacobi witness component has terms in two radicands next to others
+    "square+(1+sqrt2)": _bump_product(SurdScalar({1: 1, 2: 1}), (1, 1), (1, 1), (2, 2)),
     "eta": _set("eta_table", (1, 1), ((1, -1), 1)),
     "eigen": _set("eigen_table", (1, 1), (2,)),
     "dk_pairing": lambda alg: setattr(alg, "dk_pairing", ((2,),)),
@@ -316,6 +329,11 @@ TAMPER_PINS = {
         (37, {**JACOBI_WITNESS, "value": "-1 - √2"}),
         (1164, {**INVARIANCE_WITNESS, "value": "(-2 - 2√2)i"}),
     ),
+    "square+(1+sqrt2)": (
+        (413, {"generators": [T(1, (1, -1)), T(1, (1, 1)), T(2, (1, 1))], "component": T(2, (1, 1)),
+               "value": "(2/5)√15 + (1/5)√30"}),
+        (1598, {"generators": [T(1, (1, 1)), T(2, (1, 1)), T(3, (2, -2))], "value": "(2 + 2√2)i"}),
+    ),
     "eta": ((218, {**ETA_JACOBI, "value": "(4)i"}), (544, {**TT_D, "value": "4"})),
     "eigen": (
         (218, {**ETA_JACOBI, "value": "(-2)i"}),
@@ -334,6 +352,32 @@ def test_tampers_keep_their_verdicts_counts_and_witnesses(tamper):
         assert result.regime == "exhaustive"
         assert (result.passed, result.details["triples"]) == (witness is None, triples)
         assert result.witness == witness
+
+
+@pytest.mark.parametrize(
+    "tamper,pairs,witness",
+    [
+        ("eta", 13, {"pair": [T(1, (1, -1)), T(1, (1, 1))], "value": "-2", "expected": "2"}),
+        ("dk_pairing", 730, {"pair": ["('D', 1)", "('k', 1)"], "value": "2", "expected": "1"}),
+    ],
+)
+def test_killing_table_catches_eta_and_dk_tampers(tamper, pairs, witness):
+    alg = build_algebra("su2", "s2", 2, charges=[1])
+    TAMPERS[tamper](alg)
+    result = killing_table_check(alg)
+    assert (result.passed, result.details["pairs"], result.witness) == (False, pairs, witness)
+
+
+def test_generator_checks_read_only_the_bracket_rows(monkeypatch):
+    alg = build_algebra("su2", "t2", 1, charges=[1, 1])
+
+    def forbidden(*args):
+        raise AssertionError("a generator-level check built a GKMElement bracket or pairing")
+
+    for name in ("bracket", "bracket_generators", "killing"):
+        monkeypatch.setattr(GKMAlgebra, name, forbidden)
+    report = run_suites(alg, "all")
+    assert all(check.passed for check in report.checks)
 
 
 @pytest.mark.parametrize(

@@ -145,6 +145,11 @@ def test_verify_corrupt_dump_exit1(tmp_path, capsys):
     assert main(["verify", str(missing)]) == 1
 
 
+def _drop_last_mode(data):
+    last = data["modes"]["modes"].pop()
+    data["generators"] = [g for g in data["generators"] if g[0] != "T" or g[2] != last]
+
+
 @pytest.mark.parametrize(
     "mutate,message",
     [
@@ -152,8 +157,19 @@ def test_verify_corrupt_dump_exit1(tmp_path, capsys):
         (lambda d: d["base"]["g"][0].__setitem__(0, 9), "index out of range"),
         (lambda d: d["modes"].__setitem__("geometry", "s2"), "has no attribute"),
         (lambda d: d["generators"].pop(), "generator list disagrees"),
+        (_drop_last_mode, "mode list disagrees"),
+        (lambda d: d["modes"].__setitem__("cutoff", 1), "mode list disagrees"),
+        (lambda d: d["modes"]["eta"].pop(3), "eta or eigen rows"),
+        (lambda d: d["modes"]["eigen"].pop(3), "eta or eigen rows"),
+        (lambda d: d["modes"]["products"].pop(3), "product rows"),
+        (lambda d: d["modes"]["eigen"][3][1].append("0"), "length is not 1"),
+        (lambda d: d["modes"].__setitem__("r", 2), "operator count"),
     ],
-    ids=["zero-denominator-charge", "base-g-index", "geometry-not-an-object", "generator-list"],
+    ids=[
+        "zero-denominator-charge", "base-g-index", "geometry-not-an-object", "generator-list",
+        "last-mode-dropped", "cutoff", "eta-row", "eigen-row", "product-row", "eigen-length",
+        "operator-count",
+    ],
 )
 def test_malformed_dump_is_reported_as_malformed(s2_dump, tmp_path, mutate, message, capsys):
     bad = _tamper(s2_dump, tmp_path, mutate)

@@ -133,7 +133,8 @@ def test_hermiticity_check_and_fault():
 )
 def test_mode_axioms(geometry, cutoff):
     ms = make_mode_system(geometry, cutoff)
-    for check in mode_axiom_checks(ms):
+    hermiticity = [ms.hermiticity_check(j) for j in range(1, ms.r + 1)]
+    for check in mode_axiom_checks(ms) + hermiticity:
         assert check.passed, (check.name, check.witness)
 
 
