@@ -39,12 +39,14 @@ form the checks sum in, and keeps the terms that do not cancel.
 :class:`GKMElement` brackets, with complex coefficients in the T basis, are
 a view over the rows.  Writing each generator as ``s * X`` with s = -i for T
 and s = 1 for D and k, the coefficient of w in [p, q] is the row value times
-``s_p s_q / s_w``.  In the X basis the form is <X_aI, X_bJ> = -g_ab eta_IJ
-and <D_i, k_j> is unchanged, so it is real too.  These phases are nonzero,
-so Jacobi, antisymmetry and invariance hold on the rows exactly when they
-hold on the elements; :mod:`gkmalg.verify` checks them on the rows, and
+``s_p s_q / s_w``.  The form is real in the X basis too: the form row of a
+generator pair, :meth:`GKMAlgebra.form_row`, is read straight off the g, eta
+and D-k tables as <X_aI, X_bJ> = -g_ab eta_IJ and <D_i, k_j>, and
+``killing_generators`` and ``killing`` are views over it.  These phases are
+nonzero, so Jacobi, antisymmetry and invariance hold on the rows exactly when
+they hold on the elements; :mod:`gkmalg.verify` checks them on the rows, and
 :meth:`GKMAlgebra._t_value`, the one place the phase rule is written, turns
-a nonzero row sum into the T-basis witness value.  A tampered eta makes the
+every row value into its T-basis value.  A tampered eta makes the
 stored form asymmetric, so invariance is evaluated as <[x,y],z> + <y,[x,z]>
 with the arguments in exactly that order.  The root grading is checked on
 the tables the T-T rows are built from, by the same formula, and root-space
@@ -296,29 +298,33 @@ class GKMAlgebra:
 
     # -- invariant form -----------------------------------------------------
 
-    def killing_generators(self, p: GenId, q: GenId) -> ComplexSurd:
-        kp, kq = p[0], q[0]
-        if kp == "T" and kq == "T":
-            _, a, I = p
-            _, b, J = q
-            partner, phase = self.modes.eta(I)
-            if partner != J:
-                return CSURD_ZERO
-            return ComplexSurd.real(self.base.killing_entry(a, b) * phase)
-        if kp == "D" and kq == "k":
-            return ComplexSurd.rational(self.dk_pairing[p[1] - 1][q[1] - 1])
-        if kp == "k" and kq == "D":
-            return ComplexSurd.rational(self.dk_pairing[q[1] - 1][p[1] - 1])
-        return CSURD_ZERO
-
     def form_row(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
-        """<X_i, X_j> as ``(d, q)`` terms: the T-basis pairing over s_i s_j."""
+        """<X_i, X_j> as ``(d, q)`` terms, read off the g, eta and D-k tables.
+
+        <X_aI, X_bJ> = -g_ab * phase when eta(I) = (J, phase), <D_i, k_j> is
+        the stored D-k pairing, and every other pair is zero.
+        """
         p, q = self._gens[i], self._gens[j]
-        value = self.killing_generators(p, q).re
-        sign = -1 if p[0] == q[0] == "T" else 1
-        return tuple((d, sign * c) for d, c in value.terms.items())
+        if p[0] == q[0] == "T":
+            partner, phase = self.modes.eta(p[2])
+            if partner != q[2] or not phase:
+                return ()
+            gab = self.base.killing_entry(p[1], q[1])
+            return tuple((d, -c * phase) for d, c in gab.terms.items())
+        if {p[0], q[0]} != {"D", "k"}:
+            return ()
+        d_gen, k_gen = (p, q) if p[0] == "D" else (q, p)
+        value = self.dk_pairing[d_gen[1] - 1][k_gen[1] - 1]
+        return ((1, Fraction(value)),) if value else ()
+
+    def killing_generators(self, p: GenId, q: GenId) -> ComplexSurd:
+        """<p, q> of two generators, as a view over their form row."""
+        i, j = self.gen_id(p), self.gen_id(q)
+        return self._t_value(dict(self.form_row(i, j)), (i, j))
 
     def killing(self, x: GKMElement, y: GKMElement) -> ComplexSurd:
+        if x.algebra is not self or y.algebra is not self:
+            raise ValueError("elements belong to different algebras")
         total = CSURD_ZERO
         for p, cp in x.coeffs.items():
             for q, cq in y.coeffs.items():

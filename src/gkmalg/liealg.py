@@ -187,7 +187,7 @@ def make_algebra(name: str) -> FiniteAlgebra:
             name=name,
             dim=dim,
             f={},
-            g=tuple(tuple(SURD_ZERO for _ in range(dim)) for _ in range(dim)),
+            g=((SURD_ZERO,) * dim,) * dim,  # one shared zero row: O(dim), not O(dim^2)
         )
     else:
         raise ValueError(f"unknown algebra name {name!r}")

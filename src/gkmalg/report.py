@@ -13,6 +13,10 @@ from dataclasses import dataclass, field
 from time import perf_counter
 
 
+# The keys a check counts its items under; each check records exactly one.
+ITEM_KEYS = ("triples", "pairs", "bracket_pairs", "entries", "samples", "modes", "dim")
+
+
 @dataclass
 class CheckResult:
     """One verified property: outcome, sampling regime, and failure witness.
@@ -132,7 +136,9 @@ class VerificationReport:
         lines = []
         for c in self.checks:
             status = "PASS" if c.passed else "FAIL"
-            extra = f" [{c.regime}]" if c.regime != "exhaustive" else ""
+            seed = f", seed {c.seed}" if c.seed is not None else ""
+            extra = f" [{c.regime}{seed}]" if c.regime != "exhaustive" else ""
+            extra += "".join(f"  {c.details[k]} {k}" for k in ITEM_KEYS if k in c.details)
             line = f"{status:4}  {c.name}{extra}  ({c.wall_time:.3f}s)"
             if c.witness:
                 line += f"\n      witness: {c.witness}"

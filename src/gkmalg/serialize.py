@@ -167,6 +167,12 @@ def load_algebra(source) -> GKMAlgebra:
 def _load_v1(data: dict) -> GKMAlgebra:
     base_blk = data["base"]
     dim = int(base_blk["dim"])
+    # Cartan-Weyl data and the hierarchy's smaller torus come from the *name*,
+    # not the stored tables, so a tampered f/g fails verification instead of a
+    # root-vector check; the name is checked before dim-sized tables are built.
+    named = make_algebra(str(base_blk["name"]))
+    if named.dim != dim:
+        raise DumpFormatError(f"malformed dump: base {named.name} is not of dimension {dim}")
     f: dict[tuple[int, int], dict[int, SurdScalar]] = {}
     for a, b, c, records in base_blk["f"]:
         v = SurdScalar.from_records(records)
@@ -223,13 +229,7 @@ def _load_v1(data: dict) -> GKMAlgebra:
         eigen_table=eigen_table,
     )
     charges = tuple(_rat_parse(c) for c in data["charges"])
-    # Cartan-Weyl data is derived from the algebra *name*, not the stored
-    # tables: a tampered f/g must surface as a verification witness, not as
-    # a crash while validating root vectors at load time.
-    if base.is_abelian:
-        cw = None
-    else:
-        cw = cartan_weyl(make_algebra(base.name))
+    cw = None if base.is_abelian else cartan_weyl(named)
     alg = GKMAlgebra(base=base, modes=ms, charges=charges, cw=cw)
     if data["generators"] != [_gen_key(g) for g in alg.generators()]:
         raise DumpFormatError("malformed dump: generator list disagrees with base, modes and r")

@@ -2,17 +2,18 @@
 
 Each check body runs under the harness ``checking(name)`` of
 :mod:`gkmalg.report`, which times it and builds its :class:`CheckResult`.
-The body counts the distinct items it checks into ``details`` under one item
-key (``triples``, ``pairs``, ``bracket_pairs``, ``entries``, ``samples``,
-``modes`` or ``dim``) and fails by raising :class:`CheckFailed` with a witness:
+The body counts the distinct items it checks into ``details`` under one of
+``report.ITEM_KEYS`` and fails by raising :class:`CheckFailed` with a witness:
 the offending generator ids or mode labels and the nonzero value.  Checks read
-the materialised tables of the algebra under test (not the generating rules),
-so a tampered dump is diagnosed here rather than at parse time.
+the materialised tables of the algebra under test, not the generating rules
+(the torus hierarchy rebuilds only the smaller torus it embeds), so a tampered
+dump is diagnosed here rather than at parse time.
 
-Jacobi, invariance, antisymmetry and the torus hierarchy are evaluated
-exactly on the X-basis bracket rows of :mod:`gkmalg.algebra`, and a failure's
-witness is read off the same exact sum: its first nonzero component, turned
-into a T-basis value by ``GKMAlgebra._t_value``.  The root grading is decided
+Jacobi, invariance, antisymmetry, the pairing table and the torus hierarchy
+are evaluated exactly on the X-basis bracket and form rows of
+:mod:`gkmalg.algebra`, and a failure's witness is read off the same exact
+sum: its first nonzero component, turned into a T-basis value by
+``GKMAlgebra._t_value``.  The root grading is decided
 on the factorised tables the T-T rows are built from: a base part from the f
 and g tables, a mode part from the product, eta and eigenvalue tables.  Only
 its failing item is replayed on :class:`GKMElement` brackets, the independent
@@ -43,7 +44,7 @@ from .quadrature import (
     numeric_product_coefficient,
 )
 from .report import CheckFailed, CheckResult, VerificationReport, checking
-from .scalars import CSURD_ONE, CSURD_ZERO, SURD_ONE, add_product, surd_product
+from .scalars import CSURD_ZERO, SURD_ONE, add_product, surd_product
 from .wigner import cache_size
 
 DEFAULT_BUDGET = 50_000
@@ -351,41 +352,36 @@ def killing_consistency_check(alg: GKMAlgebra) -> CheckResult:
 
 
 def _killing_table_entries(alg: GKMAlgebra):
-    """Every generator pair (p, q) the pairing table is checked on."""
-    ms, dims = alg.modes, range(1, alg.base.dim + 1)
-    for a, b, I, J in itertools.product(dims, dims, ms.modes, ms.modes):
-        yield ("T", a, I), ("T", b, J)
-    sample_t = ("T", 1, ms.modes[0])
-    for i in range(1, alg.r + 1):
-        for j in range(1, alg.r + 1):
-            yield ("D", i), ("k", j)
-            yield ("k", i), ("D", j)
-            yield ("D", i), ("D", j)
-            yield ("k", i), ("k", j)
-            yield ("D", i), sample_t
-            yield ("k", i), sample_t
+    """Every generator id pair (i, j) the pairing table is checked on."""
+    m, dims, r = len(alg.modes.modes), range(alg.base.dim), alg.r
+    for a, b, I, J in itertools.product(dims, dims, range(m), range(m)):
+        yield a * m + I, b * m + J
+    D, k = alg.base.dim * m, alg.base.dim * m + r  # the ids of D_1 and k_1; id 0 is a T
+    for i, j in itertools.product(range(r), range(r)):
+        yield from ((D + i, k + j), (k + i, D + j), (D + i, D + j), (k + i, k + j))
+        yield from ((D + i, 0), (k + i, 0))
 
 
 def killing_table_check(alg: GKMAlgebra) -> CheckResult:
     """The generator pairing table: <T,T> symmetric, <D,k> = delta, D/k else 0.
 
-    The T-T values g_ab eta_IJ are what invariance and cocycle antisymmetry
-    read; here an eta whose partners or phases disagree between I and J
-    shows up as an asymmetric form.
+    Checked on the form rows that invariance reads, where an eta whose
+    partners or phases disagree between I and J shows up as an asymmetric form.
     """
     with checking("killing_table") as result:
-        for p, q in result.tally("pairs", _killing_table_entries(alg)):
-            got = alg.killing_generators(p, q)
+        for i, j in result.tally("pairs", _killing_table_entries(alg)):
+            p, q = alg.generator_of(i), alg.generator_of(j)
+            got = alg.form_row(i, j)
             if p[0] == "T":
-                expected = alg.killing_generators(q, p)
+                expected = alg.form_row(j, i)
             else:
-                expected = CSURD_ONE if {p[0], q[0]} == {"D", "k"} and p[1] == q[1] else CSURD_ZERO
-            if got is not expected and got != expected:  # `is`: most pairs share the zero
+                expected = ((1, 1),) if {p[0], q[0]} == {"D", "k"} and p[1] == q[1] else ()
+            if got != expected:
                 raise CheckFailed(
                     {
                         "pair": [repr(p), repr(q)],
-                        "value": str(got),
-                        "expected": str(expected),
+                        "value": str(alg._t_value(dict(got), (i, j))),
+                        "expected": str(alg._t_value(dict(expected), (i, j))),
                     }
                 )
     return result
@@ -543,38 +539,32 @@ def _grading_violation(alg: GKMAlgebra, w: GKMElement, target_root, target_eigen
     return None
 
 
-def torus_hierarchy_check(
-    n: int,
-    cutoff: int,
-    base: str = "su2",
-    embed_suffix: tuple[int, ...] = (0,),
-) -> CheckResult:
-    """The m -> (m, 0) copy of the (n-1)-torus algebra inside the n-torus one.
+def torus_hierarchy_check(alg: GKMAlgebra, embed_suffix: tuple[int, ...] = (0,)) -> CheckResult:
+    """The m -> (m, 0) copy of the (n-1)-torus algebra inside the n-torus ``alg``.
 
     Checks closure of the embedded span and exact equality of structure
-    constants under the label map, on the bracket rows of both algebras (the
+    constants under the label map: the bracket rows of ``alg`` against those
+    of the (n-1)-torus algebra rebuilt for its base name and cutoff (the
     T-basis phases agree, since the map keeps every generator's kind).  A
     nonzero suffix is the designed negative: eigenvalue additivity then
     drifts out of the image.
     """
-    if n < 2:
+    n = alg.r  # T^n has n grading operators
+    if not isinstance(alg.modes.geometry, TorusGeometry) or n < 2:
         raise ValueError("hierarchy check needs a torus of dimension >= 2")
 
     with checking(f"torus_hierarchy_{n}to{n - 1}") as result:
-        big = build_algebra(base, TorusGeometry(n), cutoff, charges=(Fraction(1),) * n)
-        small = build_algebra(
-            base, TorusGeometry(n - 1), cutoff, charges=(Fraction(1),) * (n - 1)
-        )
+        small = build_algebra(alg.base.name, TorusGeometry(n - 1), alg.modes.cutoff, (1,) * (n - 1))
         lifted = [
-            big.gen_id(("T", g[1], g[2] + embed_suffix) if g[0] == "T" else g)
+            alg.gen_id(("T", g[1], g[2] + embed_suffix) if g[0] == "T" else g)
             for g in small.generators()
         ]
         pairs = itertools.combinations_with_replacement(small.generator_ids(), 2)
         for i, j in result.tally("pairs", pairs):
             names = [repr(small.generator_of(i)), repr(small.generator_of(j))]
             mapped = {}
-            for k, d, q in big.bracket_row(lifted[i], lifted[j]):
-                gen = big.generator_of(k)
+            for k, d, q in alg.bracket_row(lifted[i], lifted[j]):
+                gen = alg.generator_of(k)
                 if gen[0] == "T" and gen[2][n - 1 :] == embed_suffix:
                     gen = ("T", gen[1], gen[2][: n - 1])
                 elif gen[0] == "T" or gen[1] > n - 1:
@@ -680,11 +670,8 @@ def run_suites(
     if suite == "all":
         report.add(antisymmetry_check(alg))
         report.extend(mode_axiom_checks(alg.modes, budget=budget, seed=seed))
-        geo = alg.modes.geometry
-        if isinstance(geo, TorusGeometry) and geo.n >= 2:
-            report.add(
-                torus_hierarchy_check(geo.n, alg.modes.cutoff, base=alg.base.name)
-            )
+        if isinstance(alg.modes.geometry, TorusGeometry) and alg.r >= 2:
+            report.add(torus_hierarchy_check(alg))
     if suite in ("all", "oracle"):
         report.add(oracle_agreement_check(alg, samples=oracle_samples, seed=seed))
     report.stats = {

@@ -174,8 +174,8 @@ def test_criterion_7_root_structure():
 
 def test_criterion_8_torus_hierarchy():
     t0 = time.perf_counter()
-    r2 = torus_hierarchy_check(2, 2, base="su2")
-    r3 = torus_hierarchy_check(3, 2, base="su2")
+    r2 = torus_hierarchy_check(build_algebra("su2", "t2", 2, charges=[1, 1]))
+    r3 = torus_hierarchy_check(build_algebra("su2", "t3", 2, charges=[1, 1, 1]))
     ok = r2.passed and r3.passed
     elapsed = time.perf_counter() - t0
     _report(8, "torus hierarchy embeddings n=2,3", ok, elapsed, 120)

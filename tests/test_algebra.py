@@ -101,6 +101,10 @@ def test_element_arithmetic(su2_s2):
     with pytest.raises(ValueError):
         other = build_algebra("su2", "t1", 1, charges=[1])
         alg.bracket(x, other.generator(("D", 1)))
+    # the same labels exist in a larger cutoff, but these elements are not its own
+    larger = build_algebra("su2", "s2", 2, charges=[1])
+    with pytest.raises(ValueError, match="elements belong to different algebras"):
+        larger.killing(x, alg.generator(("T", 1, (1, -1))))
 
 
 def test_bracket_antisymmetry(su2_s2, su2_t1):
@@ -225,20 +229,26 @@ def test_invariance_su3():
     assert invariance_check(alg, sample=800, seed=3).passed
 
 
+def _torus(base, n, cutoff):
+    return build_algebra(base, f"t{n}", cutoff, charges=[1] * n)
+
+
 def test_hierarchy_pass_and_negative():
-    assert torus_hierarchy_check(2, 2, base="su2").passed
-    assert torus_hierarchy_check(3, 1, base="su2").passed
-    assert torus_hierarchy_check(3, 1, base="u1").passed
-    bad = torus_hierarchy_check(2, 2, base="su2", embed_suffix=(1,))
+    assert torus_hierarchy_check(_torus("su2", 2, 2)).passed
+    assert torus_hierarchy_check(_torus("su2", 3, 1)).passed
+    assert torus_hierarchy_check(_torus("u1", 3, 1)).passed
+    bad = torus_hierarchy_check(_torus("su2", 2, 2), embed_suffix=(1,))
     assert not bad.passed
     with pytest.raises(ValueError):
-        torus_hierarchy_check(1, 2)
-    bad = torus_hierarchy_check(2, 1, base="su2", embed_suffix=(1,))
+        torus_hierarchy_check(_torus("su2", 1, 2))
+    with pytest.raises(ValueError):
+        torus_hierarchy_check(build_algebra("su2", "s2", 1, charges=[1]))
+    bad = torus_hierarchy_check(_torus("su2", 2, 1), embed_suffix=(1,))
     assert (bad.details["pairs"], bad.witness) == (3, {
         "generators": ["('T', 1, (-1,))", "('T', 1, (1,))"],
         "kind": "structure constants differ under the embedding",
     })
-    bad = torus_hierarchy_check(2, 0, base="su2", embed_suffix=(1,))
+    bad = torus_hierarchy_check(_torus("su2", 2, 0), embed_suffix=(1,))
     assert (bad.details["pairs"], bad.witness) == (2, {
         "generators": ["('T', 1, (0,))", "('T', 2, (0,))"],
         "escaping_component": "('T', 3, (0, 2))",
@@ -374,7 +384,7 @@ def test_generator_checks_read_only_the_bracket_rows(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a generator-level check built a GKMElement bracket or pairing")
 
-    for name in ("bracket", "bracket_generators", "killing"):
+    for name in ("bracket", "bracket_generators", "killing", "killing_generators"):
         monkeypatch.setattr(GKMAlgebra, name, forbidden)
     report = run_suites(alg, "all")
     assert all(check.passed for check in report.checks)

@@ -1,14 +1,23 @@
+import copy
+import functools
+import io
 import json
 import shlex
+import tempfile
+from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkmalg.algebra import build_algebra
 from gkmalg.cli import main
+from gkmalg.modes import parse_manifold
 from gkmalg.report import VerificationReport
 from gkmalg.serialize import DumpFormatError, dump_algebra, load_algebra, save_algebra
-from gkmalg.verify import run_suites
+from gkmalg.verify import run_suites, torus_hierarchy_check
 from gkmalg.wigner import cache_size, clear_cache
 
 
@@ -123,6 +132,11 @@ def test_verify_cli_text_format(s2_dump, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "oracle_agreement" in out and "ALL CHECKS PASSED" in out
+    argv = ["verify", str(s2_dump), "--suite", "jacobi", "--seed", "9", "--budget", "100"]
+    assert main(argv + ["--format", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("PASS  jacobi_finite[su2]  1 triples  (")
+    assert lines[1].startswith("PASS  jacobi_gkm [sampled, seed 9]  100 triples  (")
 
 
 def test_verify_deterministic_for_seed(s2_dump, capsys):
@@ -164,11 +178,13 @@ def _drop_last_mode(data):
         (lambda d: d["modes"]["products"].pop(3), "product rows"),
         (lambda d: d["modes"]["eigen"][3][1].append("0"), "length is not 1"),
         (lambda d: d["modes"].__setitem__("r", 2), "operator count"),
+        (lambda d: d["base"].__setitem__("name", "su3"), "base su3 is not of dimension 3"),
+        (lambda d: d["base"].__setitem__("dim", 4), "base su2 is not of dimension 4"),
     ],
     ids=[
         "zero-denominator-charge", "base-g-index", "geometry-not-an-object", "generator-list",
         "last-mode-dropped", "cutoff", "eta-row", "eigen-row", "product-row", "eigen-length",
-        "operator-count",
+        "operator-count", "base-name", "base-dim",
     ],
 )
 def test_malformed_dump_is_reported_as_malformed(s2_dump, tmp_path, mutate, message, capsys):
@@ -288,6 +304,105 @@ def test_every_suite_fails_on_designed_negative(s2_dump, tmp_path, suite, mutate
     assert replay[:2] == ["gkmalg", "verify"]
     assert main(replay[1:]) == 3
     assert failing_checks() == found
+
+
+@pytest.fixture()
+def t2_dump(tmp_path):
+    path = tmp_path / "t2.json"
+    save_algebra(build_algebra("su2", "t2", 1, charges=[1, 1]), path)
+    return path
+
+
+def test_hierarchy_reads_the_products_of_the_dump(t2_dump, tmp_path):
+    def double(data):
+        # the product of mode (1, 0) with the unit (0, 0), the image of rho_1 rho_0
+        row = next(e[2] for e in data["modes"]["products"] if e[:2] == [[1, 0], [0, 0]])
+        next(recs for K, recs in row if K == [1, 0])[0]["num"] = "2"
+
+    result = torus_hierarchy_check(load_algebra(_tamper(t2_dump, tmp_path, double)))
+    assert (result.name, result.passed) == ("torus_hierarchy_2to1", False)
+    assert result.witness["kind"] == "structure constants differ under the embedding"
+
+
+def test_tampered_structure_constant_fails_the_hierarchy(t2_dump, tmp_path, capsys):
+    def double(data):
+        next(e for e in data["base"]["f"] if e[:3] == [2, 3, 1])[3][0]["num"] = "2"
+
+    bad = _tamper(t2_dump, tmp_path, double)
+    assert main(["verify", str(bad), "--suite", "all"]) == 3
+    captured = capsys.readouterr()
+    failing = {c["name"] for c in json.loads(captured.out)["checks"] if not c["passed"]}
+    assert "torus_hierarchy_2to1" in failing and captured.err == ""
+
+
+@functools.cache
+def _small_dump(manifold):
+    r = parse_manifold(manifold).r
+    return dump_algebra(build_algebra("su2", manifold, 1, charges=[1] * r))
+
+
+def _entry_mutations(data):
+    """Every single-entry mutation of a dump that changes it: ``(path, new value)``.
+
+    The entries are the num and radicand of each f, g and product record, each
+    eta phase and partner, and each eigenvalue.
+    """
+    base, ms = data["base"], data["modes"]
+    records = [("base", "f", e, 3) for e in range(len(base["f"]))]
+    records += [("base", "g", e, 2) for e in range(len(base["g"]))]
+    records += [
+        ("modes", "products", e, 2, k, 1)
+        for e, row in enumerate(ms["products"])
+        for k in range(len(row[2]))
+    ]
+    out = []
+    for path in records:
+        for r, rec in enumerate(_entry(data, path)):
+            num = int(rec["num"])
+            out += [(path + (r, "num"), str(num + 1)), (path + (r, "num"), str(-num))]
+            out.append((path + (r, "radicand"), rec["radicand"] + 1))
+    for e, (_, partner, phase) in enumerate(ms["eta"]):
+        out.append((("modes", "eta", e, 2), -phase))
+        out += [(("modes", "eta", e, 1), K) for K in ms["modes"] if K != partner]
+    for e, (_, values) in enumerate(ms["eigen"]):
+        for j, v in enumerate(values):
+            path = ("modes", "eigen", e, 1, j)
+            out += [(path, str(Fraction(v) + 1)), (path, str(-Fraction(v)))]
+    return [(path, value) for path, value in out if _entry(data, path) != value]
+
+
+def _entry(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+MUTATIONS = [(m, *mutation) for m in ("s2", "t2") for mutation in _entry_mutations(_small_dump(m))]
+
+
+def _verify(argv):
+    """Exit code and failing checks (without wall times) of one ``gkmalg verify``."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    failing = [c for c in json.loads(out.getvalue())["checks"] if not c["passed"]]
+    return code, [{k: v for k, v in c.items() if k != "wall_time_s"} for c in failing]
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(st.sampled_from(MUTATIONS))
+def test_every_single_entry_mutation_fails_verification_and_replays(mutation):
+    manifold, path, value = mutation
+    data = copy.deepcopy(_small_dump(manifold))
+    _entry(data, path[:-1])[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        dump = Path(tmp) / "mutated.json"
+        dump.write_text(json.dumps(data))
+        code, failing = _verify(["verify", str(dump), "--suite", "all"])
+        assert code == 3, (manifold, path, value)
+        replay = shlex.split(failing[0]["witness"]["replay"])
+        assert replay[:2] == ["gkmalg", "verify"]
+        assert _verify(replay[1:]) == (3, failing)
 
 
 def test_report_contract_regimes_seeds_and_item_keys():
