@@ -48,9 +48,9 @@ they hold on the elements; :mod:`gkmalg.verify` checks them on the rows, and
 :meth:`GKMAlgebra._t_value`, the one place the phase rule is written, turns
 every row value into its T-basis value.  A tampered eta makes the
 stored form asymmetric, so invariance is evaluated as <[x,y],z> + <y,[x,z]>
-with the arguments in exactly that order.  The root grading is checked on
-the tables the T-T rows are built from, by the same formula, and root-space
-elements are bracketed only to replay a failing item.
+with the arguments in exactly that order.  The root grading is decided and
+witnessed on the tables the T-T rows are built from, by the same formula;
+root-space elements are a view for callers, never built by a check.
 """
 
 from __future__ import annotations

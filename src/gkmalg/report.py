@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from time import perf_counter
 
 
-# The keys a check counts its items under; each check records exactly one.
+# The keys a check counts its items under; each check records exactly one.  A check
+# that draws its items also records their population's size under "population".
 ITEM_KEYS = ("triples", "pairs", "bracket_pairs", "entries", "samples", "modes", "dim")
 
 
@@ -138,7 +139,8 @@ class VerificationReport:
             status = "PASS" if c.passed else "FAIL"
             seed = f", seed {c.seed}" if c.seed is not None else ""
             extra = f" [{c.regime}{seed}]" if c.regime != "exhaustive" else ""
-            extra += "".join(f"  {c.details[k]} {k}" for k in ITEM_KEYS if k in c.details)
+            of = f" of {c.details['population']}" if "population" in c.details else ""
+            extra += "".join(f"  {c.details[k]}{of} {k}" for k in ITEM_KEYS if k in c.details)
             line = f"{status:4}  {c.name}{extra}  ({c.wall_time:.3f}s)"
             if c.witness:
                 line += f"\n      witness: {c.witness}"

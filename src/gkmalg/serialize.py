@@ -229,7 +229,7 @@ def _load_v1(data: dict) -> GKMAlgebra:
         eigen_table=eigen_table,
     )
     charges = tuple(_rat_parse(c) for c in data["charges"])
-    cw = None if base.is_abelian else cartan_weyl(named)
+    cw = None if named.is_abelian else cartan_weyl(named)
     alg = GKMAlgebra(base=base, modes=ms, charges=charges, cw=cw)
     if data["generators"] != [_gen_key(g) for g in alg.generators()]:
         raise DumpFormatError("malformed dump: generator list disagrees with base, modes and r")

@@ -13,12 +13,9 @@ Jacobi, invariance, antisymmetry, the pairing table and the torus hierarchy
 are evaluated exactly on the X-basis bracket and form rows of
 :mod:`gkmalg.algebra`, and a failure's witness is read off the same exact
 sum: its first nonzero component, turned into a T-basis value by
-``GKMAlgebra._t_value``.  The root grading is decided
+``GKMAlgebra._t_value``.  The root grading is decided and witnessed
 on the factorised tables the T-T rows are built from: a base part from the f
-and g tables, a mode part from the product, eta and eigenvalue tables.  Only
-its failing item is replayed on :class:`GKMElement` brackets, the independent
-reference for the factor verdict, and a replay that disagrees with the verdict
-raises ``RuntimeError``.
+and g tables, a mode part from the product, eta and eigenvalue tables.
 
 :func:`_draw` alone picks the regime: a budget that covers the population
 checks every item in order ("exhaustive"); a smaller one checks that many
@@ -33,7 +30,7 @@ import random
 from fractions import Fraction
 from math import comb, factorial
 
-from .algebra import GKMAlgebra, GKMElement, build_algebra
+from .algebra import GKMAlgebra, build_algebra
 from .liealg import coefficients_in_span, jacobi_check_finite, killing_form
 from .modes import ModeSystem, TorusGeometry
 from .quadrature import (
@@ -44,7 +41,7 @@ from .quadrature import (
     numeric_product_coefficient,
 )
 from .report import CheckFailed, CheckResult, VerificationReport, checking
-from .scalars import CSURD_ZERO, SURD_ONE, add_product, surd_product
+from .scalars import SURD_ONE, SURD_ZERO, SurdScalar, add_product, surd_product
 from .wigner import cache_size
 
 DEFAULT_BUDGET = 50_000
@@ -110,10 +107,13 @@ def sample_items(population, count: int, seed: int):
 def _draw(result: CheckResult, key: str, population, sample: str | int, seed: int | None):
     """Set ``result``'s regime and seed for a budget; yield the items to check, tallied.
 
-    A numeric budget below 1 is a ValueError: it would pass on no items.
+    The population's size goes into ``details["population"]``, next to the
+    item count.  A numeric budget below 1 is a ValueError: it would pass on
+    no items.
     """
     if sample != "all" and int(sample) < 1:
         raise ValueError(f"sample size must be at least 1, got {sample}")
+    result.details["population"] = len(population)
     if sample != "all" and int(sample) < len(population):
         result.regime, result.seed = "sampled", (seed if seed is not None else 0)
         population = sample_items(population, int(sample), result.seed)
@@ -196,6 +196,26 @@ def eta_involution_check(ms: ModeSystem) -> CheckResult:
     return result
 
 
+def eta_trace_check(ms: ModeSystem) -> CheckResult:
+    """eta is the trace form of the mode algebra: [rho_I rho_J]_unit = eta_IJ.
+
+    For orthonormal modes of unit total measure the unit coefficient of
+    rho_I rho_J is the integral of rho_I rho_J: the phase when
+    eta(I) = (J, phase), else 0.  With it, form invariance and the cyclic
+    cocycle identity follow from associativity and eigenvalue additivity.
+    """
+    with checking("eta_trace") as result:
+        pairs = itertools.combinations_with_replacement(ms.modes, 2)
+        for I, J in result.tally("pairs", pairs):
+            partner, phase = ms.eta(I)
+            expected = SurdScalar.rational(phase) if partner == J else SURD_ZERO
+            got = ms.products[(I, J)].get(ms.unit, SURD_ZERO)
+            if got != expected:
+                values = {"unit_coefficient": str(got), "expected": str(expected)}
+                raise CheckFailed({"modes": [list(I), list(J)], **values})
+    return result
+
+
 def mode_axiom_checks(
     ms: ModeSystem, budget: int = DEFAULT_BUDGET, seed: int | None = None
 ) -> list[CheckResult]:
@@ -206,6 +226,7 @@ def mode_axiom_checks(
         eigen_additivity_check(ms),
         unit_check(ms),
         eta_involution_check(ms),
+        eta_trace_check(ms),
     ]
 
 
@@ -394,9 +415,8 @@ def grading_check(alg: GKMAlgebra) -> CheckResult:
     must carry eigenvalue m+n, the base part must sit inside the expected
     root line (or the Cartan span at a+b = 0, or vanish when a+b is not a
     root), and the central part must vanish unless a+b = 0 and m+n = 0.
-    Each bracket is decided from its base and mode factors (see
-    :func:`_grading_items`); only a failing one is replayed on elements, by
-    :func:`_grading_violation`, for a T-basis witness.
+    Each bracket is decided and witnessed from its base and mode factors
+    (see :func:`_grading_items`).
     """
     with checking("grading") as result:
         if alg.cw is None:
@@ -405,90 +425,86 @@ def grading_check(alg: GKMAlgebra) -> CheckResult:
             return result
         spaces = _root_spaces(alg)
         items = _grading_items(alg, spaces)
-        for alpha, m, beta, n, u, v, holds in result.tally("bracket_pairs", items):
-            if holds:
-                continue
-            target_root = tuple(x + y for x, y in zip(alpha, beta))
-            target_eigen = tuple(x + y for x, y in zip(m, n))
-            witness = _grading_violation(alg, alg.bracket(u, v), target_root, target_eigen)
-            if witness is None:
-                raise RuntimeError(f"bracket rows and elements disagree on {u!r}, {v!r}")
-            witness.update(
-                {
-                    "alpha": [str(x) for x in alpha],
-                    "m": [str(x) for x in m],
-                    "beta": [str(x) for x in beta],
-                    "n": [str(x) for x in n],
-                }
-            )
-            raise CheckFailed(witness)
+        for alpha, m, beta, n, witness in result.tally("bracket_pairs", items):
+            if witness is not None:
+                labels = {"alpha": alpha, "m": m, "beta": beta, "n": n}
+                witness.update({key: [str(x) for x in v] for key, v in labels.items()})
+                raise CheckFailed(witness)
         result.details["labels"] = len(spaces)
     return result
 
 
 def _root_spaces(alg: GKMAlgebra) -> dict:
-    """Each nonempty root-space label -> its basis, as ``(u, x, code, I)``.
+    """Each root-space label -> its basis, as ``(x, code, I)``.
 
-    Every basis element u = x (x) rho_I is one base vector x, a tuple over
-    T_1..T_dim, carried by one mode I; ``code`` numbers the distinct base
-    vectors by value, so memo keys on them hash cheaply.
+    The basis of g_(alpha, n) is x (x) rho_I for each mode I with eigenvalue
+    vector n and each base vector x: the root vector of alpha, or every
+    Cartan vector at alpha = 0, in :meth:`GKMAlgebra.root_space` order (mode
+    outer).  ``code`` numbers the distinct base vectors by value, so memo keys
+    on them hash cheaply.
     """
-    spaces, codes, dims = {}, {}, range(1, alg.base.dim + 1)
-    for label in alg.root_space_labels():
-        basis = []
-        for u in alg.root_space(*label):
-            I = next(iter(u.coeffs))[2]
-            x = tuple(u.coefficient(("T", a, I)) for a in dims)
-            basis.append((u, x, codes.setdefault(x, len(codes)), I))
-        if basis:
-            spaces[label] = basis
+    cw, ms, by_eigen, codes = alg.cw, alg.modes, {}, {}
+    for I in ms.modes:
+        by_eigen.setdefault(ms.eigen(I), []).append(I)
+    spaces = {}
+    for alpha, n in alg.root_space_labels():
+        vectors = [cw.root_vectors[alpha]] if alpha in cw.root_vectors else cw.cartan
+        spaces[alpha, n] = [
+            (x, codes.setdefault(x, len(codes)), I) for I in by_eigen[n] for x in vectors
+        ]
     return spaces
 
 
 def _base_part(alg: GKMAlgebra, x, y, root) -> tuple:
-    """``(inside, paired)`` for base vectors x, y and the target root.
+    """``(bracketed, kind, pairing)`` for base vectors x, y and the target root.
 
-    ``inside`` is None when [x, y] vanishes, else whether it lies in the
-    target root line (the Cartan span at root 0; nothing outside the root
-    system); ``paired`` is whether <x, y> != 0.
+    ``bracketed`` is whether [x, y] != 0; ``kind`` is None when [x, y] lies in
+    the target root line (the Cartan span at root 0), else why it does not;
+    ``pairing`` is <x, y>.
     """
     base, cw = alg.base, alg.cw
     w = base.bracket_vectors(x, y)
-    if all(c.is_zero for c in w):
-        inside = None
-    elif root in cw.root_vectors:
-        inside = coefficients_in_span(w, [cw.root_vectors[root]]) is not None
-    else:
-        inside = not any(root) and coefficients_in_span(w, cw.cartan) is not None
-    return inside, not base.killing_vectors(x, y).is_zero
+    bracketed, kind = not all(c.is_zero for c in w), None
+    if bracketed and root not in cw.root_vectors and any(root):
+        kind = "bracket outside the root system"
+    elif bracketed:
+        span = [cw.root_vectors[root]] if any(root) else cw.cartan
+        if coefficients_in_span(w, span) is None:
+            kind = "base part outside expected root line"
+    return bracketed, kind, base.killing_vectors(x, y)
 
 
 def _mode_part(ms: ModeSystem, I, J) -> tuple:
-    """``(products, drift, central)`` for modes I, J, from the stored tables.
+    """``(products, central)`` for modes I, J, from the stored tables.
 
-    ``products``: some entry of rho_I rho_J is nonzero; ``drift``: some
-    nonzero entry K has eigenvalues other than I's plus J's; ``central``:
-    some cocycle factor omega_j(rho_I, rho_J) = I(j) eta_IJ is nonzero.
+    ``products`` holds ``(K, drift)`` for each nonzero entry K of rho_I rho_J,
+    in table order, with ``drift`` whether K's eigenvalues differ from I's
+    plus J's; ``central`` holds each nonzero cocycle factor
+    ``(j, omega_j(rho_I, rho_J))``, omega_j = I(j) eta_IJ.
     """
     target = tuple(a + b for a, b in zip(ms.eigen(I), ms.eigen(J)))
-    eigens = [ms.eigen(K) for K, c in ms.product(I, J).items() if not c.is_zero]
-    central = any(not ms.cocycle_pairing(j, I, J).is_zero for j in range(1, ms.r + 1))
-    return bool(eigens), any(e != target for e in eigens), central
+    products = [(K, ms.eigen(K) != target) for K, c in ms.product(I, J).items() if not c.is_zero]
+    omegas = ((j, ms.cocycle_pairing(j, I, J)) for j in range(1, ms.r + 1))
+    return products, [(j, omega) for j, omega in omegas if not omega.is_zero]
 
 
 def _grading_items(alg: GKMAlgebra, spaces: dict):
-    """Every grading item in check order, with its verdict from the stored tables.
+    """Every grading item in check order, with its witness from the stored tables.
 
-    Yields ``(alpha, m, beta, n, u, v, holds)`` for each basis element u of
+    Yields ``(alpha, m, beta, n, witness)`` for each basis element u of
     g_(alpha,m) and v of g_(beta,n), over label pairs in
-    ``combinations_with_replacement`` order.  For u = x (x) rho_I and
-    v = y (x) rho_J the bracket factorises as
+    ``combinations_with_replacement`` order; ``witness`` is None when [u, v]
+    lies in the target root space.  For u = x (x) rho_I and v = y (x) rho_J
+    the bracket factorises as
 
         [u, v] = sum_K c_IJ^K [x, y] (x) rho_K  +  <x, y> eta_IJ sum_j I(j) k_j,
 
     the formula :meth:`GKMAlgebra._bracket_gens` builds the T-T rows by, so
-    the verdict is decided from a base part per distinct (x, y, target root)
-    and a mode part per (I, J), each computed once.
+    each item is decided from a base part per distinct (x, y, target root)
+    and a mode part per (I, J), each computed once.  A central term off
+    (0, 0) is reported first, as its T-basis coefficient <x, y> omega_j of
+    the first such k_j; otherwise the first mode K of [u, v] whose
+    eigenvalues drift, or whose base part [x, y] leaves the root line.
     """
     ms, bases, modes = alg.modes, {}, {}
     pairs = itertools.combinations_with_replacement(spaces.items(), 2)
@@ -496,46 +512,27 @@ def _grading_items(alg: GKMAlgebra, spaces: dict):
         root = tuple(a + b for a, b in zip(alpha, beta))
         central_ok = not any(root) and not any(a + b for a, b in zip(m, n))
         memo = bases.setdefault(root, {})
-        for u, x, cx, I in us:
-            for v, y, cy, J in vs:
+        for x, cx, I in us:
+            for y, cy, J in vs:
                 base = memo.get((cx, cy))
                 if base is None:
                     base = memo[cx, cy] = _base_part(alg, x, y, root)
                 mode = modes.get((I, J))
                 if mode is None:
                     mode = modes[I, J] = _mode_part(ms, I, J)
-                (inside, paired), (products, drift, central) = base, mode
-                graded = inside is None or not products or (inside and not drift)
-                holds = graded and (central_ok or not (paired and central))
-                yield alpha, m, beta, n, u, v, holds
+                yield alpha, m, beta, n, _grading_witness(base, mode, central_ok)
 
 
-def _grading_violation(alg: GKMAlgebra, w: GKMElement, target_root, target_eigen):
-    """The witness for an element ``w`` outside the target root space, else None."""
-    zero_root = tuple(Fraction(0) for _ in alg.cw.roots[0])
-    central_allowed = target_root == zero_root and all(v == 0 for v in target_eigen)
-    for gen, coeff in w.central_part().items():
-        if not central_allowed and not coeff.is_zero:
-            return {"component": repr(gen), "value": str(coeff), "kind": "central"}
-    t_by_mode: dict = {}
-    for gen, coeff in w.t_part().items():
-        _, a, K = gen
-        vec = t_by_mode.setdefault(K, [None] * alg.base.dim)
-        vec[a - 1] = coeff
-    for K, entries in t_by_mode.items():
-        vec = tuple(c if c is not None else CSURD_ZERO for c in entries)
-        if all(c.is_zero for c in vec):
-            continue
-        if alg.modes.eigen(K) != target_eigen:
-            return {"mode": list(K), "kind": "eigenvalue drift"}
-        if target_root in alg.cw.root_vectors:
-            basis = [alg.cw.root_vectors[target_root]]
-        elif target_root == zero_root:
-            basis = list(alg.cw.cartan)
-        else:
-            return {"mode": list(K), "kind": "bracket outside the root system"}
-        if coefficients_in_span(vec, basis) is None:
-            return {"mode": list(K), "kind": "base part outside expected root line"}
+def _grading_witness(base: tuple, mode: tuple, central_ok: bool) -> dict | None:
+    """The witness of one grading item from its base and mode parts, else None."""
+    (bracketed, kind, pairing), (products, central) = base, mode
+    if central and not central_ok and not pairing.is_zero:
+        j, omega = central[0]
+        return {"component": repr(("k", j)), "value": str(pairing * omega), "kind": "central"}
+    if bracketed:
+        for K, drift in products:
+            if drift or kind:
+                return {"mode": list(K), "kind": "eigenvalue drift" if drift else kind}
     return None
 
 

@@ -1,17 +1,18 @@
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
 
-from gkmalg.algebra import GKMAlgebra, build_algebra
+from gkmalg.algebra import GKMAlgebra, GKMElement, build_algebra
+from gkmalg.liealg import coefficients_in_span
 from gkmalg.modes import parse_manifold
-from gkmalg.scalars import SURD_ZERO, ComplexSurd, SurdScalar
+from gkmalg.scalars import CSURD_ZERO, SURD_ZERO, ComplexSurd, SurdScalar
 from gkmalg.serialize import dump_algebra
 from gkmalg.verify import (
     Combinations,
     _grading_items,
-    _grading_violation,
     _root_spaces,
     antisymmetry_check,
     cocycle_antisymmetry_check,
@@ -380,14 +381,19 @@ def test_killing_table_catches_eta_and_dk_tampers(tamper, pairs, witness):
 
 def test_generator_checks_read_only_the_bracket_rows(monkeypatch):
     alg = build_algebra("su2", "t2", 1, charges=[1, 1])
+    tampered = build_algebra("su2", "s2", 2, charges=[1])
+    GRADING_TAMPERS["eta"](tampered)
 
     def forbidden(*args):
         raise AssertionError("a generator-level check built a GKMElement bracket or pairing")
 
-    for name in ("bracket", "bracket_generators", "killing", "killing_generators"):
+    names = ("bracket", "bracket_generators", "killing", "killing_generators")
+    for name in (*names, "root_space", "vector_element"):
         monkeypatch.setattr(GKMAlgebra, name, forbidden)
     report = run_suites(alg, "all")
     assert all(check.passed for check in report.checks)
+    result = grading_check(tampered)
+    assert not result.passed and result.witness["kind"] == "central"
 
 
 @pytest.mark.parametrize(
@@ -440,6 +446,8 @@ GRADING_TAMPERS = {
     "f12 doubled": _double_first_f12,
     "eigen": _set("eigen_table", (1, 1), (2,)),
 }
+# an item whose first mode both drifts and leaves the root line: drift is reported
+GRADING_TAMPERS["f13 and eigen"] = lambda alg: [GRADING_TAMPERS[t](alg) for t in ("f13", "eigen")]
 SU2_DRIFT = {"mode": [1, 1], "kind": "eigenvalue drift", **_labels(["-1"], "0", ["1"], "0")}
 SU3_DRIFT = {
     "mode": [1, 1], "kind": "eigenvalue drift", **_labels(["-1", "0"], "0", ["1/2", "-1"], "0")
@@ -513,6 +521,40 @@ GRADING_AGREEMENT_TAMPERS = [
 ]
 
 
+def _replayed_witness(alg: GKMAlgebra, w: GKMElement, target_root, target_eigen):
+    """The witness for an element ``w`` outside the target root space, else None.
+
+    The element-level reference for the grading check's factor witnesses: the
+    bracket summed on T-basis ``GKMElement``s, its central part first, then
+    each mode of its T part in order.
+    """
+    zero_root = tuple(Fraction(0) for _ in alg.cw.roots[0])
+    central_allowed = target_root == zero_root and all(v == 0 for v in target_eigen)
+    for gen, coeff in w.central_part().items():
+        if not central_allowed and not coeff.is_zero:
+            return {"component": repr(gen), "value": str(coeff), "kind": "central"}
+    t_by_mode: dict = {}
+    for gen, coeff in w.t_part().items():
+        _, a, K = gen
+        vec = t_by_mode.setdefault(K, [None] * alg.base.dim)
+        vec[a - 1] = coeff
+    for K, entries in t_by_mode.items():
+        vec = tuple(c if c is not None else CSURD_ZERO for c in entries)
+        if all(c.is_zero for c in vec):
+            continue
+        if alg.modes.eigen(K) != target_eigen:
+            return {"mode": list(K), "kind": "eigenvalue drift"}
+        if target_root in alg.cw.root_vectors:
+            basis = [alg.cw.root_vectors[target_root]]
+        elif target_root == zero_root:
+            basis = list(alg.cw.cartan)
+        else:
+            return {"mode": list(K), "kind": "bracket outside the root system"}
+        if coefficients_in_span(vec, basis) is None:
+            return {"mode": list(K), "kind": "base part outside expected root line"}
+    return None
+
+
 @pytest.mark.parametrize(
     "base,manifold,tamper",
     [
@@ -529,10 +571,21 @@ def test_grading_rows_agree_with_elements_on_every_pair(base, manifold, tamper):
     alg = build_algebra(base, manifold, 1, charges=[1] * parse_manifold(manifold).r)
     if tamper is not None:
         GRADING_TAMPERS[tamper](alg)
-    verdicts = set()
-    for alpha, m, beta, n, u, v, holds in _grading_items(alg, _root_spaces(alg)):
+    spaces = _root_spaces(alg)
+    elements = {label: alg.root_space(*label) for label in alg.root_space_labels()}
+    assert elements == {
+        label: [alg.vector_element(x, I) for x, _, I in basis] for label, basis in spaces.items()
+    }
+    replayed = []
+    for ((alpha, m), us), ((beta, n), vs) in itertools.combinations_with_replacement(
+        elements.items(), 2
+    ):
         root = tuple(x + y for x, y in zip(alpha, beta))
         eigen = tuple(x + y for x, y in zip(m, n))
-        assert holds == (_grading_violation(alg, alg.bracket(u, v), root, eigen) is None)
-        verdicts.add(holds)
+        for u, v in itertools.product(us, vs):
+            witness = _replayed_witness(alg, alg.bracket(u, v), root, eigen)
+            replayed.append((alpha, m, beta, n, witness))
+    items = list(_grading_items(alg, spaces))
+    assert items == replayed
+    verdicts = {witness is None for *_, witness in items}
     assert verdicts == ({True} if tamper is None else {True, False})

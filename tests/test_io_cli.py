@@ -136,7 +136,21 @@ def test_verify_cli_text_format(s2_dump, capsys):
     assert main(argv + ["--format", "text"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("PASS  jacobi_finite[su2]  1 triples  (")
-    assert lines[1].startswith("PASS  jacobi_gkm [sampled, seed 9]  100 triples  (")
+    assert lines[1].startswith("PASS  jacobi_gkm [sampled, seed 9]  100 of 3654 triples  (")
+
+
+def test_report_gives_each_drawn_check_its_population():
+    alg = build_algebra("su2", "s2", 2, charges=[1])
+    report = run_suites(alg, "all", budget=100, oracle_samples=10)
+    checks = {c.name: c for c in report.checks}
+    for name, population in (("jacobi_gkm", 3654), ("invariance", 12615)):
+        details = checks[name].details
+        assert (checks[name].regime, details["triples"], details["population"]) == (
+            "sampled", 100, population
+        )
+    text = report.render_text()
+    assert "PASS  jacobi_gkm [sampled, seed 0]  100 of 3654 triples  (" in text
+    assert "PASS  invariance [sampled, seed 0]  100 of 12615 triples  (" in text
 
 
 def test_verify_deterministic_for_seed(s2_dump, capsys):
@@ -149,6 +163,16 @@ def test_verify_deterministic_for_seed(s2_dump, capsys):
     assert first == second
     regimes = {c["name"]: c["regime"] for c in first["checks"]}
     assert regimes["jacobi_gkm"] == "sampled"
+
+
+def test_root_grading_follows_the_base_name_not_the_stored_f():
+    data = dump_algebra(build_algebra("su2", "s2", 1, charges=[1]))
+    for *_, records in data["base"]["f"]:
+        for record in records:
+            record["num"] = "0"
+    checks = {c.name: c for c in run_suites(load_algebra(data), "all").checks}
+    assert checks["grading"].regime == "exhaustive"
+    assert not checks["killing_consistency"].passed
 
 
 def test_verify_corrupt_dump_exit1(tmp_path, capsys):

@@ -14,7 +14,13 @@ from gkmalg.modes import (
 )
 from gkmalg.scalars import SurdScalar
 from gkmalg.serialize import dump_algebra
-from gkmalg.verify import associativity_check, commutativity_check, mode_axiom_checks
+from gkmalg.verify import (
+    associativity_check,
+    commutativity_check,
+    eta_involution_check,
+    eta_trace_check,
+    mode_axiom_checks,
+)
 from gkmalg.wigner import SpinTriple, clebsch_gordan
 
 
@@ -136,6 +142,31 @@ def test_mode_axioms(geometry, cutoff):
     hermiticity = [ms.hermiticity_check(j) for j in range(1, ms.r + 1)]
     for check in mode_axiom_checks(ms) + hermiticity:
         assert check.passed, (check.name, check.witness)
+
+
+@pytest.mark.parametrize(
+    "geometry,cutoff,mode,pairs",
+    [
+        (Sphere2Geometry(), 4, (0, 0), 325),
+        (Sphere2Geometry(), 2, (2, 0), 45),
+        (Sphere3Geometry(), 4, (2, 0, 0), 1540),
+    ],
+)
+def test_eta_trace_catches_a_self_conjugate_phase_flip(geometry, cutoff, mode, pairs):
+    ms = make_mode_system(geometry, cutoff)
+    clean = eta_trace_check(ms)
+    assert (clean.passed, clean.regime, clean.details["pairs"]) == (True, "exhaustive", pairs)
+    partner, phase = ms.eta(mode)
+    assert partner == mode
+    ms.eta_table[mode] = (mode, -phase)
+    assert eta_involution_check(ms).passed  # a flipped self-conjugate phase is still an involution
+    result = eta_trace_check(ms)
+    assert not result.passed
+    assert result.witness == {
+        "modes": [list(mode), list(mode)],
+        "unit_coefficient": str(phase),
+        "expected": str(-phase),
+    }
 
 
 def test_products_extend_beyond_cutoff():
