@@ -14,12 +14,18 @@ cover of the group - which makes every half-integer frequency periodic;
 integrands are genuine group functions, so the doubled cover and the
 normalised weights leave integrals unchanged.
 
+Integrals are separable: basis functions and weights are products of 1-D
+factors, one per tensor axis, so an integral is a product of 1-D sums.  The
+factors (``mode_factors``) are the one per-geometry evaluation; ``mode_values``
+is their outer product, and ``D_j`` acts on the factor on its angle alone.
+
 All measures are normalised to total mass 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 from math import factorial
 
 import numpy as np
@@ -31,17 +37,23 @@ from .modes import Geometry, ModeLabel, Sphere2Geometry, Sphere3Geometry, TorusG
 
 @dataclass
 class QuadratureGrid:
-    """Tensor quadrature nodes with weights summing to one."""
+    """Tensor quadrature nodes with per-axis weights, each summing to one."""
 
     geometry: Geometry
     band: int
     axes: tuple[np.ndarray, ...]  # coordinate values per tensor axis
     periods: tuple[float | None, ...]  # period per axis, None for Gauss axes
-    weights: np.ndarray  # full tensor, shape = lengths of axes
+    axis_weights: tuple[np.ndarray, ...]  # weights per tensor axis
+    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Full weight tensor: the outer product of the axis weights."""
+        return reduce(np.multiply.outer, self.axis_weights)
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.weights.shape
+        return tuple(len(w) for w in self.axis_weights)
 
     @property
     def nodes(self) -> np.ndarray:
@@ -60,29 +72,23 @@ def make_grid(geometry: Geometry, band: int) -> QuadratureGrid:
     if isinstance(geometry, TorusGeometry):
         n_pts = 2 * band + 1
         phi = 2 * np.pi * np.arange(n_pts) / n_pts
-        axes = tuple(phi for _ in range(geometry.n))
-        periods = tuple(2 * np.pi for _ in range(geometry.n))
-        weights = np.full((n_pts,) * geometry.n, n_pts ** (-float(geometry.n)))
-        return QuadratureGrid(geometry, band, axes, periods, weights)
+        uniform = np.full(n_pts, 1.0 / n_pts)
+        n = geometry.n
+        return QuadratureGrid(geometry, band, (phi,) * n, (2 * np.pi,) * n, (uniform,) * n)
     if isinstance(geometry, Sphere2Geometry):
-        n_z = band + 1
         n_phi = 2 * band + 1
-        z, wz = leggauss(n_z)
+        z, wz = leggauss(band + 1)
         phi = 2 * np.pi * np.arange(n_phi) / n_phi
-        weights = (wz / 2.0)[:, None] * np.full((1, n_phi), 1.0 / n_phi)
+        weights = (wz / 2.0, np.full(n_phi, 1.0 / n_phi))
         return QuadratureGrid(geometry, band, (z, phi), (None, 2 * np.pi), weights)
     if isinstance(geometry, Sphere3Geometry):
-        n_z = band + 1
         n_ang = 4 * band + 4
-        z, wz = leggauss(n_z)
-        alpha = 4 * np.pi * np.arange(n_ang) / n_ang
-        gamma = 4 * np.pi * np.arange(n_ang) / n_ang
-        weights = np.full((n_ang, 1, n_ang), 1.0 / (n_ang * n_ang)) * (wz / 2.0)[
-            None, :, None
-        ]
-        return QuadratureGrid(
-            geometry, band, (alpha, z, gamma), (4 * np.pi, None, 4 * np.pi), weights
-        )
+        z, wz = leggauss(band + 1)
+        angle = 4 * np.pi * np.arange(n_ang) / n_ang  # alpha and gamma alike
+        uniform = np.full(n_ang, 1.0 / n_ang)
+        periods = (4 * np.pi, None, 4 * np.pi)
+        weights = (uniform, wz / 2.0, uniform)
+        return QuadratureGrid(geometry, band, (angle, z, angle), periods, weights)
     raise TypeError(f"unsupported geometry {geometry!r}")
 
 
@@ -126,32 +132,34 @@ def _wigner_little_d(tj: int, tm: int, tmp: int, z: np.ndarray) -> np.ndarray:
     return xi * norm * half ** (mu / 2.0) * other ** (nu / 2.0) * eval_jacobi(s, mu, nu, z)
 
 
-def mode_values(grid: QuadratureGrid, label: ModeLabel) -> np.ndarray:
-    """Basis function sampled on the grid (complex array of grid shape)."""
+def mode_factors(grid: QuadratureGrid, label: ModeLabel) -> tuple[np.ndarray, ...]:
+    """The basis function's read-only 1-D factors per tensor axis, memoised on the grid."""
+    if (factors := grid._factors.get(label)) is not None:
+        return factors
     geo = grid.geometry
     geo.validate(label)
     if isinstance(geo, TorusGeometry):
-        out = np.ones(grid.shape, dtype=complex)
-        for axis, m in enumerate(label):
-            shape = [1] * geo.n
-            shape[axis] = -1
-            out = out * np.exp(1j * m * grid.axes[axis]).reshape(shape)
-        return out
-    if isinstance(geo, Sphere2Geometry):
+        factors = tuple(np.exp(1j * m * phi) for m, phi in zip(label, grid.axes))
+    elif isinstance(geo, Sphere2Geometry):
         l, m = label
         z, phi = grid.axes
-        plm = _normalized_legendre(l, abs(m), z)
-        azim = np.exp(1j * m * phi)
         sign = (-1.0) ** (abs(m) % 2) if m < 0 else 1.0
-        return np.sqrt(4.0 * np.pi) * sign * plm[:, None] * azim[None, :]
-    if isinstance(geo, Sphere3Geometry):
+        plm = np.sqrt(4.0 * np.pi) * sign * _normalized_legendre(l, abs(m), z)
+        factors = (plm, np.exp(1j * m * phi))
+    else:  # SU(2), the last geometry make_grid accepts
         tj, tm, tmp = label
         alpha, z, gamma = grid.axes
-        dpart = _wigner_little_d(tj, tm, tmp, z)
-        left = np.exp(-0.5j * tm * alpha)
-        right = np.exp(-0.5j * tmp * gamma)
-        return np.sqrt(tj + 1.0) * left[:, None, None] * dpart[None, :, None] * right[None, None, :]
-    raise TypeError(f"unsupported geometry {geo!r}")
+        dpart = np.sqrt(tj + 1.0) * _wigner_little_d(tj, tm, tmp, z)
+        factors = (np.exp(-0.5j * tm * alpha), dpart, np.exp(-0.5j * tmp * gamma))
+    for f in factors:
+        f.flags.writeable = False
+    grid._factors[label] = factors
+    return factors
+
+
+def mode_values(grid: QuadratureGrid, label: ModeLabel) -> np.ndarray:
+    """Basis function sampled on the grid (complex array of grid shape)."""
+    return reduce(np.multiply.outer, mode_factors(grid, label), np.ones((), dtype=complex))
 
 
 # -- band bookkeeping ----------------------------------------------------------
@@ -172,10 +180,22 @@ def _require_band(grid: QuadratureGrid, labels) -> None:
 # -- oracle integrals ----------------------------------------------------------
 
 
+def _separable_integral(grid: QuadratureGrid, *functions) -> complex:
+    """Integral of a product of functions, each given by its factors: a product of 1-D sums."""
+    total = 1.0
+    for w, *factors in zip(grid.axis_weights, *functions):
+        total *= np.dot(w, reduce(np.multiply, factors))
+    return complex(total)
+
+
+def _conj(factors: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    return tuple(np.conj(f) for f in factors)
+
+
 def numeric_orthonormality(grid: QuadratureGrid, I: ModeLabel, J: ModeLabel) -> complex:
     """<rho_I, rho_J> under the Hermitean product; delta_IJ for a sane basis."""
     _require_band(grid, (I, J))
-    return grid.integrate(mode_values(grid, I) * np.conj(mode_values(grid, J)))
+    return _separable_integral(grid, mode_factors(grid, I), _conj(mode_factors(grid, J)))
 
 
 def numeric_product_coefficient(
@@ -183,14 +203,15 @@ def numeric_product_coefficient(
 ) -> complex:
     """c_IJ^K recomputed as the integral of rho_I rho_J conj(rho_K)."""
     _require_band(grid, (I, J, K))
-    vals = mode_values(grid, I) * mode_values(grid, J) * np.conj(mode_values(grid, K))
-    return grid.integrate(vals)
+    return _separable_integral(
+        grid, mode_factors(grid, I), mode_factors(grid, J), _conj(mode_factors(grid, K))
+    )
 
 
 def numeric_conjugation_pairing(grid: QuadratureGrid, I: ModeLabel, J: ModeLabel) -> complex:
     """eta_IJ recomputed as the unconjugated pair integral of rho_I rho_J."""
     _require_band(grid, (I, J))
-    return grid.integrate(mode_values(grid, I) * mode_values(grid, J))
+    return _separable_integral(grid, mode_factors(grid, I), mode_factors(grid, J))
 
 
 def _operator_axis(grid: QuadratureGrid, j: int) -> tuple[int, float]:
@@ -219,13 +240,19 @@ def apply_invariant_operator(grid: QuadratureGrid, j: int, values: np.ndarray) -
     return np.fft.ifft(spectrum * mult.reshape(shape), axis=axis)
 
 
+def _operator_factors(grid: QuadratureGrid, j: int, factors) -> tuple[np.ndarray, ...]:
+    """Factors of D_j rho: the operator differentiates only the factor on its axis."""
+    axis, _ = _operator_axis(grid, j)
+    column = np.expand_dims(factors[axis], [k for k in range(len(factors)) if k != axis])
+    return factors[:axis] + (apply_invariant_operator(grid, j, column).ravel(),) + factors[axis + 1 :]
+
+
 def numeric_eigencheck(grid: QuadratureGrid, j: int, I: ModeLabel) -> float:
     """Rayleigh quotient <rho_I, D_j rho_I> / <rho_I, rho_I>."""
     _require_band(grid, (I, I))
-    vals = mode_values(grid, I)
-    dvals = apply_invariant_operator(grid, j, vals)
-    num = grid.integrate(np.conj(vals) * dvals)
-    den = grid.integrate(np.conj(vals) * vals)
+    factors = mode_factors(grid, I)
+    num = _separable_integral(grid, _conj(factors), _operator_factors(grid, j, factors))
+    den = _separable_integral(grid, _conj(factors), factors)
     return float((num / den).real)
 
 
@@ -234,5 +261,5 @@ def numeric_cocycle_pairing(
 ) -> complex:
     """Cocycle mode factor recomputed as the integral of (D_j rho_I) rho_J."""
     _require_band(grid, (I, J))
-    dvals = apply_invariant_operator(grid, j, mode_values(grid, I))
-    return grid.integrate(dvals * mode_values(grid, J))
+    dfactors = _operator_factors(grid, j, mode_factors(grid, I))
+    return _separable_integral(grid, dfactors, mode_factors(grid, J))

@@ -19,6 +19,7 @@ Floats enter only at the oracle boundary via :meth:`SurdScalar.evalf`.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from types import MappingProxyType
 
@@ -30,12 +31,13 @@ from mpmath.libmp import dps_to_prec, from_int, fzero, mpf_add, mpf_div, mpf_mul
 Rational = Fraction
 
 
+@lru_cache(maxsize=4096, typed=True)
 def squarefree_split(n: int) -> tuple[int, int]:
     """Write ``n = s*s*d`` with d squarefree; return ``(s, d)``.
 
-    Trial division; meant for the moderate radicands that appear in user
-    input and normalisation factors.  The coupling-coefficient code never
-    calls this on large factorials (it tracks prime exponents instead).
+    Trial division, memoised; meant for the few moderate radicands of user
+    input, loaded tables and normalisation factors.  The coupling-coefficient
+    code never calls this on large factorials (it tracks prime exponents).
     """
     if n <= 0:
         raise ValueError(f"radicand must be a positive integer, got {n}")
@@ -105,7 +107,8 @@ class SurdScalar:
                 if not q:
                     continue
                 s, d = squarefree_split(rad)
-                q *= s
+                if s != 1:
+                    q *= s
                 acc = canon.get(d)
                 total = q if acc is None else acc + q
                 if total:

@@ -204,11 +204,15 @@ def _drop_last_mode(data):
         (lambda d: d["modes"].__setitem__("r", 2), "operator count"),
         (lambda d: d["base"].__setitem__("name", "su3"), "base su3 is not of dimension 3"),
         (lambda d: d["base"].__setitem__("dim", 4), "base su2 is not of dimension 4"),
+        (
+            lambda d: d["modes"]["products"][0][2][0][1][0].__setitem__("radicand", 0),
+            "radicand must be a positive integer",
+        ),
     ],
     ids=[
         "zero-denominator-charge", "base-g-index", "geometry-not-an-object", "generator-list",
         "last-mode-dropped", "cutoff", "eta-row", "eigen-row", "product-row", "eigen-length",
-        "operator-count", "base-name", "base-dim",
+        "operator-count", "base-name", "base-dim", "zero-radicand",
     ],
 )
 def test_malformed_dump_is_reported_as_malformed(s2_dump, tmp_path, mutate, message, capsys):

@@ -20,7 +20,7 @@ import worker  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 from gkmalg.algebra import GKMAlgebra, build_algebra  # noqa: E402
-from gkmalg.verify import jacobi_check_gkm  # noqa: E402
+from gkmalg.verify import jacobi_check_gkm, oracle_agreement_check  # noqa: E402
 
 PATCHED = [(owner, attr) for owner, attr, _ in tracer._SPANNED + tracer._COUNTED] + [
     (GKMAlgebra, "bracket"),
@@ -45,6 +45,16 @@ def test_tracer_sees_every_bracket_row_built():
         alg = build_algebra("su2", "t1", 1, charges=[1])
         assert jacobi_check_gkm(alg).passed
     assert t.summarise()["calls"]["algebra.bracket_gens"] == len(alg._pair_cache) > 0
+
+
+def test_tracer_sees_every_oracle_quantity():
+    alg = build_algebra("su2", "s2", 2, charges=[1])
+    with tracer.installed(tracer.Tracer()) as t:
+        result = oracle_agreement_check(alg, samples=40, seed=1)
+    assert result.passed
+    calls = t.summarise()["calls"]
+    assert calls["quadrature.make_grid"] == 1
+    assert calls["quadrature.numeric"] == result.details["samples"] == 40
 
 
 def test_every_benchmark_case_passes_the_gate():

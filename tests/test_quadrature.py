@@ -1,11 +1,20 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
-from gkmalg.modes import Sphere2Geometry, Sphere3Geometry, TorusGeometry, make_mode_system
+from gkmalg.modes import (
+    Sphere2Geometry,
+    Sphere3Geometry,
+    TorusGeometry,
+    make_mode_system,
+    parse_manifold,
+)
 from gkmalg.quadrature import (
+    apply_invariant_operator,
     make_grid,
+    mode_factors,
     mode_values,
     numeric_cocycle_pairing,
     numeric_conjugation_pairing,
@@ -13,6 +22,7 @@ from gkmalg.quadrature import (
     numeric_orthonormality,
     numeric_product_coefficient,
 )
+from gkmalg.verify import _oracle_band, oracle_agreement_check
 
 GEOMETRIES = [
     ("t1", TorusGeometry(1), 4),
@@ -125,3 +135,119 @@ def test_half_integer_modes_on_su2_grid():
     vals = mode_values(grid, (1, 1, -1))
     assert vals.shape == grid.shape
     assert abs(grid.integrate(vals * np.conj(vals)) - 1.0) < 1e-12
+
+
+def test_mode_factors_are_memoised_read_only_axis_samples():
+    for _, geo, band in GEOMETRIES:
+        grid = make_grid(geo, band)
+        assert grid.weights.shape == grid.shape == tuple(len(a) for a in grid.axes)
+        for I in geo.enumerate_modes(2):
+            factors = mode_factors(grid, I)
+            assert mode_factors(grid, I) is factors  # memoised on the grid
+            assert [f.shape for f in factors] == [(n,) for n in grid.shape]
+            vals = mode_values(grid, I)
+            assert vals.flags.writeable and vals.dtype == complex
+            assert abs(grid.integrate(vals * np.conj(vals)) - 1.0) < 1e-12
+        with pytest.raises(ValueError):
+            factors[0][0] = 0.0  # shared factors are read-only
+
+
+# -- the full-tensor reference the separable integrals replace -----------------
+# Each quantity summed over every node of the full grid rather than as a
+# product of per-axis sums.
+
+
+def _full_product(grid, I, J, K):
+    return grid.integrate(mode_values(grid, I) * mode_values(grid, J) * np.conj(mode_values(grid, K)))
+
+
+def _full_eta(grid, I, J):
+    return grid.integrate(mode_values(grid, I) * mode_values(grid, J))
+
+
+def _full_eigen(grid, j, I):
+    vals = mode_values(grid, I)
+    dvals = apply_invariant_operator(grid, j, vals)
+    num = grid.integrate(np.conj(vals) * dvals)
+    den = grid.integrate(np.conj(vals) * vals)
+    return float((num / den).real)
+
+
+def _full_cocycle(grid, j, I, J):
+    dvals = apply_invariant_operator(grid, j, mode_values(grid, I))
+    return grid.integrate(dvals * mode_values(grid, J))
+
+
+KINDS = {
+    "product": (numeric_product_coefficient, _full_product),
+    "eta": (numeric_conjugation_pairing, _full_eta),
+    "eigen": (numeric_eigencheck, _full_eigen),
+    "cocycle": (numeric_cocycle_pairing, _full_cocycle),
+}
+
+
+def _oracle_quantities(ms):
+    """Every quantity the oracle check recomputes, as (kind, labels)."""
+    quantities = [("product", (I, J, K)) for (I, J), table in ms.products.items() for K in table]
+    for I in ms.modes:
+        J, _ = ms.eta(I)
+        quantities.append(("eta", (I, J)))
+        for j in range(1, ms.r + 1):
+            quantities += [("eigen", (j, I)), ("cocycle", (j, I, J))]
+    return quantities
+
+
+def _assert_separable_matches_full(manifold, cutoff, draw=None):
+    ms = make_mode_system(parse_manifold(manifold), cutoff)
+    grid = make_grid(ms.geometry, _oracle_band(ms))
+    quantities = _oracle_quantities(ms)
+    if draw is not None:  # a seeded draw of up to draw/4 quantities of each kind
+        rng = random.Random(0)
+        by_kind = [[q for q in quantities if q[0] == kind] for kind in KINDS]
+        quantities = [q for qs in by_kind for q in rng.sample(qs, min(draw // 4, len(qs)))]
+    assert {kind for kind, _ in quantities} == set(KINDS)
+    for kind, args in quantities:
+        separable, full = KINDS[kind]
+        assert abs(separable(grid, *args) - full(grid, *args)) < 1e-13, (kind, args)
+
+
+@pytest.mark.parametrize("manifold,cutoff", [("t1", 2), ("t2", 2), ("s2", 4), ("s3", 2)])
+def test_separable_integrals_match_full_tensor_exhaustively(manifold, cutoff):
+    _assert_separable_matches_full(manifold, cutoff)
+
+
+@pytest.mark.parametrize("manifold,cutoff", [("s3", 4), ("s2", 7)])
+def test_separable_integrals_match_full_tensor_on_a_draw(manifold, cutoff):
+    _assert_separable_matches_full(manifold, cutoff, draw=300)
+
+
+def _bump_first_product(ms):
+    (I, J), table = next((key, t) for key, t in ms.products.items() if t)
+    K = next(iter(table))
+    table[K] = table[K] + 1
+
+
+def _flip_eta_phase(ms):
+    I = next(I for I in ms.modes if ms.eta(I)[0] != I)
+    J, phase = ms.eta(I)
+    ms.eta_table[I] = (J, -phase)
+
+
+def _shift_eigenvalue(ms):
+    I = ms.modes[-1]
+    first, *rest = ms.eigen(I)
+    ms.eigen_table[I] = (first + 1, *rest)
+
+
+@pytest.mark.parametrize("manifold,cutoff", [("t2", 1), ("s2", 2), ("s3", 2)])
+@pytest.mark.parametrize(
+    "tamper,quantity",
+    [(_bump_first_product, "product"), (_flip_eta_phase, "eta"), (_shift_eigenvalue, "eigen")],
+)
+def test_exhaustive_oracle_catches_each_tampered_kind(manifold, cutoff, tamper, quantity):
+    ms = make_mode_system(parse_manifold(manifold), cutoff)
+    assert oracle_agreement_check(ms, samples=10**6).passed
+    tamper(ms)
+    result = oracle_agreement_check(ms, samples=10**6)
+    assert result.regime == "exhaustive" and not result.passed
+    assert result.witness["quantity"] == quantity

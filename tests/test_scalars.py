@@ -85,6 +85,13 @@ def test_records_round_trip():
     assert value.to_records()[0]["num"] == "5"
 
 
+def test_from_records_canonicalises_each_radicand():
+    # (2/4) sqrt 8 = sqrt 2, which cancels the second record
+    records = [{"radicand": 8, "num": "2", "den": "4"}, {"radicand": 2, "num": "-1", "den": "1"}]
+    assert SurdScalar.from_records(records) == SURD_ZERO
+    assert SurdScalar.from_records([{"radicand": 45, "num": "1", "den": "3"}]) == SurdScalar({5: 1})
+
+
 def test_str_forms():
     assert str(SURD_ZERO) == "0"
     assert str(SurdScalar.sqrt(3, Fraction(-1, 3))) == "-(1/3)√3"
