@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from .report import CheckFailed, CheckResult, checking
 from .scalars import SURD_ONE, SURD_ZERO, SurdScalar
-from .wigner import SpinTriple, clebsch_gordan, d_product_norm, gaunt_normalized
+from .wigner import _CG, _GAUNTS, _NORMED_CG, SpinTriple, _gaunt_key, clebsch_gordan
+from .wigner import d_product_norm, gaunt_normalized
 
 ModeLabel = tuple[int, ...]
 Eigen = tuple[Fraction, ...]
@@ -112,7 +113,9 @@ class Sphere2Geometry:
         for l3 in range(abs(l1 - l2), l1 + l2 + 1, 2):
             if abs(m3) > l3:
                 continue
-            c = gaunt_normalized(l1, m1, l2, m2, l3, m3)
+            c = _GAUNTS.get(_gaunt_key(l1, m1, l2, m2, l3, m3))
+            if c is None:
+                c = gaunt_normalized(l1, m1, l2, m2, l3, m3)
             if not c.is_zero:
                 out[(l3, m3)] = c
         return out
@@ -185,16 +188,24 @@ class Sphere3Geometry:
         tm3 = tm1 + tm2
         tmp3 = tmp1 + tmp2
         out: dict[ModeLabel, SurdScalar] = {}
+        # memoised m-dependent factors; labels are validated (by SpinTriple) on a miss
         for tj3 in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
             if abs(tm3) > tj3 or abs(tmp3) > tj3:
                 continue
-            left = clebsch_gordan(SpinTriple(tj1, tj2, tj3, tm1, tm2, tm3))
+            key = (tj1, tj2, tj3, tm1, tm2)
+            left = _NORMED_CG.get(key)
+            if left is None:
+                cg = clebsch_gordan(SpinTriple(tj1, tj2, tj3, tm1, tm2, tm3))
+                left = _NORMED_CG[key] = d_product_norm(tj1, tj2, tj3) * cg
             if left.is_zero:
                 continue
-            right = clebsch_gordan(SpinTriple(tj1, tj2, tj3, tmp1, tmp2, tmp3))
+            key = (tj1, tj2, tj3, tmp1, tmp2)
+            right = _CG.get(key)
+            if right is None:
+                right = _CG[key] = clebsch_gordan(SpinTriple(tj1, tj2, tj3, tmp1, tmp2, tmp3))
             if right.is_zero:
                 continue
-            out[(tj3, tm3, tmp3)] = d_product_norm(tj1, tj2, tj3) * left * right
+            out[(tj3, tm3, tmp3)] = left * right
         return out
 
     def eta(self, I: ModeLabel) -> tuple[ModeLabel, int]:

@@ -81,6 +81,12 @@ def add_product(acc: dict, key, x: SurdScalar, y: SurdScalar) -> None:
             acc[key, d] = q if prev is None else prev + q
 
 
+@lru_cache(maxsize=4096)
+def _mpf_sqrt_int(d: int, wp: int) -> tuple:
+    """sqrt(d) at wp bits, rounded to nearest; memoised, as the oracle converts few radicands."""
+    return mpf_sqrt(from_int(d), wp, "n")
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -282,7 +288,7 @@ class SurdScalar:
         for d, q in self._terms.items():
             term = mpf_div(mpf_pos(from_int(q.numerator), wp, "n"), from_int(q.denominator), wp, "n")
             if d != 1:
-                term = mpf_mul(term, mpf_sqrt(from_int(d), wp, "n"), wp, "n")
+                term = mpf_mul(term, _mpf_sqrt_int(d, wp), wp, "n")
             total = mpf_add(total, term, wp, "n")
         return mpmath.mp.make_mpf(mpf_pos(total, dps_to_prec(precision), "n"))
 

@@ -8,6 +8,13 @@ exponents come from Legendre's formula.
 
 Labels are doubled half-integers throughout (tj = 2j, tm = 2m), the usual
 trick for keeping half-integer spins in integer arithmetic.
+
+Every coefficient is memoised in-process under plain int tuples: 3j
+symbols in ``_CACHE`` by ``_canonical_key`` (the only memo ``cache_size``
+counts), the prime exponents of n! by n, the m-independent product factors
+by (l1, l2, l3), ``gaunt_normalized`` by the sign-canonical ``_gaunt_key``,
+and the SU(2) product rule's ``d_product_norm * CG`` and bare CG factors by
+(tj1, tj2, tj3, tm1, tm2).  ``clear_cache`` empties every one of them.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import factorial, lcm
 
 from .scalars import SURD_ZERO, SurdScalar
@@ -67,16 +75,19 @@ def _primes_upto(n: int) -> tuple[int, ...]:
     return tuple(i for i in range(n + 1) if sieve[i])
 
 
+@lru_cache(maxsize=None)
+def _factorial_exponents(n: int) -> tuple[int, ...]:
+    """Exponent in n! of each prime p <= n, by Legendre's formula: the sum of n // p^i."""
+    return tuple(sum(n // p**i for i in range(1, n.bit_length() + 1)) for p in _primes_upto(n))
+
+
 def _sqrt_factorial_ratio(numerators: list[int], denominators: list[int]) -> SurdScalar:
     """Exact sqrt of prod(n_i!) / prod(d_i!) as a single surd term."""
-    top = max(numerators + denominators, default=1)
+    exps = [_factorial_exponents(n) for n in numerators]
+    exps += [tuple(-e for e in _factorial_exponents(d)) for d in denominators]
+    totals = [sum(col) for col in zip_longest(*exps, fillvalue=0)]
     num = den = radicand = 1
-    for p in _primes_upto(max(top, 2)):
-        # Legendre's formula: the exponent of p in n! is the sum of n // p^i
-        e, q = 0, p
-        while q <= top:
-            e += sum(n // q for n in numerators) - sum(d // q for d in denominators)
-            q *= p
+    for p, e in zip(_primes_upto(max(*numerators, *denominators)), totals):
         half, odd = divmod(e, 2)
         if half > 0:
             num *= p**half
@@ -194,10 +205,8 @@ def clebsch_gordan(t: SpinTriple) -> SurdScalar:
     return SurdScalar.sqrt(t.tj3 + 1, sign) * base
 
 
-# m-independent factors of the mode products, one per (j1, j2, j3); the
-# product tables ask for each of them once per (m1, m2) pair
+# m-independent factor of the S^2 products, one per (l1, l2, l3)
 _GAUNT_FACTORS: dict[tuple[int, int, int], SurdScalar] = {}
-_D_NORMS: dict[tuple[int, int, int], SurdScalar] = {}
 
 
 def _gaunt_factor(l1: int, l2: int, l3: int) -> SurdScalar:
@@ -211,17 +220,26 @@ def _gaunt_factor(l1: int, l2: int, l3: int) -> SurdScalar:
 
 
 def d_product_norm(tj1: int, tj2: int, tj3: int) -> SurdScalar:
-    """sqrt((2j1+1)(2j2+1)/(2j3+1)) = sqrt((2j1+1)(2j2+1)(2j3+1)) / (2j3+1), memoised.
+    """sqrt((2j1+1)(2j2+1)/(2j3+1)) = sqrt((2j1+1)(2j2+1)(2j3+1)) / (2j3+1).
 
     The factor in front of the two Clebsch-Gordan coefficients of the
     product rule for unit-normalised SU(2) modes (doubled labels).
     """
-    norm = _D_NORMS.get((tj1, tj2, tj3))
-    if norm is None:
-        norm = _D_NORMS[(tj1, tj2, tj3)] = SurdScalar.sqrt(
-            (tj1 + 1) * (tj2 + 1) * (tj3 + 1), Fraction(1, tj3 + 1)
-        )
-    return norm
+    return SurdScalar.sqrt((tj1 + 1) * (tj2 + 1) * (tj3 + 1), Fraction(1, tj3 + 1))
+
+
+_GAUNTS: dict[tuple[int, ...], SurdScalar] = {}
+
+
+def _gaunt_key(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> tuple[int, ...]:
+    """Memo key: the labels or their m-negation, whichever is larger.
+
+    Negating every m scales the 3j symbol by (-1)^(l1+l2+l3), and
+    ``gaunt_normalized`` is 0 unless that sum is even.
+    """
+    if (m1, m2, m3) < (-m1, -m2, -m3):
+        return l1, -m1, l2, -m2, l3, -m3
+    return l1, m1, l2, m2, l3, m3
 
 
 def gaunt_normalized(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> SurdScalar:
@@ -233,14 +251,18 @@ def gaunt_normalized(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> Su
     for l, m in ((l1, m1), (l2, m2), (l3, m3)):
         if not isinstance(l, int) or not isinstance(m, int) or l < 0 or abs(m) > l:
             raise ValueError(f"bad spherical label (l={l}, m={m})")
-    factor = _gaunt_factor(l1, l2, l3)
-    if factor.is_zero:
-        return SURD_ZERO
-    m3j = wigner3j(SpinTriple(2 * l1, 2 * l2, 2 * l3, 2 * m1, 2 * m2, -2 * m3))
-    if m3j.is_zero:
-        return SURD_ZERO
-    c = factor * m3j
-    return -c if m3 % 2 else c
+    key = _gaunt_key(l1, m1, l2, m2, l3, m3)
+    c = _GAUNTS.get(key)
+    if c is None:
+        c = _gaunt_factor(l1, l2, l3)
+        if not c.is_zero:
+            c *= wigner3j(SpinTriple(2 * l1, 2 * l2, 2 * l3, 2 * m1, 2 * m2, -2 * m3))
+        c = _GAUNTS[key] = -c if m3 % 2 else c
+    return c
+
+
+_NORMED_CG: dict[tuple[int, ...], SurdScalar] = {}
+_CG: dict[tuple[int, ...], SurdScalar] = {}
 
 
 # -- cache maintenance --------------------------------------------------------
@@ -251,8 +273,8 @@ def cache_size() -> int:
 
 
 def clear_cache() -> None:
-    """Empty the 3j memo and the product factors derived from it."""
-    _CACHE.clear()
-    _GAUNT_FACTORS.clear()
-    _D_NORMS.clear()
+    """Empty the 3j memo and every memo derived from it."""
+    for memo in (_CACHE, _GAUNT_FACTORS, _GAUNTS, _NORMED_CG, _CG):
+        memo.clear()
+    _factorial_exponents.cache_clear()
 

@@ -1,9 +1,16 @@
 import hashlib
+import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import gkmalg.modes
+from gkmalg import wigner
 from gkmalg.algebra import build_algebra
 from gkmalg.modes import (
     Sphere2Geometry,
@@ -12,7 +19,7 @@ from gkmalg.modes import (
     make_mode_system,
     parse_manifold,
 )
-from gkmalg.scalars import SurdScalar
+from gkmalg.scalars import SURD_ZERO, SurdScalar
 from gkmalg.serialize import dump_algebra
 from gkmalg.verify import (
     associativity_check,
@@ -21,7 +28,15 @@ from gkmalg.verify import (
     eta_trace_check,
     mode_axiom_checks,
 )
-from gkmalg.wigner import SpinTriple, clebsch_gordan
+from gkmalg.wigner import (
+    SpinTriple,
+    cache_size,
+    clear_cache,
+    clebsch_gordan,
+    d_product_norm,
+    gaunt_normalized,
+    wigner3j,
+)
 
 
 def test_enumeration_counts():
@@ -220,3 +235,129 @@ def test_tampered_product_breaks_associativity(bump):
     assert not result.passed
     assert result.regime == "exhaustive" and result.details["triples"] == 55
     assert result.witness == {"modes": [[1, -1], [1, 0], [1, 1]]}
+
+
+# The product rules as they were before their m-dependent factors were
+# memoised: the reference the memoised rules must reproduce exactly.
+
+
+def _gaunt_reference(l1, m1, l2, m2, l3, m3):
+    norm = SurdScalar.sqrt((2 * l1 + 1) * (2 * l2 + 1) * (2 * l3 + 1))
+    factor = norm * wigner3j(SpinTriple(2 * l1, 2 * l2, 2 * l3, 0, 0, 0))
+    if factor.is_zero:
+        return SURD_ZERO
+    m3j = wigner3j(SpinTriple(2 * l1, 2 * l2, 2 * l3, 2 * m1, 2 * m2, -2 * m3))
+    if m3j.is_zero:
+        return SURD_ZERO
+    c = factor * m3j
+    return -c if m3 % 2 else c
+
+
+def _sphere2_product_reference(I, J):
+    l1, m1 = I
+    l2, m2 = J
+    m3 = m1 + m2
+    out = {}
+    for l3 in range(abs(l1 - l2), l1 + l2 + 1, 2):
+        if abs(m3) > l3:
+            continue
+        c = _gaunt_reference(l1, m1, l2, m2, l3, m3)
+        if not c.is_zero:
+            out[(l3, m3)] = c
+    return out
+
+
+def _sphere3_product_reference(I, J):
+    tj1, tm1, tmp1 = I
+    tj2, tm2, tmp2 = J
+    tm3 = tm1 + tm2
+    tmp3 = tmp1 + tmp2
+    out = {}
+    for tj3 in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+        if abs(tm3) > tj3 or abs(tmp3) > tj3:
+            continue
+        left = clebsch_gordan(SpinTriple(tj1, tj2, tj3, tm1, tm2, tm3))
+        if left.is_zero:
+            continue
+        right = clebsch_gordan(SpinTriple(tj1, tj2, tj3, tmp1, tmp2, tmp3))
+        if right.is_zero:
+            continue
+        out[(tj3, tm3, tmp3)] = d_product_norm(tj1, tj2, tj3) * left * right
+    return out
+
+
+@pytest.mark.parametrize(
+    "geometry,degree,reference",
+    [
+        (Sphere2Geometry(), 6, _sphere2_product_reference),
+        (Sphere3Geometry(), 4, _sphere3_product_reference),
+    ],
+    ids=["s2", "s3"],
+)
+def test_memoised_product_rules_match_the_reference(geometry, degree, reference):
+    modes = geometry.enumerate_modes(degree)
+    pairs = list(itertools.product(modes, modes))
+    clear_cache()
+    cold = [list(geometry.product(I, J).items()) for I, J in pairs]
+    warm = [list(geometry.product(I, J).items()) for I, J in pairs]
+    expected = [list(reference(I, J).items()) for I, J in pairs]
+    assert cold == expected
+    assert warm == expected
+
+
+def test_gaunt_is_equal_under_negating_every_m():
+    labels = Sphere2Geometry().enumerate_modes(6)
+    clear_cache()
+    nonzero = 0
+    for (l1, m1), (l2, m2), (l3, m3) in itertools.product(labels, repeat=3):
+        c = gaunt_normalized(l1, m1, l2, m2, l3, m3)
+        assert gaunt_normalized(l1, -m1, l2, -m2, l3, -m3) == c
+        if m1 + m2 != m3:
+            assert c.is_zero
+            continue
+        expected = _gaunt_reference(l1, m1, l2, m2, l3, m3)
+        assert c == expected == _gaunt_reference(l1, -m1, l2, -m2, l3, -m3)
+        nonzero += not c.is_zero
+    assert nonzero > 0
+
+
+def test_a_rebuild_after_clear_cache_is_as_cold_as_a_fresh_process(monkeypatch):
+    code = (
+        "import gkmalg.modes\n"
+        "from gkmalg.algebra import build_algebra\n"
+        "from gkmalg.wigner import cache_size\n"
+        "calls = []\n"
+        "cg = gkmalg.modes.clebsch_gordan\n"
+        "gkmalg.modes.clebsch_gordan = lambda t: calls.append(t) or cg(t)\n"
+        "build_algebra('su2', 's3', 2, charges=[1, 1])\n"
+        "print(len(calls), cache_size())\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    fresh = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    fresh_calls, fresh_size = map(int, fresh.stdout.split())
+    calls = []
+    cg = gkmalg.modes.clebsch_gordan
+    monkeypatch.setattr(gkmalg.modes, "clebsch_gordan", lambda t: calls.append(t) or cg(t))
+    build_algebra("su2", "s3", 2, charges=[1, 1])
+    calls.clear()
+    build_algebra("su2", "s3", 2, charges=[1, 1])
+    assert calls == []  # a warm build only looks its factors up
+    clear_cache()
+    assert wigner._factorial_exponents.cache_info().currsize == 0
+    build_algebra("su2", "s3", 2, charges=[1, 1])
+    assert len(calls) == fresh_calls > 0
+    assert cache_size() == fresh_size
+
+
+def test_bad_labels_raise_on_a_warm_memo():
+    make_mode_system(Sphere2Geometry(), 2)
+    make_mode_system(Sphere3Geometry(), 2)
+    with pytest.raises(ValueError):
+        gaunt_normalized(1, 2, 1, 0, 2, 0)  # |m1| > l1
+    with pytest.raises(ValueError):
+        gaunt_normalized(-1, 0, 1, 0, 2, 0)  # negative l1
+    with pytest.raises(ValueError):
+        Sphere3Geometry().product((1, 3, 1), (1, -1, 1))  # |2m| > 2j

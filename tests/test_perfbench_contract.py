@@ -21,6 +21,7 @@ from workloads import WORKLOADS  # noqa: E402
 
 from gkmalg.algebra import GKMAlgebra, build_algebra  # noqa: E402
 from gkmalg.verify import jacobi_check_gkm, oracle_agreement_check  # noqa: E402
+from gkmalg import wigner  # noqa: E402
 
 PATCHED = [(owner, attr) for owner, attr, _ in tracer._SPANNED + tracer._COUNTED] + [
     (GKMAlgebra, "bracket"),
@@ -45,6 +46,25 @@ def test_tracer_sees_every_bracket_row_built():
         alg = build_algebra("su2", "t1", 1, charges=[1])
         assert jacobi_check_gkm(alg).passed
     assert t.summarise()["calls"]["algebra.bracket_gens"] == len(alg._pair_cache) > 0
+
+
+def test_tracer_sees_coupling_misses_inside_the_product_rules():
+    wigner.clear_cache()
+    with tracer.installed(tracer.Tracer()) as t:
+        build_algebra("su2", "s3", 2, charges=[1, 1])
+        build_algebra("su2", "s2", 2, charges=[1])
+    # every memo miss, and only a miss, goes through the patched names
+    calls = t.summarise()["calls"]
+    assert calls["wigner.clebsch_gordan"] == len(wigner._NORMED_CG) + len(wigner._CG)
+    assert calls["wigner.gaunt_normalized"] == len(wigner._GAUNTS)
+    parents = {"wigner.clebsch_gordan": [], "wigner.gaunt_normalized": []}
+    for name_id, parent in zip(t.span_name, t.parents):
+        name = t.names[name_id]
+        if name in parents:
+            parents[name].append(t.names[t.span_name[parent]] if parent >= 0 else None)
+    for name, seen in parents.items():
+        assert seen, name
+        assert set(seen) == {"modes.geometry_product"}, name
 
 
 def test_tracer_sees_every_oracle_quantity():

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkmalg.algebra import build_algebra
 from gkmalg.scalars import (
     CSURD_I,
     SURD_ONE,
     SURD_ZERO,
     ComplexSurd,
     SurdScalar,
+    _mpf_sqrt_int,
     squarefree_split,
 )
 
@@ -187,3 +189,14 @@ def test_evalf_matches_the_high_level_evaluation_bit_for_bit(a, precision):
     for x in (a, big, a * big):
         assert x.evalf(precision)._mpf_ == _evalf_reference(x, precision)._mpf_
         assert float(x) == float(_evalf_reference(x, 17))
+
+
+def test_memoised_square_roots_leave_every_stored_coefficient_bit_identical():
+    alg = build_algebra("su2", "s3", 2, charges=[1, 1])
+    coeffs = [c for table in alg.modes.products.values() for c in table.values()]
+    assert any(len(c.terms) > 1 or 1 not in c.terms for c in coeffs)  # some carry a surd
+    _mpf_sqrt_int.cache_clear()
+    for _ in range(2):  # from a cold memo, then a warm one
+        for precision in (5, 17, 30):
+            for c in coeffs:
+                assert c.evalf(precision)._mpf_ == _evalf_reference(c, precision)._mpf_
