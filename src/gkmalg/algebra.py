@@ -39,9 +39,10 @@ form the checks sum in, and keeps the terms that do not cancel.
 :class:`GKMElement` brackets, with complex coefficients in the T basis, are
 a view over the rows.  Writing each generator as ``s * X`` with s = -i for T
 and s = 1 for D and k, the coefficient of w in [p, q] is the row value times
-``s_p s_q / s_w``.  The form is real in the X basis too: the form row of a
-generator pair, :meth:`GKMAlgebra.form_row`, is read straight off the g, eta
-and D-k tables as <X_aI, X_bJ> = -g_ab eta_IJ and <D_i, k_j>, and
+``s_p s_q / s_w``; the dumped bracket table is that view too.  The form is
+real in the X basis: the form row of a generator pair,
+:meth:`GKMAlgebra.form_row`, is read straight off the g and eta tables as
+<X_aI, X_bJ> = -g_ab eta_IJ, with <D_i, k_j> = delta_ij by definition, and
 ``killing_generators`` and ``killing`` are views over it.  These phases are
 nonzero, so Jacobi, antisymmetry and invariance hold on the rows exactly when
 they hold on the elements; :mod:`gkmalg.verify` checks them on the rows, and
@@ -148,9 +149,7 @@ class GKMAlgebra:
     modes: ModeSystem
     charges: tuple[Fraction, ...]
     cw: CartanWeylData | None = None
-    # <D_i, k_j> pairing; the identity matrix is forced by invariance of the
-    # form, kept as data so fault-injection tests can demonstrate why.
-    dk_pairing: tuple[tuple[Fraction, ...], ...] = field(default=())
+    stored_brackets: list | None = field(default=None, repr=False)  # a dump's bracket table
     _pair_cache: dict = field(default_factory=dict, repr=False)  # (i, j) -> Row
     _gens: list = field(init=False, repr=False)  # id -> generator
     _gen_ids: dict = field(init=False, repr=False)  # generator -> id
@@ -159,11 +158,6 @@ class GKMAlgebra:
         if len(self.charges) != self.modes.r:
             raise ValueError(
                 f"expected {self.modes.r} central charges, got {len(self.charges)}"
-            )
-        if not self.dk_pairing:
-            r = self.modes.r
-            self.dk_pairing = tuple(
-                tuple(Fraction(1 if i == j else 0) for j in range(r)) for i in range(r)
             )
         self._gens = self.generators()
         self._gen_ids = {g: i for i, g in enumerate(self._gens)}
@@ -299,10 +293,10 @@ class GKMAlgebra:
     # -- invariant form -----------------------------------------------------
 
     def form_row(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
-        """<X_i, X_j> as ``(d, q)`` terms, read off the g, eta and D-k tables.
+        """<X_i, X_j> as ``(d, q)`` terms, read off the g and eta tables.
 
-        <X_aI, X_bJ> = -g_ab * phase when eta(I) = (J, phase), <D_i, k_j> is
-        the stored D-k pairing, and every other pair is zero.
+        <X_aI, X_bJ> = -g_ab * phase when eta(I) = (J, phase), <D_i, k_j> =
+        delta_ij by definition, and every other pair is zero.
         """
         p, q = self._gens[i], self._gens[j]
         if p[0] == q[0] == "T":
@@ -311,11 +305,9 @@ class GKMAlgebra:
                 return ()
             gab = self.base.killing_entry(p[1], q[1])
             return tuple((d, -c * phase) for d, c in gab.terms.items())
-        if {p[0], q[0]} != {"D", "k"}:
-            return ()
-        d_gen, k_gen = (p, q) if p[0] == "D" else (q, p)
-        value = self.dk_pairing[d_gen[1] - 1][k_gen[1] - 1]
-        return ((1, Fraction(value)),) if value else ()
+        if {p[0], q[0]} == {"D", "k"} and p[1] == q[1]:
+            return ((1, Fraction(1)),)
+        return ()
 
     def killing_generators(self, p: GenId, q: GenId) -> ComplexSurd:
         """<p, q> of two generators, as a view over their form row."""
@@ -360,13 +352,14 @@ class GKMAlgebra:
         if len(n) != self.r:
             raise ValueError(f"eigenvalue vector must have length {self.r}")
         alpha = tuple(Fraction(v) for v in alpha)
-        selected = [I for I in self.modes.modes if self.modes.eigen(I) == n]
-        if all(v == 0 for v in alpha):
-            return [self.vector_element(h, I) for I in selected for h in cw.cartan]
-        vec = cw.root_vectors.get(alpha)
-        if vec is None:
+        if any(alpha) and alpha not in cw.root_vectors:
             raise ValueError(f"{alpha} is not a root of {self.base.name}")
-        return [self.vector_element(vec, I) for I in selected]
+        return [self.vector_element(x, I) for x, I in self._root_basis(alpha, n)]
+
+    def _root_basis(self, alpha: RootVec, n: Eigen):
+        """Yield ``(x, I)`` for the basis x (x) rho_I of g_(alpha, n), mode outer."""
+        vectors = [self.cw.root_vectors[alpha]] if any(alpha) else self.cw.cartan
+        return ((x, I) for I in self.modes.modes if self.modes.eigen(I) == n for x in vectors)
 
     def root_space_labels(self) -> list[tuple[RootVec, Eigen]]:
         """All (alpha | 0, n) labels with nonempty spaces within the cutoff."""

@@ -120,9 +120,6 @@ def _cmd_build(args) -> int:
     except (ValueError, ZeroDivisionError):
         print(f"error: bad charges {args.charges!r}", file=sys.stderr)
         return EXIT_USAGE
-    if args.cutoff < 0:
-        print("error: cutoff must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
     try:
         alg = build_algebra(args.algebra, geometry, args.cutoff, charges)
     except ValueError as exc:

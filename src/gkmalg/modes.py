@@ -243,8 +243,8 @@ def parse_manifold(token: str) -> Geometry:
 
 def geometry_from_dict(data: dict) -> Geometry:
     kind = data.get("kind")
-    if kind == "torus":
-        return TorusGeometry(int(data["n"]))
+    if kind == "torus" and type(data["n"]) is int:
+        return TorusGeometry(data["n"])
     if kind == "sphere2":
         return Sphere2Geometry()
     if kind == "sphere3":

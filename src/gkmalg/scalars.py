@@ -333,7 +333,10 @@ class SurdScalar:
     def from_records(cls, records) -> "SurdScalar":
         terms: dict[int, Fraction] = {}
         for rec in records:
-            terms[int(rec["radicand"])] = Fraction(int(rec["num"]), int(rec["den"]))
+            d, num, den = rec["radicand"], rec["num"], rec["den"]
+            if type(d) is not int or type(num) is not str or type(den) is not str:
+                raise ValueError(f"a surd record needs an int radicand and string num, den: {rec}")
+            terms[d] = Fraction(int(num), int(den))
         return cls(terms)
 
 

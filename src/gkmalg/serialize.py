@@ -8,7 +8,11 @@ are rejected outright.
 Loading deliberately skips the construction-time validation that
 :func:`gkmalg.liealg.make_algebra` performs: the verification suites read
 the stored tables and produce witnesses, so a tampered dump is diagnosed
-as a verification failure instead of a parse error.
+as a verification failure instead of a parse error; so is a stored
+:func:`bracket_table`.  A value that cannot be read exactly (not a JSON
+integer where one is stored, an index outside ``1..dim``, an invalid mode
+label) makes the dump malformed.  ``provenance`` and ``verification`` are
+not read.
 """
 
 from __future__ import annotations
@@ -37,15 +41,20 @@ def _rat_str(q: Fraction) -> str:
 
 
 def _rat_parse(text: str) -> Fraction:
+    if type(text) is not str:
+        raise ValueError(f"a rational must be a string, got {text!r}")
     return Fraction(text)
+
+
+def _int(value, what: str, top: int | None = None) -> int:
+    """``value`` if it is a JSON integer (in ``1..top`` when given), else ValueError."""
+    if type(value) is not int or top is not None and not 1 <= value <= top:
+        raise ValueError(f"{what} must be an integer{f' in 1..{top}' if top else ''}, got {value!r}")
+    return value
 
 
 def _mode_key(label) -> list[int]:
     return [int(x) for x in label]
-
-
-def _mode_parse(data) -> tuple[int, ...]:
-    return tuple(int(x) for x in data)
 
 
 def _gen_key(gen) -> list:
@@ -117,23 +126,20 @@ def dump_algebra(
     if report is not None:
         payload["verification"] = report.to_dict()
     if include_brackets:
-        table = []
-        gens = alg.generators()
-        for p in gens:
-            for q in gens:
-                val = alg.bracket_generators(p, q)
-                if not val.is_zero:
-                    table.append(
-                        [
-                            _gen_key(p),
-                            _gen_key(q),
-                            [[_gen_key(g), c.to_records()] for g, c in sorted(
-                                val.coeffs.items(), key=lambda kv: repr(kv[0])
-                            )],
-                        ]
-                    )
-        payload["brackets"] = table
+        payload["brackets"] = bracket_table(alg)
     return payload
+
+
+def bracket_table(alg: GKMAlgebra) -> list:
+    """Each nonzero [p, q] of in-cutoff generators, in order, as ``[p, q, [[w, value], ...]]``."""
+    table = []
+    for i in alg.generator_ids():
+        for j in alg.generator_ids():
+            view = sorted(alg._row_view(i, j), key=lambda kv: repr(kv[0]))
+            if view:
+                outputs = [[_gen_key(w), c.to_records()] for w, c in view]
+                table.append([_gen_key(alg.generator_of(i)), _gen_key(alg.generator_of(j)), outputs])
+    return table
 
 
 def save_algebra(alg: GKMAlgebra, path, **kwargs) -> None:
@@ -166,7 +172,7 @@ def load_algebra(source) -> GKMAlgebra:
 
 def _load_v1(data: dict) -> GKMAlgebra:
     base_blk = data["base"]
-    dim = int(base_blk["dim"])
+    dim = _int(base_blk["dim"], "dim")
     # Cartan-Weyl data and the hierarchy's smaller torus come from the *name*,
     # not the stored tables, so a tampered f/g fails verification instead of a
     # root-vector check; the name is checked before dim-sized tables are built.
@@ -175,16 +181,16 @@ def _load_v1(data: dict) -> GKMAlgebra:
         raise DumpFormatError(f"malformed dump: base {named.name} is not of dimension {dim}")
     f: dict[tuple[int, int], dict[int, SurdScalar]] = {}
     for a, b, c, records in base_blk["f"]:
+        a, b, c = (_int(x, "f index", dim) for x in (a, b, c))
         v = SurdScalar.from_records(records)
         if v.is_zero:
             continue
-        f.setdefault((int(a), int(b)), {})[int(c)] = v
-        f.setdefault((int(b), int(a)), {})[int(c)] = -v
+        f.setdefault((a, b), {})[c] = v
+        f.setdefault((b, a), {})[c] = -v
     g = [[SurdScalar() for _ in range(dim)] for _ in range(dim)]
     for a, b, records in base_blk["g"]:
-        v = SurdScalar.from_records(records)
-        g[int(a) - 1][int(b) - 1] = v
-        g[int(b) - 1][int(a) - 1] = v
+        a, b = (_int(x, "g index", dim) for x in (a, b))
+        g[a - 1][b - 1] = g[b - 1][a - 1] = SurdScalar.from_records(records)
     base = FiniteAlgebra(
         name=str(base_blk["name"]),
         dim=dim,
@@ -194,21 +200,22 @@ def _load_v1(data: dict) -> GKMAlgebra:
 
     mode_blk = data["modes"]
     geometry = geometry_from_dict(mode_blk["geometry"])
-    modes = [_mode_parse(m) for m in mode_blk["modes"]]
-    products = {}
+    modes = [tuple(m) for m in mode_blk["modes"]]
+    products, labels = {}, set(modes)
     for I, J, entries in mode_blk["products"]:
-        products[(_mode_parse(I), _mode_parse(J))] = {
-            _mode_parse(K): SurdScalar.from_records(records) for K, records in entries
+        row = products[tuple(I), tuple(J)] = {
+            tuple(K): SurdScalar.from_records(records) for K, records in entries
         }
-    eta_table = {
-        _mode_parse(I): (_mode_parse(J), int(phase))
-        for I, J, phase in mode_blk["eta"]
-    }
+        labels.update(row)
+    eta_table = {tuple(I): (tuple(J), _int(phase, "eta phase")) for I, J, phase in mode_blk["eta"]}
+    labels.update(J for J, _ in eta_table.values())
+    for label in labels:  # each distinct mode, product-entry label and eta partner once
+        geometry.validate(label)
     eigen_table = {
-        _mode_parse(I): tuple(_rat_parse(v) for v in vals)
+        tuple(I): tuple(_rat_parse(v) for v in vals)
         for I, vals in mode_blk["eigen"]
     }
-    cutoff = int(mode_blk["cutoff"])
+    cutoff = _int(mode_blk["cutoff"], "cutoff")
     # an absent row would fall back to the geometry rules and go unchecked
     if modes != geometry.enumerate_modes(cutoff):
         raise DumpFormatError("malformed dump: mode list disagrees with the geometry and cutoff")
@@ -218,7 +225,7 @@ def _load_v1(data: dict) -> GKMAlgebra:
         raise DumpFormatError("malformed dump: eta or eigen rows are not the modes")
     if any(len(vals) != geometry.r for vals in eigen_table.values()):
         raise DumpFormatError(f"malformed dump: an eigenvalue vector's length is not {geometry.r}")
-    if int(mode_blk["r"]) != geometry.r:
+    if _int(mode_blk["r"], "r") != geometry.r:
         raise DumpFormatError("malformed dump: stored operator count disagrees with the manifold")
     ms = ModeSystem(
         geometry=geometry,
@@ -230,7 +237,10 @@ def _load_v1(data: dict) -> GKMAlgebra:
     )
     charges = tuple(_rat_parse(c) for c in data["charges"])
     cw = None if named.is_abelian else cartan_weyl(named)
-    alg = GKMAlgebra(base=base, modes=ms, charges=charges, cw=cw)
+    brackets = data.get("brackets")
+    if brackets is not None and not isinstance(brackets, list):
+        raise DumpFormatError("malformed dump: brackets must be a list")
+    alg = GKMAlgebra(base=base, modes=ms, charges=charges, cw=cw, stored_brackets=brackets)
     if data["generators"] != [_gen_key(g) for g in alg.generators()]:
         raise DumpFormatError("malformed dump: generator list disagrees with base, modes and r")
     return alg

@@ -13,7 +13,8 @@ Jacobi, invariance, antisymmetry, the pairing table and the torus hierarchy
 are evaluated exactly on the X-basis bracket and form rows of
 :mod:`gkmalg.algebra`, and a failure's witness is read off the same exact
 sum: its first nonzero component, turned into a T-basis value by
-``GKMAlgebra._t_value``.  The root grading is decided and witnessed
+``GKMAlgebra._t_value``.  A bracket table a dump carries is compared entry by
+entry with the one read off the same rows.  The root grading is decided and witnessed
 on the factorised tables the T-T rows are built from: a base part from the f
 and g tables, a mode part from the product, eta and eigenvalue tables.
 
@@ -26,6 +27,7 @@ distinct items of the same population, drawn by :func:`sample_items`
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import comb, factorial
@@ -42,6 +44,7 @@ from .quadrature import (
 )
 from .report import CheckFailed, CheckResult, VerificationReport, checking
 from .scalars import SURD_ONE, SURD_ZERO, SurdScalar, add_product, surd_product
+from .serialize import bracket_table
 from .wigner import cache_size
 
 DEFAULT_BUDGET = 50_000
@@ -289,6 +292,16 @@ def antisymmetry_check(alg: GKMAlgebra) -> CheckResult:
     return result
 
 
+def bracket_table_check(alg: GKMAlgebra) -> CheckResult:
+    """A dump's bracket table must equal :func:`bracket_table`, entry by entry as JSON text."""
+    with checking("bracket_table") as result:
+        pairs = itertools.zip_longest(alg.stored_brackets, bracket_table(alg))
+        for n, (stored, derived) in enumerate(result.tally("entries", pairs)):
+            if json.dumps(stored, sort_keys=True) != json.dumps(derived, sort_keys=True):
+                raise CheckFailed({"entry": n, "stored": stored, "derived": derived})
+    return result
+
+
 def cocycle_antisymmetry_check(alg: GKMAlgebra) -> CheckResult:
     """omega_j(x, y) + omega_j(y, x) = 0 for all mode pairs and all j."""
     with checking("cocycle_antisymmetry") as result:
@@ -435,24 +448,16 @@ def grading_check(alg: GKMAlgebra) -> CheckResult:
 
 
 def _root_spaces(alg: GKMAlgebra) -> dict:
-    """Each root-space label -> its basis, as ``(x, code, I)``.
+    """Each root-space label -> its basis from ``GKMAlgebra._root_basis``, as ``(x, code, I)``.
 
-    The basis of g_(alpha, n) is x (x) rho_I for each mode I with eigenvalue
-    vector n and each base vector x: the root vector of alpha, or every
-    Cartan vector at alpha = 0, in :meth:`GKMAlgebra.root_space` order (mode
-    outer).  ``code`` numbers the distinct base vectors by value, so memo keys
-    on them hash cheaply.
+    ``code`` numbers the distinct base vectors x by value, so memo keys on
+    them hash cheaply.
     """
-    cw, ms, by_eigen, codes = alg.cw, alg.modes, {}, {}
-    for I in ms.modes:
-        by_eigen.setdefault(ms.eigen(I), []).append(I)
-    spaces = {}
-    for alpha, n in alg.root_space_labels():
-        vectors = [cw.root_vectors[alpha]] if alpha in cw.root_vectors else cw.cartan
-        spaces[alpha, n] = [
-            (x, codes.setdefault(x, len(codes)), I) for I in by_eigen[n] for x in vectors
-        ]
-    return spaces
+    codes = {}
+    return {
+        label: [(x, codes.setdefault(x, len(codes)), I) for x, I in alg._root_basis(*label)]
+        for label in alg.root_space_labels()
+    }
 
 
 def _base_part(alg: GKMAlgebra, x, y, root) -> tuple:
@@ -666,6 +671,8 @@ def run_suites(
         report.add(invariance_check(alg, sample=budget, seed=seed))
     if suite == "all":
         report.add(antisymmetry_check(alg))
+        if alg.stored_brackets is not None:
+            report.add(bracket_table_check(alg))
         report.extend(mode_axiom_checks(alg.modes, budget=budget, seed=seed))
         if isinstance(alg.modes.geometry, TorusGeometry) and alg.r >= 2:
             report.add(torus_hierarchy_check(alg))

@@ -214,11 +214,28 @@ def test_cocycle_antisymmetry_and_fault():
     assert result.witness["operator"] == 1
 
 
+def _scale_dk(factor):
+    """Override ``form_row`` on one algebra so that <D_i, k_j> is ``factor`` * delta_ij."""
+
+    def tamper(alg):
+        form_row = alg.form_row
+
+        def scaled(i, j):
+            row = form_row(i, j)
+            if {alg.generator_of(i)[0], alg.generator_of(j)[0]} != {"D", "k"}:
+                return row
+            return tuple((d, factor * q) for d, q in row if factor)
+
+        alg.form_row = scaled
+
+    return tamper
+
+
 def test_invariance_exhaustive_and_dk_fault():
     alg = build_algebra("su2", "t1", 1, charges=[1])
     assert invariance_check(alg, sample="all").passed
     # setting <D, k> = 0 must break invariance on (T, T, D) triples
-    alg.dk_pairing = ((Fraction(0),),)
+    _scale_dk(0)(alg)
     result = invariance_check(alg, sample="all")
     assert not result.passed
     gens = result.witness["generators"]
@@ -319,7 +336,7 @@ TAMPERS = {
     "square+(1+sqrt2)": _bump_product(SurdScalar({1: 1, 2: 1}), (1, 1), (1, 1), (2, 2)),
     "eta": _set("eta_table", (1, 1), ((1, -1), 1)),
     "eigen": _set("eigen_table", (1, 1), (2,)),
-    "dk_pairing": lambda alg: setattr(alg, "dk_pairing", ((2,),)),
+    "dk_pairing": _scale_dk(2),
 }
 # (jacobi_gkm, invariance) outcome per tamper of su2/s2/c2: the triples checked
 # and the witness (None: passed), as computed with T-basis ComplexSurd brackets

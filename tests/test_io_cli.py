@@ -17,7 +17,7 @@ from gkmalg.cli import main
 from gkmalg.modes import parse_manifold
 from gkmalg.report import VerificationReport
 from gkmalg.serialize import DumpFormatError, dump_algebra, load_algebra, save_algebra
-from gkmalg.verify import run_suites, torus_hierarchy_check
+from gkmalg.verify import bracket_table_check, run_suites, torus_hierarchy_check
 from gkmalg.wigner import cache_size, clear_cache
 
 
@@ -87,12 +87,14 @@ def test_unknown_schema_rejected(tmp_path):
         load_algebra(bad)
 
 
-def test_build_usage_errors(tmp_path):
+def test_build_usage_errors(tmp_path, capsys):
     out = str(tmp_path / "x.json")
     assert main(["build", "--algebra", "su2", "--manifold", "s5", "--cutoff", "1", "--charges", "1", "--out", out]) == 2
     assert main(["build", "--algebra", "so9", "--manifold", "s2", "--cutoff", "1", "--charges", "1", "--out", out]) == 2
     assert main(["build", "--algebra", "su2", "--manifold", "t2", "--cutoff", "1", "--charges", "1", "--out", out]) == 2  # charge count
+    capsys.readouterr()
     assert main(["build", "--algebra", "su2", "--manifold", "s2", "--cutoff", "-1", "--charges", "1", "--out", out]) == 2
+    assert capsys.readouterr().err == "error: cutoff must be >= 0\n"
     assert main(["nonsense"]) == 2
 
 
@@ -192,7 +194,7 @@ def _drop_last_mode(data):
     "mutate,message",
     [
         (lambda d: d.__setitem__("charges", ["1/0"]), "Fraction(1, 0)"),
-        (lambda d: d["base"]["g"][0].__setitem__(0, 9), "index out of range"),
+        (lambda d: d["base"]["g"][0].__setitem__(0, 9), "g index must be an integer in 1..3, got 9"),
         (lambda d: d["modes"].__setitem__("geometry", "s2"), "has no attribute"),
         (lambda d: d["generators"].pop(), "generator list disagrees"),
         (_drop_last_mode, "mode list disagrees"),
@@ -208,11 +210,12 @@ def _drop_last_mode(data):
             lambda d: d["modes"]["products"][0][2][0][1][0].__setitem__("radicand", 0),
             "radicand must be a positive integer",
         ),
+        (lambda d: d.__setitem__("brackets", 5), "brackets must be a list"),
     ],
     ids=[
         "zero-denominator-charge", "base-g-index", "geometry-not-an-object", "generator-list",
         "last-mode-dropped", "cutoff", "eta-row", "eigen-row", "product-row", "eigen-length",
-        "operator-count", "base-name", "base-dim", "zero-radicand",
+        "operator-count", "base-name", "base-dim", "zero-radicand", "brackets-not-a-list",
     ],
 )
 def test_malformed_dump_is_reported_as_malformed(s2_dump, tmp_path, mutate, message, capsys):
@@ -372,8 +375,9 @@ def _small_dump(manifold):
 def _entry_mutations(data):
     """Every single-entry mutation of a dump that changes it: ``(path, new value)``.
 
-    The entries are the num and radicand of each f, g and product record, each
-    eta phase and partner, and each eigenvalue.
+    The entries are the indices of each f and g entry (set to every index in
+    range), the num and radicand of each f, g and product record, each eta
+    phase and partner, and each eigenvalue.
     """
     base, ms = data["base"], data["modes"]
     records = [("base", "f", e, 3) for e in range(len(base["f"]))]
@@ -383,7 +387,13 @@ def _entry_mutations(data):
         for e, row in enumerate(ms["products"])
         for k in range(len(row[2]))
     ]
-    out = []
+    out = [
+        (("base", table, e, k), a)
+        for table, width in (("f", 3), ("g", 2))
+        for e in range(len(base[table]))
+        for k in range(width)
+        for a in range(1, base["dim"] + 1)
+    ]
     for path in records:
         for r, rec in enumerate(_entry(data, path)):
             num = int(rec["num"])
@@ -430,6 +440,111 @@ def test_every_single_entry_mutation_fails_verification_and_replays(mutation):
         assert code == 3, (manifold, path, value)
         replay = shlex.split(failing[0]["witness"]["replay"])
         assert replay[:2] == ["gkmalg", "verify"]
+        assert _verify(replay[1:]) == (3, failing)
+
+
+LABEL = ("modes", "products", 1, 2, 0, 0)  # the s2 entry [1, -1] of rho_(0,0) rho_(1,-1)
+RADICAND = ("modes", "products", 0, 2, 0, 1, 0, "radicand")
+INEXACT_VALUES = [
+    ("s2", ("modes", "eta", 0, 2), 1.5),
+    ("s2", ("modes", "eta", 0, 2), True),
+    ("s2", ("modes", "eta", 0, 2), "1"),
+    ("s2", ("base", "f", 0, 1), 2.7),
+    ("s2", ("base", "f", 0, 0), 9),
+    ("s2", ("base", "g", 2, 0), 0),  # would alias g index 3
+    ("s2", LABEL, [1.9, -1]),
+    ("s2", LABEL, [1, 5]),
+    ("s2", LABEL, [1, 2, 3]),
+    ("s2", LABEL, [-1, 0]),
+    ("s2", ("modes", "modes", 1), [1.0, -1]),
+    ("s2", ("modes", "eta", 0, 1), [1, 2, 3]),
+    ("s2", ("modes", "eta", 0, 1), [5, 9]),
+    ("s2", RADICAND, 1.5),
+    ("s2", RADICAND, True),
+    ("s2", ("base", "g", 0, 2, 0, "num"), 2.5),
+    ("s2", ("base", "g", 0, 2, 0, "den"), 1.0),
+    ("s2", ("modes", "eigen", 0, 1, 0), 0.0),
+    ("s2", ("modes", "cutoff"), 1.9),
+    ("s2", ("modes", "r"), 1.0),
+    ("s2", ("base", "dim"), "3"),
+    ("t2", ("modes", "geometry", "n"), 2.5),
+]
+
+
+@pytest.mark.parametrize(
+    "manifold,path,value",
+    INEXACT_VALUES,
+    ids=[f"{m}:{'.'.join(map(str, path))}={value!r}" for m, path, value in INEXACT_VALUES],
+)
+def test_a_value_the_loader_cannot_read_exactly_is_malformed(manifold, path, value, capsys):
+    data = copy.deepcopy(_small_dump(manifold))
+    assert json.dumps(_entry(data, path)) != json.dumps(value)
+    _entry(data, path[:-1])[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        dump = Path(tmp) / "inexact.json"
+        dump.write_text(json.dumps(data))
+        assert main(["verify", str(dump), "--suite", "all"]) == 1
+    assert capsys.readouterr().err.startswith("error: malformed dump: ")
+
+
+@functools.cache
+def _bracket_dump():
+    return dump_algebra(build_algebra("su2", "s2", 1, charges=[1]), include_brackets=True)
+
+
+def _bracket_mutations(data):
+    """Every num and radicand of the bracket table, each edited once: ``(path, new value)``."""
+    out = []
+    for e, (_, _, outputs) in enumerate(data["brackets"]):
+        for k, (_, value) in enumerate(outputs):
+            for part, records in value.items():
+                for r, rec in enumerate(records):
+                    path = ("brackets", e, 2, k, 1, part, r)
+                    out.append((path + ("num",), str(int(rec["num"]) + 1)))
+                    out.append((path + ("radicand",), rec["radicand"] + 1))
+    return out
+
+
+@pytest.mark.parametrize("manifold,entries", [("s2", 114), ("t2", 582), ("s3", 210)])
+def test_a_stored_bracket_table_is_checked_entry_by_entry(manifold, entries):
+    r = parse_manifold(manifold).r
+    data = dump_algebra(build_algebra("su2", manifold, 1, charges=[1] * r), include_brackets=True)
+    assert load_algebra(_small_dump(manifold)).stored_brackets is None
+    with tempfile.TemporaryDirectory() as tmp:
+        dump = Path(tmp) / "brackets.json"
+        dump.write_text(json.dumps(data))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["verify", str(dump), "--suite", "all"]) == 0
+    check = next(c for c in json.loads(out.getvalue())["checks"] if c["name"] == "bracket_table")
+    assert (check["regime"], check["details"]["entries"]) == ("exhaustive", entries)
+
+
+@pytest.mark.parametrize("radicand", [True, 1.0])
+def test_the_bracket_table_is_compared_as_json(radicand):
+    data = copy.deepcopy(_bracket_dump())
+    records = data["brackets"][0][2][0][1]["im"]
+    assert records[0]["radicand"] == 1
+    records[0]["radicand"] = radicand
+    result = bracket_table_check(load_algebra(data))
+    assert (result.passed, result.details["entries"], result.witness["entry"]) == (False, 1, 0)
+
+
+@settings(derandomize=True, database=None, max_examples=10, deadline=None)
+@given(st.sampled_from(_bracket_mutations(_bracket_dump())))
+def test_every_bracket_table_edit_fails_the_bracket_table_and_replays(mutation):
+    path, value = mutation
+    data = copy.deepcopy(_bracket_dump())
+    stored = copy.deepcopy(_entry(data, path[:2]))
+    _entry(data, path[:-1])[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        dump = Path(tmp) / "mutated.json"
+        dump.write_text(json.dumps(data))
+        code, failing = _verify(["verify", str(dump), "--suite", "all"])
+        assert (code, [c["name"] for c in failing]) == (3, ["bracket_table"])
+        assert failing[0]["witness"]["entry"] == path[1]
+        assert failing[0]["witness"]["derived"] == stored
+        replay = shlex.split(failing[0]["witness"]["replay"])
         assert _verify(replay[1:]) == (3, failing)
 
 
