@@ -219,13 +219,7 @@ def _cmd_roots(args) -> int:
 
 def _cmd_wigner(args) -> int:
     try:
-        doubled = []
-        for tok in args.three_j:
-            val = Fraction(tok) * 2
-            if val.denominator != 1:
-                raise ValueError(f"label {tok!r} is not an integer or half-integer")
-            doubled.append(int(val))
-        triple = SpinTriple(*doubled)
+        triple = SpinTriple.of(*args.three_j)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

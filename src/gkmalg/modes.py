@@ -52,7 +52,7 @@ class TorusGeometry:
         return (0,) * self.n
 
     def validate(self, label: ModeLabel) -> None:
-        if len(label) != self.n or not all(isinstance(m, int) for m in label):
+        if len(label) != self.n or not all(type(m) is int for m in label):
             raise ValueError(f"bad torus mode {label!r}")
 
     def enumerate_modes(self, cutoff: int) -> list[ModeLabel]:
@@ -93,7 +93,7 @@ class Sphere2Geometry:
         if len(label) != 2:
             raise ValueError(f"bad sphere mode {label!r}")
         l, m = label
-        if not isinstance(l, int) or not isinstance(m, int) or l < 0 or abs(m) > l:
+        if type(l) is not int or type(m) is not int or l < 0 or abs(m) > l:
             raise ValueError(f"bad sphere mode {label!r}")
 
     def enumerate_modes(self, cutoff: int) -> list[ModeLabel]:
@@ -156,7 +156,7 @@ class Sphere3Geometry:
             raise ValueError(f"bad SU(2) mode {label!r}")
         tj, tm, tmp = label
         ok = (
-            all(isinstance(x, int) for x in label)
+            all(type(x) is int for x in label)
             and tj >= 0
             and abs(tm) <= tj
             and abs(tmp) <= tj

@@ -1,9 +1,9 @@
 """Independent numerical oracle: spectral quadrature on T^n, S^2, and SU(2).
 
-Basis functions are evaluated from their own recurrences (a normalised
-associated-Legendre recurrence for the 2-sphere, Jacobi polynomials for the
-SU(2) matrix entries), sharing nothing with the exact coupling-coefficient
-path, so a disagreement flags a real defect rather than noise.
+One Wigner small-d factor, from its own Jacobi recurrence, is the polar
+factor on both spheres: d^j_{m m'} on SU(2), sqrt(2l+1) d^l_{m0} on S^2.  It
+shares nothing with the exact coupling-coefficient path, so a disagreement
+flags a real defect rather than noise.
 
 Grids are exact, not approximate, for band-limited integrands: uniform
 rules on the periodic angles and Gauss-Legendre in the polar variable.  A
@@ -30,7 +30,6 @@ from math import factorial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import eval_jacobi
 
 from .modes import Geometry, ModeLabel, Sphere2Geometry, Sphere3Geometry, TorusGeometry
 
@@ -95,27 +94,18 @@ def make_grid(geometry: Geometry, band: int) -> QuadratureGrid:
 # -- basis evaluation ----------------------------------------------------------
 
 
-def _normalized_legendre(l: int, m: int, z: np.ndarray) -> np.ndarray:
-    """Orthonormal associated Legendre part of Y_lm for m >= 0.
-
-    Stable three-term recurrence on fully normalised functions, with the
-    Condon-Shortley sign carried in the diagonal seed.
-    """
-    pmm = np.full_like(z, 1.0 / np.sqrt(4.0 * np.pi))
-    if m > 0:
-        sine = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-        for k in range(1, m + 1):
-            pmm = -np.sqrt((2 * k + 1) / (2.0 * k)) * sine * pmm
-    if l == m:
-        return pmm
-    pm1 = np.sqrt(2 * m + 3.0) * z * pmm
-    if l == m + 1:
-        return pm1
-    for ll in range(m + 2, l + 1):
-        a = np.sqrt((4.0 * ll * ll - 1.0) / (ll * ll - m * m))
-        b = np.sqrt(((ll - 1.0) ** 2 - m * m) / (4.0 * (ll - 1.0) ** 2 - 1.0))
-        pmm, pm1 = pm1, a * (z * pm1 - b * pmm)
-    return pm1
+def _jacobi(n: int, a: int, b: int, z: np.ndarray) -> np.ndarray:
+    """Jacobi polynomial P_n^(a,b)(z) by its three-term recurrence in n (Szego, ch. 4.5)."""
+    prev, cur = np.ones_like(z), (a + 1) + (a + b + 2) * (z - 1) / 2
+    if n == 0:
+        return prev
+    for k in range(2, n + 1):
+        c = 2 * k + a + b
+        prev, cur = cur, (
+            (c - 1) * (c * (c - 2) * z + a * a - b * b) * cur
+            - 2 * (k + a - 1) * (k + b - 1) * c * prev
+        ) / (2 * k * (k + a + b) * (c - 2))
+    return cur
 
 
 def _wigner_little_d(tj: int, tm: int, tmp: int, z: np.ndarray) -> np.ndarray:
@@ -129,7 +119,7 @@ def _wigner_little_d(tj: int, tm: int, tmp: int, z: np.ndarray) -> np.ndarray:
     )
     half = np.clip((1.0 - z) / 2.0, 0.0, None)
     other = np.clip((1.0 + z) / 2.0, 0.0, None)
-    return xi * norm * half ** (mu / 2.0) * other ** (nu / 2.0) * eval_jacobi(s, mu, nu, z)
+    return xi * norm * half ** (mu / 2.0) * other ** (nu / 2.0) * _jacobi(s, mu, nu, z)
 
 
 def mode_factors(grid: QuadratureGrid, label: ModeLabel) -> tuple[np.ndarray, ...]:
@@ -143,9 +133,8 @@ def mode_factors(grid: QuadratureGrid, label: ModeLabel) -> tuple[np.ndarray, ..
     elif isinstance(geo, Sphere2Geometry):
         l, m = label
         z, phi = grid.axes
-        sign = (-1.0) ** (abs(m) % 2) if m < 0 else 1.0
-        plm = np.sqrt(4.0 * np.pi) * sign * _normalized_legendre(l, abs(m), z)
-        factors = (plm, np.exp(1j * m * phi))
+        dpart = np.sqrt(2 * l + 1.0) * _wigner_little_d(2 * l, 2 * m, 0, z)
+        factors = (dpart, np.exp(1j * m * phi))  # sqrt(4 pi) Y_lm
     else:  # SU(2), the last geometry make_grid accepts
         tj, tm, tmp = label
         alpha, z, gamma = grid.axes

@@ -336,6 +336,8 @@ class SurdScalar:
             d, num, den = rec["radicand"], rec["num"], rec["den"]
             if type(d) is not int or type(num) is not str or type(den) is not str:
                 raise ValueError(f"a surd record needs an int radicand and string num, den: {rec}")
+            if d in terms:
+                raise ValueError(f"repeated radicand {d} in surd records {records}")
             terms[d] = Fraction(int(num), int(den))
         return cls(terms)
 

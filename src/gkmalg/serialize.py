@@ -11,8 +11,8 @@ the stored tables and produce witnesses, so a tampered dump is diagnosed
 as a verification failure instead of a parse error; so is a stored
 :func:`bracket_table`.  A value that cannot be read exactly (not a JSON
 integer where one is stored, an index outside ``1..dim``, an invalid mode
-label) makes the dump malformed.  ``provenance`` and ``verification`` are
-not read.
+label, a key stored twice) makes the dump malformed.  ``provenance`` and
+``verification`` are not read.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import datetime as _dt
 import json
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from .algebra import GKMAlgebra
@@ -191,6 +192,11 @@ def _load_v1(data: dict) -> GKMAlgebra:
     for a, b, records in base_blk["g"]:
         a, b = (_int(x, "g index", dim) for x in (a, b))
         g[a - 1][b - 1] = g[b - 1][a - 1] = SurdScalar.from_records(records)
+    # of a repeated key, or of an f or g entry and its mirror, only the last would be read
+    f_keys = [(min(a, b), max(a, b), c) for a, b, c, _ in base_blk["f"]]
+    g_keys = [(min(a, b), max(a, b)) for a, b, _ in base_blk["g"]]
+    if len(set(f_keys)) != len(f_keys) or len(set(g_keys)) != len(g_keys):
+        raise DumpFormatError("malformed dump: an f or g entry, or its mirror, repeats")
     base = FiniteAlgebra(
         name=str(base_blk["name"]),
         dim=dim,
@@ -201,28 +207,34 @@ def _load_v1(data: dict) -> GKMAlgebra:
     mode_blk = data["modes"]
     geometry = geometry_from_dict(mode_blk["geometry"])
     modes = [tuple(m) for m in mode_blk["modes"]]
-    products, labels = {}, set(modes)
-    for I, J, entries in mode_blk["products"]:
-        row = products[tuple(I), tuple(J)] = {
-            tuple(K): SurdScalar.from_records(records) for K, records in entries
-        }
-        labels.update(row)
-    eta_table = {tuple(I): (tuple(J), _int(phase, "eta phase")) for I, J, phase in mode_blk["eta"]}
-    labels.update(J for J, _ in eta_table.values())
-    for label in labels:  # each distinct mode, product-entry label and eta partner once
-        geometry.validate(label)
-    eigen_table = {
-        tuple(I): tuple(_rat_parse(v) for v in vals)
-        for I, vals in mode_blk["eigen"]
+    rows, eta, eigen = mode_blk["products"], mode_blk["eta"], mode_blk["eigen"]
+    products = {
+        (tuple(I), tuple(J)): {tuple(K): SurdScalar.from_records(records) for K, records in entries}
+        for I, J, entries in rows
     }
+    eta_table = {tuple(I): (tuple(J), _int(phase, "eta phase")) for I, J, phase in eta}
+    eigen_table = {tuple(I): tuple(_rat_parse(v) for v in vals) for I, vals in eigen}
+    # every label read must be JSON integers: a 1.0 or true would pass as the int it equals
+    entries = [K for row in products.values() for K in row]
+    partners = [J for J, _ in eta_table.values()]
+    labels = [*modes, *chain.from_iterable(products), *entries, *eta_table, *partners, *eigen_table]
+    if not set(map(type, chain.from_iterable(labels))) <= {int}:
+        bad = next(L for L in labels if any(type(x) is not int for x in L))
+        raise ValueError(f"a mode label must be JSON integers, got {list(bad)!r}")
+    for label in {*modes, *entries, *partners}:  # the keys are checked against the modes below
+        geometry.validate(label)
     cutoff = _int(mode_blk["cutoff"], "cutoff")
     # an absent row would fall back to the geometry rules and go unchecked
     if modes != geometry.enumerate_modes(cutoff):
         raise DumpFormatError("malformed dump: mode list disagrees with the geometry and cutoff")
-    if products.keys() != {(I, J) for I in modes for J in modes}:
-        raise DumpFormatError("malformed dump: product rows are not every ordered mode pair")
-    if eta_table.keys() != set(modes) or eigen_table.keys() != set(modes):
-        raise DumpFormatError("malformed dump: eta or eigen rows are not the modes")
+    pairs = {(I, J) for I in modes for J in modes}
+    if products.keys() != pairs or len(rows) != len(pairs):  # a repeated row: the last is read
+        raise DumpFormatError("malformed dump: product rows are not every ordered mode pair once")
+    if len(entries) != sum(len(row) for *_, row in rows):
+        raise DumpFormatError("malformed dump: a product row repeats an entry")
+    once = len(eta) == len(eigen) == len(modes)  # a repeated mode: the last row is read
+    if not (once and eta_table.keys() == eigen_table.keys() == set(modes)):
+        raise DumpFormatError("malformed dump: eta or eigen rows are not the modes once each")
     if any(len(vals) != geometry.r for vals in eigen_table.values()):
         raise DumpFormatError(f"malformed dump: an eigenvalue vector's length is not {geometry.r}")
     if _int(mode_blk["r"], "r") != geometry.r:

@@ -298,7 +298,7 @@ def test_oracle_converts_only_the_drawn_quantities(monkeypatch):
         "quantity": "product",
         "labels": "((1, 0), (1, 1), (2, 1))",
         "exact": 1.7745966692414834,
-        "delta": 1.0000000000000002,
+        "delta": 1.0,
     }
 
 

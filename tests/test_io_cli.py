@@ -185,6 +185,14 @@ def test_verify_corrupt_dump_exit1(tmp_path, capsys):
     assert main(["verify", str(missing)]) == 1
 
 
+_REPEATED_BASE = "an f or g entry, or its mirror, repeats"
+_REPEATED_MODE = "eta or eigen rows are not the modes once each"
+
+
+def _record(num):
+    return {"radicand": 1, "num": num, "den": "1"}
+
+
 def _drop_last_mode(data):
     last = data["modes"]["modes"].pop()
     data["generators"] = [g for g in data["generators"] if g[0] != "T" or g[2] != last]
@@ -211,11 +219,42 @@ def _drop_last_mode(data):
             "radicand must be a positive integer",
         ),
         (lambda d: d.__setitem__("brackets", 5), "brackets must be a list"),
+        # a repeated key placed before the real one would never be read
+        (
+            lambda d: d["modes"]["products"][0][2][0][1].insert(0, _record("7")),
+            "repeated radicand 1",
+        ),
+        (lambda d: d["base"]["f"].insert(0, [1, 2, 3, [_record("5")]]), _REPEATED_BASE),
+        (lambda d: d["base"]["f"].insert(0, [2, 1, 3, [_record("5")]]), _REPEATED_BASE),
+        (lambda d: d["base"]["g"].insert(0, [1, 1, [_record("5")]]), _REPEATED_BASE),
+        (lambda d: d["base"]["g"].extend([[2, 1, [_record("5")]], [1, 2, []]]), _REPEATED_BASE),
+        (
+            lambda d: d["modes"]["products"].insert(0, [[0, 0], [1, 0], [[[1, 0], [_record("2")]]]]),
+            "product rows are not every ordered mode pair once",
+        ),
+        (
+            lambda d: d["modes"]["products"][1][2].insert(0, [[1, -1], [_record("2")]]),
+            "a product row repeats an entry",
+        ),
+        (lambda d: d["modes"]["eta"].insert(0, [[1, -1], [1, 1], 1]), _REPEATED_MODE),
+        (lambda d: d["modes"]["eigen"].insert(0, [[1, -1], ["1"]]), _REPEATED_MODE),
+        # a label component equal to an int but not one would be read as its twin
+        (
+            lambda d: d["modes"]["products"][1][2][0].__setitem__(0, [1.0, -1]),
+            "a mode label must be JSON integers, got [1.0, -1]",
+        ),
+        (
+            lambda d: d["modes"]["products"][3][2][0].__setitem__(0, [True, 1]),
+            "a mode label must be JSON integers, got [True, 1]",
+        ),
     ],
     ids=[
         "zero-denominator-charge", "base-g-index", "geometry-not-an-object", "generator-list",
         "last-mode-dropped", "cutoff", "eta-row", "eigen-row", "product-row", "eigen-length",
         "operator-count", "base-name", "base-dim", "zero-radicand", "brackets-not-a-list",
+        "repeated-radicand", "repeated-f-entry", "repeated-f-mirror", "repeated-g-entry",
+        "repeated-g-mirror", "repeated-product-row", "repeated-product-entry", "repeated-eta-mode",
+        "repeated-eigen-mode", "float-label", "bool-label",
     ],
 )
 def test_malformed_dump_is_reported_as_malformed(s2_dump, tmp_path, mutate, message, capsys):

@@ -113,6 +113,11 @@ def test_label_validation():
         Sphere3Geometry(half_integer=False).validate((1, 1, 1))
     with pytest.raises(ValueError):
         TorusGeometry(2).validate((1,))
+    # a JSON true or 1.0 equals 1 but is not an integer label component
+    for geo, label in ((TorusGeometry(1), (True,)), (Sphere2Geometry(), (True, 1)),
+                       (Sphere2Geometry(), (1.0, -1)), (Sphere3Geometry(), (2, 2, False))):
+        with pytest.raises(ValueError):
+            geo.validate(label)
 
 
 def test_cocycle_pairing_values():

@@ -1,5 +1,11 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +18,7 @@ from gkmalg.modes import (
     parse_manifold,
 )
 from gkmalg.quadrature import (
+    _jacobi,
     apply_invariant_operator,
     make_grid,
     mode_factors,
@@ -150,6 +157,85 @@ def test_mode_factors_are_memoised_read_only_axis_samples():
             assert abs(grid.integrate(vals * np.conj(vals)) - 1.0) < 1e-12
         with pytest.raises(ValueError):
             factors[0][0] = 0.0  # shared factors are read-only
+
+
+# -- the polar factors ---------------------------------------------------------
+
+
+def _exact_jacobi(n, a, b, x):
+    """P_n^(a,b)(x) from its finite sum, exactly at a rational x = p/q.
+
+    The sum of C(n+a, n-s) C(n+b, s) ((x-1)/2)^s ((x+1)/2)^(n-s), with the
+    common denominator (2q)^n taken out so the terms are integers.
+    """
+    p, q = x.numerator, x.denominator
+    total = sum(
+        comb(n + a, n - s) * comb(n + b, s) * (p - q) ** s * (p + q) ** (n - s)
+        for s in range(n + 1)
+    )
+    return Fraction(total, (2 * q) ** n)
+
+
+def test_jacobi_recurrence_matches_the_exact_sum():
+    points = [Fraction(k, 4) for k in range(-4, 5)] + [Fraction(1, 3), Fraction(-5, 7)]
+    z = np.array([float(x) for x in points])
+    for n, a, b in itertools.product(range(17), repeat=3):
+        exact = np.array([float(_exact_jacobi(n, a, b, x)) for x in points])
+        bound = comb(n + max(a, b), n)  # max |P_n^(a,b)| on [-1, 1]
+        assert np.max(np.abs(_jacobi(n, a, b, z) - exact)) <= 1e-14 * bound, (n, a, b)
+
+
+def _normalized_legendre(l, m, z):
+    """Orthonormal associated Legendre part of Y_lm for m >= 0.
+
+    Stable three-term recurrence on fully normalised functions, with the
+    Condon-Shortley sign carried in the diagonal seed.
+    """
+    pmm = np.full_like(z, 1.0 / np.sqrt(4.0 * np.pi))
+    if m > 0:
+        sine = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+        for k in range(1, m + 1):
+            pmm = -np.sqrt((2 * k + 1) / (2.0 * k)) * sine * pmm
+    if l == m:
+        return pmm
+    pm1 = np.sqrt(2 * m + 3.0) * z * pmm
+    if l == m + 1:
+        return pm1
+    for ll in range(m + 2, l + 1):
+        a = np.sqrt((4.0 * ll * ll - 1.0) / (ll * ll - m * m))
+        b = np.sqrt(((ll - 1.0) ** 2 - m * m) / (4.0 * (ll - 1.0) ** 2 - 1.0))
+        pmm, pm1 = pm1, a * (z * pm1 - b * pmm)
+    return pm1
+
+
+def test_sphere_small_d_factor_matches_the_legendre_recurrence():
+    grid = make_grid(Sphere2Geometry(), 30)  # 31 Gauss-Legendre nodes
+    z = grid.axes[0]
+    for l in range(31):
+        for m in range(-l, l + 1):
+            sign = (-1.0) ** (abs(m) % 2) if m < 0 else 1.0
+            legendre = np.sqrt(4.0 * np.pi) * sign * _normalized_legendre(l, abs(m), z)
+            assert np.max(np.abs(mode_factors(grid, (l, m))[0] - legendre)) < 1e-13, (l, m)
+
+
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from gkmalg.algebra import build_algebra
+from gkmalg.verify import oracle_agreement_check
+for manifold, charges in (("s2", [1]), ("s3", [1, 1])):
+    result = oracle_agreement_check(build_algebra("su2", manifold, 2, charges), samples=10**6)
+    assert result.passed and result.regime == "exhaustive", (manifold, result)
+"""
+
+
+def test_oracle_runs_without_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- the full-tensor reference the separable integrals replace -----------------
