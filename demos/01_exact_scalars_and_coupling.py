@@ -19,7 +19,7 @@ s = SurdScalar.sqrt(2) + SurdScalar.sqrt(3)
 print(f"(sqrt2 + sqrt3)^2 = {s * s}")
 print(f"sqrt8 - 2 sqrt2 is exactly zero: {(a - SurdScalar.sqrt(2, 2)).is_zero}")
 print(f"float bridge: {b} = {float(b):.16f}")
-print(f"40-digit value: {b.evalf(40)!r}")
+print(f"40-digit value: {b.evalf(40)}")
 
 print()
 print("=== 3j symbols (doubled-integer labels: 2j, 2m) ===")

@@ -150,7 +150,7 @@ class GKMAlgebra:
     charges: tuple[Fraction, ...]
     cw: CartanWeylData | None = None
     stored_brackets: list | None = field(default=None, repr=False)  # a dump's bracket table
-    _pair_cache: dict = field(default_factory=dict, repr=False)  # (i, j) -> Row
+    _pair_cache: dict = field(default_factory=dict, init=False, repr=False)  # (i, j) -> Row
     _gens: list = field(init=False, repr=False)  # id -> generator
     _gen_ids: dict = field(init=False, repr=False)  # generator -> id
 

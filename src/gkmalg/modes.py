@@ -268,7 +268,7 @@ class ModeSystem:
     products: dict[tuple[ModeLabel, ModeLabel], dict[ModeLabel, SurdScalar]]
     eta_table: dict[ModeLabel, tuple[ModeLabel, int]]
     eigen_table: dict[ModeLabel, Eigen]
-    _ext_products: dict = field(default_factory=dict, repr=False)
+    _ext_products: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def r(self) -> int:

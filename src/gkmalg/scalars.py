@@ -18,13 +18,11 @@ Floats enter only at the oracle boundary via :meth:`SurdScalar.evalf`.
 
 from __future__ import annotations
 
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from types import MappingProxyType
-
-import mpmath
-from mpmath.libmp import dps_to_prec, from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_pos, mpf_sqrt
 
 # Rational scalars are plain stdlib fractions: normalised (gcd 1, positive
 # denominator) and big-integer backed, which is exactly the contract needed.
@@ -79,12 +77,6 @@ def add_product(acc: dict, key, x: SurdScalar, y: SurdScalar) -> None:
             d, q = surd_product(d1, q1, d2, q2)
             prev = acc.get((key, d))
             acc[key, d] = q if prev is None else prev + q
-
-
-@lru_cache(maxsize=4096)
-def _mpf_sqrt_int(d: int, wp: int) -> tuple:
-    """sqrt(d) at wp bits, rounded to nearest; memoised, as the oracle converts few radicands."""
-    return mpf_sqrt(from_int(d), wp, "n")
 
 
 def _as_fraction(x) -> Fraction:
@@ -273,27 +265,30 @@ class SurdScalar:
 
     # -- numeric conversion --------------------------------------------------
 
-    def evalf(self, precision: int = 17) -> mpmath.mpf:
-        """Value as an mpmath float correct to ``precision`` significant digits.
+    def evalf(self, precision: int = 17) -> Decimal:
+        """Value as a :class:`decimal.Decimal` correct to ``precision`` significant digits.
 
-        Each term and the running sum are rounded to nearest at ten extra
-        digits, and the sum then to ``precision`` digits.  The low-level
-        ``mpmath.libmp`` calls take their precision as an argument, so no
-        global working precision is set and restored per value.
+        Each term ``q*sqrt(d)`` and the running sum are rounded at ten extra
+        digits, and the sum then to ``precision`` digits; ``decimal``
+        rounds division, square root and addition correctly at any precision.
         """
         if precision < 1:
             raise ValueError("precision must be >= 1")
-        wp = dps_to_prec(precision + 10)
-        total = fzero
-        for d, q in self._terms.items():
-            term = mpf_div(mpf_pos(from_int(q.numerator), wp, "n"), from_int(q.denominator), wp, "n")
-            if d != 1:
-                term = mpf_mul(term, _mpf_sqrt_int(d, wp), wp, "n")
-            total = mpf_add(total, term, wp, "n")
-        return mpmath.mp.make_mpf(mpf_pos(total, dps_to_prec(precision), "n"))
+        # a fresh context, so a caller's rounding mode or traps do not apply
+        with localcontext(Context(prec=precision + 10)) as ctx:
+            total = Decimal(0)
+            for d, q in self._terms.items():
+                term = Decimal(q.numerator) / q.denominator
+                if d != 1:
+                    term *= Decimal(d).sqrt()
+                total += term
+            ctx.prec = precision
+            return +total
 
     def __float__(self):
-        return float(self.evalf(17))
+        # 20 digits, not 17: at 17 the second rounding, to a double, misses the
+        # nearest double for some stored product coefficients
+        return float(self.evalf(20))
 
     # -- presentation and persistence ---------------------------------------
 

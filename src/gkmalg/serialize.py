@@ -37,10 +37,6 @@ class DumpFormatError(ValueError):
     """Raised when a dump cannot be interpreted under the known schema."""
 
 
-def _rat_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
-
-
 def _rat_parse(text: str) -> Fraction:
     if type(text) is not str:
         raise ValueError(f"a rational must be a string, got {text!r}")
@@ -117,11 +113,11 @@ def dump_algebra(
                 for I, (J, phase) in sorted(ms.eta_table.items())
             ],
             "eigen": [
-                [_mode_key(I), [_rat_str(v) for v in vals]]
+                [_mode_key(I), [str(v) for v in vals]]
                 for I, vals in sorted(ms.eigen_table.items())
             ],
         },
-        "charges": [_rat_str(c) for c in alg.charges],
+        "charges": [str(c) for c in alg.charges],
         "generators": [_gen_key(g) for g in alg.generators()],
     }
     if report is not None:
@@ -253,6 +249,6 @@ def _load_v1(data: dict) -> GKMAlgebra:
     if brackets is not None and not isinstance(brackets, list):
         raise DumpFormatError("malformed dump: brackets must be a list")
     alg = GKMAlgebra(base=base, modes=ms, charges=charges, cw=cw, stored_brackets=brackets)
-    if data["generators"] != [_gen_key(g) for g in alg.generators()]:
+    if json.dumps(data["generators"]) != json.dumps([_gen_key(g) for g in alg.generators()]):
         raise DumpFormatError("malformed dump: generator list disagrees with base, modes and r")
     return alg

@@ -1,4 +1,9 @@
-"""The runtime dependencies in pyproject.toml are exactly the ones the package imports."""
+"""The dependencies in pyproject.toml cover what the package and its tests import.
+
+The package imports exactly its runtime dependencies; the tests import only
+those, the test extras and the ``perfbench/`` modules, which
+``test_perfbench_contract.py`` imports by path.
+"""
 
 import ast
 import re
@@ -23,9 +28,22 @@ def _imported_top_level_modules(package: Path) -> set[str]:
     return names
 
 
+def _third_party(package: Path) -> set[str]:
+    return _imported_top_level_modules(package) - set(sys.stdlib_module_names) - {"gkmalg"}
+
+
+def _declared(requirements: list[str]) -> set[str]:
+    return {re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in requirements}
+
+
+PROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+
+
 def test_declared_runtime_dependencies_are_the_imported_ones():
-    imported = _imported_top_level_modules(ROOT / "src" / "gkmalg")
-    third_party = imported - set(sys.stdlib_module_names) - {"gkmalg"}
-    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
-    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]}
-    assert third_party == declared
+    assert _third_party(ROOT / "src" / "gkmalg") == _declared(PROJECT["dependencies"])
+
+
+def test_tests_import_only_declared_packages():
+    allowed = _declared(PROJECT["dependencies"] + PROJECT["optional-dependencies"]["test"])
+    allowed |= {path.stem for path in (ROOT / "perfbench").glob("*.py")}
+    assert _third_party(ROOT / "tests") <= allowed

@@ -507,6 +507,8 @@ INEXACT_VALUES = [
     ("s2", ("modes", "r"), 1.0),
     ("s2", ("base", "dim"), "3"),
     ("t2", ("modes", "geometry", "n"), 2.5),
+    ("s2", ("generators", 0), ["T", True, [0, 0]]),
+    ("s2", ("generators", 1), ["T", 1.0, [1, -1]]),
 ]
 
 

@@ -1,6 +1,11 @@
+import decimal
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +17,6 @@ from gkmalg.scalars import (
     SURD_ZERO,
     ComplexSurd,
     SurdScalar,
-    _mpf_sqrt_int,
     squarefree_split,
 )
 
@@ -58,12 +62,13 @@ def test_float_examples():
 
 
 def test_evalf_precision():
-    import mpmath
-
-    val = SurdScalar.sqrt(2).evalf(40)
-    assert mpmath.nstr(val, 40) == "1.41421356237309504880168872420969807857"
-    with mpmath.workdps(50):
-        assert abs(val - mpmath.sqrt(2)) < mpmath.mpf(10) ** -39
+    assert str(SurdScalar.sqrt(2).evalf(40)) == "1.414213562373095048801688724209698078570"
+    with decimal.localcontext() as ctx:  # the caller's context does not apply
+        ctx.rounding, ctx.traps[decimal.Inexact] = decimal.ROUND_FLOOR, True
+        assert str(SurdScalar.sqrt(2).evalf(7)) == "1.414214"
+        assert str(SurdScalar.sqrt(5, Fraction(2, 3)).evalf(4)) == "1.491"
+    with pytest.raises(ValueError):
+        SURD_ONE.evalf(0)
 
 
 def test_division():
@@ -169,34 +174,85 @@ def test_immutability():
         z.re = SURD_ZERO
 
 
-def _evalf_reference(x: SurdScalar, precision: int):
-    # the high-level mpmath evaluation that evalf reproduces with libmp calls
-    with mpmath.workdps(precision + 10):
-        total = mpmath.mpf(0)
+def _exponent(x: Fraction) -> int:
+    """floor(log10 |x|) of a nonzero rational, exactly."""
+    x = abs(x)
+    e = len(str(x.numerator)) - len(str(x.denominator))
+    while Fraction(10) ** e > x:
+        e -= 1
+    while Fraction(10) ** (e + 1) <= x:
+        e += 1
+    return e
+
+
+def _enclosure(x: SurdScalar, digits: int) -> tuple[Fraction, Fraction]:
+    """Rationals ``lo <= x <= hi`` that agree to ``digits`` significant digits.
+
+    Each ``q*sqrt(d)`` is enclosed by ``s <= sqrt(d)*10**k < s + 1`` with
+    ``s = isqrt(d*10**(2k))``; k doubles until the enclosure is narrow enough.
+    """
+    k = digits
+    while True:
+        lo = hi = Fraction(0)
         for d, q in x.terms.items():
-            term = mpmath.mpf(q.numerator) / q.denominator
-            if d != 1:
-                term *= mpmath.sqrt(d)
-            total += term
-    with mpmath.workdps(precision):
-        return +total
+            if d == 1:
+                a = b = q
+            else:
+                s = math.isqrt(d * 10 ** (2 * k))
+                a, b = q * Fraction(s, 10**k), q * Fraction(s + 1, 10**k)
+            lo, hi = lo + min(a, b), hi + max(a, b)
+        if lo == hi or lo * hi > 0 and hi - lo < Fraction(10) ** (_exponent(lo) - digits + 1):
+            return lo, hi
+        k *= 2
+
+
+_BIG = SurdScalar({1: Fraction(10**40 + 1, 3**50), 9699690: Fraction(-(7**45), 10**30)})
 
 
 @given(surds(), st.integers(min_value=1, max_value=40))
 @settings(max_examples=200, deadline=None)
-def test_evalf_matches_the_high_level_evaluation_bit_for_bit(a, precision):
-    big = SurdScalar({1: Fraction(10**40 + 1, 3**50), 9699690: Fraction(-(7**45), 10**30)})
-    for x in (a, big, a * big):
-        assert x.evalf(precision)._mpf_ == _evalf_reference(x, precision)._mpf_
-        assert float(x) == float(_evalf_reference(x, 17))
+def test_evalf_is_within_half_a_unit_of_an_exact_enclosure(a, precision):
+    for x in (a, _BIG, a * _BIG):
+        value = x.evalf(precision)
+        assert len(value.as_tuple().digits) <= precision
+        lo, hi = _enclosure(x, precision + 20)
+        if lo == hi == 0:
+            assert value == 0
+            continue
+        half_unit = Fraction(10) ** (_exponent(hi) - precision + 1) / 2
+        assert lo - half_unit <= Fraction(value) <= hi + half_unit
 
 
-def test_memoised_square_roots_leave_every_stored_coefficient_bit_identical():
-    alg = build_algebra("su2", "s3", 2, charges=[1, 1])
-    coeffs = [c for table in alg.modes.products.values() for c in table.values()]
+# at c4, 23 of the 284 distinct coefficients would round wrong from 17 digits
+@pytest.mark.parametrize("cutoff", [2, 4])
+def test_float_of_every_stored_coefficient_is_the_correctly_rounded_double(cutoff):
+    alg = build_algebra("su2", "s3", cutoff, charges=[1, 1])
+    coeffs = {c for table in alg.modes.products.values() for c in table.values()}
     assert any(len(c.terms) > 1 or 1 not in c.terms for c in coeffs)  # some carry a surd
-    _mpf_sqrt_int.cache_clear()
-    for _ in range(2):  # from a cold memo, then a warm one
-        for precision in (5, 17, 30):
-            for c in coeffs:
-                assert c.evalf(precision)._mpf_ == _evalf_reference(c, precision)._mpf_
+    for c in coeffs:
+        lo, hi = _enclosure(c, 40)
+        # int / int is correctly rounded, so the enclosure's double is float(lo)
+        assert float(c) == float(lo) == float(hi), c
+
+
+_WITHOUT_MPMATH = """
+import sys
+sys.modules["mpmath"] = None  # any import of mpmath now raises ImportError
+from gkmalg import SurdScalar
+from gkmalg.algebra import build_algebra
+from gkmalg.verify import oracle_agreement_check
+print(SurdScalar.sqrt(2).evalf(40))
+for manifold, charges in (("s2", [1]), ("s3", [1, 1])):
+    result = oracle_agreement_check(build_algebra("su2", manifold, 2, charges), samples=10**6)
+    assert result.passed and result.regime == "exhaustive", (manifold, result)
+"""
+
+
+def test_scalars_convert_and_the_oracle_runs_without_mpmath():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_MPMATH], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1.414213562373095048801688724209698078570\n"
