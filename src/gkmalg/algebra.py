@@ -26,15 +26,18 @@ D_j and k_j kept, where every structure constant is real::
 
 Each generator has an int id: its position in :meth:`GKMAlgebra.generators`
 (numbered at construction), then the next free id for each out-of-cutoff
-T_cK that a product reaches.  The row of a generator pair (i, j) is a tuple
-of terms ``(k, d, q)``, each meaning ``q * sqrt(d)`` times generator k, with
-d squarefree and q a Fraction.  A coefficient with several surd terms (a
-tampered ``1 + sqrt 2``, say) is several terms with the same k.  Rows are
-built on first use and memoised in ``_pair_cache``.  A T-T row sums
-f_ab^c c_IJ^K and g_ab omega_j(I, J), the cocycle factor of
-:meth:`ModeSystem.cocycle_pairing`, term by term with
-:func:`gkmalg.scalars.add_product` into one flat ``(k, d) -> q`` map, the
-form the checks sum in, and keeps the terms that do not cancel.
+T_cK that a product reaches.  The row of a generator pair (i, j) is an
+integer row ``(den, ((k, d, n), ...))``: each term means ``n/den * sqrt(d)``
+times generator k, with d squarefree and n an int, over one positive
+denominator, in lowest terms and with zero terms dropped, so equal rows are
+equal tuples.  A coefficient with several surd terms (a tampered
+``1 + sqrt 2``, say) is several terms with the same k.  Rows are built on
+first use and memoised in ``_pair_cache``.  A T-T row sums f_ab^c c_IJ^K,
+with the mode product as the integer row of
+:meth:`ModeSystem.product_row`, and g_ab omega_j(I, J), the cocycle factor
+of :meth:`ModeSystem.cocycle_pairing`, with :func:`gkmalg.scalars.contract`,
+the integer sum the checks use too.  Fractions appear only in views: a
+witness or a T-basis value is built as ``Fraction(n, den)``.
 
 :class:`GKMElement` brackets, with complex coefficients in the T basis, are
 a view over the rows.  Writing each generator as ``s * X`` with s = -i for T
@@ -42,7 +45,8 @@ and s = 1 for D and k, the coefficient of w in [p, q] is the row value times
 ``s_p s_q / s_w``; the dumped bracket table is that view too.  The form is
 real in the X basis: the form row of a generator pair,
 :meth:`GKMAlgebra.form_row`, is read straight off the g and eta tables as
-<X_aI, X_bJ> = -g_ab eta_IJ, with <D_i, k_j> = delta_ij by definition, and
+<X_aI, X_bJ> = -g_ab eta_IJ, with <D_i, k_j> = delta_ij by definition, as an
+integer row whose one output, a scalar, has the key None; and
 ``killing_generators`` and ``killing`` are views over it.  These phases are
 nonzero, so Jacobi, antisymmetry and invariance hold on the rows exactly when
 they hold on the elements; :mod:`gkmalg.verify` checks them on the rows, and
@@ -69,10 +73,12 @@ from .liealg import (
     make_algebra,
 )
 from .modes import Eigen, Geometry, ModeLabel, ModeSystem, make_mode_system, parse_manifold
-from .scalars import CSURD_ZERO, ComplexSurd, SurdScalar, add_product
+from .scalars import CSURD_ZERO, ComplexSurd, SurdScalar, contract, int_row, reduce_row
 
 GenId = tuple  # ("T", a, mode) | ("D", j) | ("k", j)
-Row = tuple  # ((k, d, q), ...): sum of q * sqrt(d) * generator k, in the X basis
+Row = tuple  # (den, ((k, d, n), ...)): sum of n/den * sqrt(d) * generator k, in the X basis
+
+ZERO_ROW: Row = (1, ())
 
 
 class GKMElement:
@@ -151,6 +157,7 @@ class GKMAlgebra:
     cw: CartanWeylData | None = None
     stored_brackets: list | None = field(default=None, repr=False)  # a dump's bracket table
     _pair_cache: dict = field(default_factory=dict, init=False, repr=False)  # (i, j) -> Row
+    _f_rows: dict = field(default_factory=dict, init=False, repr=False)  # (a, b) -> row of f_ab^c
     _gens: list = field(init=False, repr=False)  # id -> generator
     _gen_ids: dict = field(init=False, repr=False)  # generator -> id
 
@@ -208,30 +215,38 @@ class GKMAlgebra:
         """Build and memoise the row of [X_i, X_j] from the stored tables."""
         p, q = self._gens[i], self._gens[j]
         kp, kq = p[0], q[0]
-        row: Row = ()
+        row = ZERO_ROW
         if kp == "D" and kq == "T":
             lam = self.modes.eigen(q[2])[p[1] - 1]
-            row = ((j, 1, Fraction(lam)),) if lam else ()
+            row = (lam.denominator, ((j, 1, lam.numerator),)) if lam else ZERO_ROW
         elif kp == "T" and kq == "D":
             lam = self.modes.eigen(p[2])[q[1] - 1]
-            row = ((i, 1, -Fraction(lam)),) if lam else ()
+            row = (lam.denominator, ((i, 1, -lam.numerator),)) if lam else ZERO_ROW
         elif kp == "T" and kq == "T":
             _, a, I = p
             _, b, J = q
             # sum f_ab^c c_IJ^K and g_ab omega_n(I, J); the X-basis row is minus that
-            acc: dict[tuple[int, int], Fraction] = {}
-            frow = self.base.structure(a, b)
-            if frow:
-                prods = self.modes.product(I, J)
-                for c, fabc in frow.items():
-                    for K, cval in prods.items():
-                        add_product(acc, self.gen_id(("T", c, K)), fabc, cval)
+            acc: dict = {}
+            scale = 1
+            frow = self._f_rows.get((a, b))
+            if frow is None:
+                frow = self._f_rows[a, b] = int_row(self.base.structure(a, b).items())
+            if frow[1]:
+                pden, pterms = self.modes.product_row(I, J)
+                gen_id = self.gen_id
+
+                def t_row(c: int) -> Row:  # rho_I rho_J as a row of the generators T_cK
+                    return pden, [(gen_id(("T", c, K)), d, n) for K, d, n in pterms]
+
+                scale = contract(acc, scale, frow, t_row)
             gab = self.base.killing_entry(a, b)
             if not gab.is_zero and self.modes.eta(I)[0] == J:
-                for n in range(1, self.r + 1):
-                    omega = self.modes.cocycle_pairing(n, I, J)
-                    add_product(acc, self.gen_id(("k", n)), gab, omega)
-            row = tuple((k, d, -q) for (k, d), q in acc.items() if q)
+                omegas = int_row(
+                    (self.gen_id(("k", n)), self.modes.cocycle_pairing(n, I, J))
+                    for n in range(1, self.r + 1)
+                )
+                scale = contract(acc, scale, int_row([(None, gab)]), lambda _: omegas)
+            row = reduce_row(acc, scale, -1)
         self._pair_cache[(i, j)] = row
         return row
 
@@ -241,9 +256,9 @@ class GKMAlgebra:
         return self._bracket_gens(i, j) if row is None else row
 
     def _t_value(
-        self, terms: Mapping[int, Fraction], inputs: Iterable[int], out: int | None = None
+        self, den: int, terms: Mapping[int, int], inputs: Iterable[int], out: int | None = None
     ) -> ComplexSurd:
-        """The T-basis value of X-basis ``d -> q`` terms of a product of ``inputs``.
+        """The T-basis value of X-basis ``d -> n/den`` terms of a product of ``inputs``.
 
         Each T generator is -i times its X, so the value gains a factor
         ``(-i)**(#T inputs - [output is T])``; ``out`` is the id of the output
@@ -251,17 +266,18 @@ class GKMAlgebra:
         """
         gens = self._gens
         n = sum(gens[i][0] == "T" for i in inputs) - (out is not None and gens[out][0] == "T")
-        z = ComplexSurd.real(SurdScalar._raw({d: q for d, q in terms.items() if q}))
+        z = ComplexSurd.real(SurdScalar._raw({d: Fraction(c, den) for d, c in terms.items() if c}))
         if n % 2:
             z = ComplexSurd(z.im, -z.re)
         return -z if n % 4 >= 2 else z
 
     def _row_view(self, i: int, j: int) -> list[tuple[GenId, ComplexSurd]]:
         """(generator w, T-basis coefficient of w) over the row of [X_i, X_j]."""
-        values: dict[int, dict[int, Fraction]] = {}
-        for k, d, q in self.bracket_row(i, j):
-            values.setdefault(k, {})[d] = q
-        return [(self._gens[k], self._t_value(terms, (i, j), k)) for k, terms in values.items()]
+        den, terms = self.bracket_row(i, j)
+        values: dict[int, dict[int, int]] = {}
+        for k, d, n in terms:
+            values.setdefault(k, {})[d] = n
+        return [(self._gens[k], self._t_value(den, v, (i, j), k)) for k, v in values.items()]
 
     # -- bracket ------------------------------------------------------------
 
@@ -292,8 +308,8 @@ class GKMAlgebra:
 
     # -- invariant form -----------------------------------------------------
 
-    def form_row(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
-        """<X_i, X_j> as ``(d, q)`` terms, read off the g and eta tables.
+    def form_row(self, i: int, j: int) -> Row:
+        """<X_i, X_j> as an integer row with the one key None, read off the g and eta tables.
 
         <X_aI, X_bJ> = -g_ab * phase when eta(I) = (J, phase), <D_i, k_j> =
         delta_ij by definition, and every other pair is zero.
@@ -302,17 +318,17 @@ class GKMAlgebra:
         if p[0] == q[0] == "T":
             partner, phase = self.modes.eta(p[2])
             if partner != q[2] or not phase:
-                return ()
-            gab = self.base.killing_entry(p[1], q[1])
-            return tuple((d, -c * phase) for d, c in gab.terms.items())
+                return ZERO_ROW
+            return int_row([(None, self.base.killing_entry(p[1], q[1]))], -phase)
         if {p[0], q[0]} == {"D", "k"} and p[1] == q[1]:
-            return ((1, Fraction(1)),)
-        return ()
+            return 1, ((None, 1, 1),)
+        return ZERO_ROW
 
     def killing_generators(self, p: GenId, q: GenId) -> ComplexSurd:
         """<p, q> of two generators, as a view over their form row."""
         i, j = self.gen_id(p), self.gen_id(q)
-        return self._t_value(dict(self.form_row(i, j)), (i, j))
+        den, terms = self.form_row(i, j)
+        return self._t_value(den, {d: n for _, d, n in terms}, (i, j))
 
     def killing(self, x: GKMElement, y: GKMElement) -> ComplexSurd:
         if x.algebra is not self or y.algebra is not self:

@@ -81,7 +81,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_BUDGET,
         help="max exhaustive triples before switching to seeded sampling",
     )
-    v.add_argument("--oracle-samples", type=_positive_int, default=500)
+    v.add_argument(
+        "--oracle-samples",
+        type=_positive_int,
+        help="max quantities the quadrature oracle checks (default: the budget)",
+    )
     v.add_argument("--format", choices=("json", "text"), default="json")
 
     r = sub.add_parser("roots", help="print a root space basis and its dimension")
@@ -150,18 +154,19 @@ def _cmd_verify(args) -> int:
     except DumpFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    oracle_samples = args.budget if args.oracle_samples is None else args.oracle_samples
     report = run_suites(
         alg,
         suite=args.suite,
         seed=args.seed,
         budget=args.budget,
-        oracle_samples=args.oracle_samples,
+        oracle_samples=oracle_samples,
     )
     for check in report.failures():
         check.witness = dict(check.witness or {})
         check.witness["replay"] = (
             f"gkmalg verify {shlex.quote(args.dump)} --suite {args.suite} --seed {args.seed}"
-            f" --budget {args.budget} --oracle-samples {args.oracle_samples}"
+            f" --budget {args.budget} --oracle-samples {oracle_samples}"
         )
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))

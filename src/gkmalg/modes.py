@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from .report import CheckFailed, CheckResult, checking
-from .scalars import SURD_ONE, SURD_ZERO, SurdScalar
+from .scalars import SURD_ONE, SURD_ZERO, SurdScalar, int_row
 from .wigner import _CG, _GAUNTS, _NORMED_CG, SpinTriple, _gaunt_key, clebsch_gordan
 from .wigner import d_product_norm, gaunt_normalized
 
@@ -259,7 +259,9 @@ class ModeSystem:
     ``products``/``eta_table``/``eigen_table`` are the authoritative data
     for labels within the cutoff: verification reads them (so a tampered
     dump is caught), and serialisation round-trips them.  Labels beyond the
-    cutoff fall back to the geometry rules through a memo cache.
+    cutoff fall back to the geometry rules.  :meth:`product_row` memoises
+    each product it is asked for as one integer row: in ``_table_rows`` when
+    read off ``products``, in ``_ext_products`` when computed by the geometry.
     """
 
     geometry: Geometry
@@ -268,7 +270,8 @@ class ModeSystem:
     products: dict[tuple[ModeLabel, ModeLabel], dict[ModeLabel, SurdScalar]]
     eta_table: dict[ModeLabel, tuple[ModeLabel, int]]
     eigen_table: dict[ModeLabel, Eigen]
-    _ext_products: dict = field(default_factory=dict, init=False, repr=False)
+    _table_rows: dict = field(default_factory=dict, init=False, repr=False)  # (I, J) -> row
+    _ext_products: dict = field(default_factory=dict, init=False, repr=False)  # (I, J) -> row
 
     @property
     def r(self) -> int:
@@ -285,11 +288,23 @@ class ModeSystem:
         table = self.products.get((I, J))
         if table is not None:
             return table
-        cached = self._ext_products.get((I, J))
-        if cached is None:
-            cached = self.geometry.product(I, J)
-            self._ext_products[(I, J)] = cached
-        return cached
+        den, terms = self.product_row(I, J)
+        out: dict[ModeLabel, dict[int, Fraction]] = {}
+        for K, d, n in terms:
+            out.setdefault(K, {})[d] = Fraction(n, den)
+        return {K: SurdScalar._raw(t) for K, t in out.items()}
+
+    def product_row(self, I: ModeLabel, J: ModeLabel) -> tuple:
+        """rho_I rho_J as the memoised integer row ``(den, ((K, d, n), ...))``."""
+        key = (I, J)
+        row = self._table_rows.get(key) or self._ext_products.get(key)
+        if row is None:
+            table = self.products.get(key)
+            if table is not None:
+                row = self._table_rows[key] = int_row(table.items())
+            else:
+                row = self._ext_products[key] = int_row(self.geometry.product(I, J).items())
+        return row
 
     def eta(self, I: ModeLabel) -> tuple[ModeLabel, int]:
         hit = self.eta_table.get(I)

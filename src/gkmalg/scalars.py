@@ -7,10 +7,13 @@ inverses of its single-term members, and admits an exact zero test: the
 sqrt(d) over distinct squarefree d are linearly independent over Q, so a
 value is zero iff its canonical term map is empty.
 
-Every product reduces to :func:`surd_product` on two terms:
-:meth:`SurdScalar.__mul__` is built on it, and :func:`add_product` applies
-it term by term into the flat ``(key, d) -> q`` sums of the bracket rows and
-exact checks, which are zero exactly when every entry is.
+Every product reduces to :func:`surd_product` on two terms, with int or
+Fraction coefficients: :meth:`SurdScalar.__mul__` is built on it, and so is
+:func:`contract`, the one rule the bracket-row builder and the exact checks
+sum with.  Those sums run on integer rows ``(den, ((key, d, n), ...))``:
+integer numerators n over one positive denominator, in lowest terms and
+with zero terms dropped (:func:`int_row`, :func:`reduce_row`), so equal
+rows are equal tuples and a sum is zero exactly when every numerator is.
 
 Values are immutable after construction and safe to share between workers.
 Floats enter only at the oracle boundary via :meth:`SurdScalar.evalf`.
@@ -21,7 +24,7 @@ from __future__ import annotations
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from types import MappingProxyType
 
 # Rational scalars are plain stdlib fractions: normalised (gcd 1, positive
@@ -54,8 +57,11 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return s, d * m
 
 
-def surd_product(d1: int, q1, d2: int, q2) -> tuple[int, Fraction]:
-    """``(d, q)`` with ``q sqrt(d) = q1 sqrt(d1) * q2 sqrt(d2)``, for squarefree d1, d2."""
+def surd_product(d1: int, q1, d2: int, q2):
+    """``(d, q)`` with ``q sqrt(d) = q1 sqrt(d1) * q2 sqrt(d2)``, for squarefree d1, d2.
+
+    The coefficients are ints or Fractions; q has the type of ``q1 * q2``.
+    """
     if d1 == 1:
         return d2, q1 * q2
     if d2 == 1:
@@ -67,16 +73,61 @@ def surd_product(d1: int, q1, d2: int, q2) -> tuple[int, Fraction]:
     return (d1 // g) * (d2 // g), q1 * q2 * g
 
 
-def add_product(acc: dict, key, x: SurdScalar, y: SurdScalar) -> None:
-    """Add ``x * y`` to the flat sum ``acc`` of ``(key, d) -> q``, term by term.
+def _lowest(scale: int, terms: list) -> tuple:
+    """The row of nonzero ``(key, d, n)`` terms over ``scale``, divided by their gcd."""
+    g = gcd(scale, *[n for _, _, n in terms])
+    if g == 1:
+        return scale, tuple(terms)
+    return scale // g, tuple([(key, d, n // g) for key, d, n in terms])
 
-    Entries that cancel stay in ``acc`` as zeros; the reader drops them.
+
+def reduce_row(acc: dict, scale: int, factor: int = 1) -> tuple:
+    """The integer row of ``factor * acc / scale``, for a sum ``(key, d) -> n`` over ``scale``.
+
+    ``factor`` is a nonzero int.  Zero terms are dropped and the rest divided
+    by the gcd of the numerators and ``scale``; terms keep the order of ``acc``.
     """
-    for d1, q1 in x._terms.items():
-        for d2, q2 in y._terms.items():
-            d, q = surd_product(d1, q1, d2, q2)
-            prev = acc.get((key, d))
-            acc[key, d] = q if prev is None else prev + q
+    return _lowest(scale, [(key, d, factor * n) for (key, d), n in acc.items() if n])
+
+
+def int_row(entries, factor: int = 1) -> tuple:
+    """The integer row of ``factor * sum x_key * key`` over ``(key, SurdScalar x)`` entries.
+
+    ``factor`` is a nonzero int, and the keys are distinct.
+    """
+    terms = [(key, d, q) for key, x in entries for d, q in x._terms.items()]
+    scale = lcm(*[q.denominator for _, _, q in terms])
+    return _lowest(
+        scale, [(key, d, factor * q.numerator * (scale // q.denominator)) for key, d, q in terms]
+    )
+
+
+def contract(acc: dict, scale: int, row: tuple, rows) -> int:
+    """Add each term ``(w, d, n)`` of ``row``, as ``n/den sqrt(d) rows(w)``, to ``acc``.
+
+    ``acc`` maps ``(u, d)`` to integer numerators over ``scale``, and each
+    row is ``(den, ((key, d, n), ...))``; the new scale is returned.  It is
+    the lcm of the denominators seen so far: when a new product of
+    denominators does not divide it, it grows to their lcm and ``acc`` is
+    rescaled in place.  Every product of two surd terms is :func:`surd_product`.
+    """
+    den, terms = row
+    for w, d1, n1 in terms:
+        rden, rterms = rows(w)
+        if not rterms:
+            continue
+        step = den * rden
+        if scale % step:
+            grow = step // gcd(scale, step)
+            scale *= grow
+            for key in acc:
+                acc[key] *= grow
+        m = scale // step * n1
+        for u, d2, n2 in rterms:
+            d, n = surd_product(d1, m, d2, n2)
+            key = (u, d)
+            acc[key] = acc.get(key, 0) + n
+    return scale
 
 
 def _as_fraction(x) -> Fraction:

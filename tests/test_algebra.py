@@ -15,6 +15,7 @@ from gkmalg.verify import (
     _grading_items,
     _root_spaces,
     antisymmetry_check,
+    associativity_check,
     cocycle_antisymmetry_check,
     grading_check,
     invariance_check,
@@ -224,7 +225,8 @@ def _scale_dk(factor):
             row = form_row(i, j)
             if {alg.generator_of(i)[0], alg.generator_of(j)[0]} != {"D", "k"}:
                 return row
-            return tuple((d, factor * q) for d, q in row if factor)
+            den, terms = row
+            return (den, tuple((k, d, factor * n) for k, d, n in terms)) if factor else (1, ())
 
         alg.form_row = scaled
 
@@ -380,6 +382,38 @@ def test_tampers_keep_their_verdicts_counts_and_witnesses(tamper):
         assert result.regime == "exhaustive"
         assert (result.passed, result.details["triples"]) == (witness is None, triples)
         assert result.witness == witness
+
+
+def test_a_passing_item_does_no_fraction_arithmetic(monkeypatch):
+    algs = [build_algebra("su2", "s2", 2, charges=[1]), build_algebra("su3", "t1", 1, charges=[1])]
+    for alg in algs:  # build every row the checks read
+        assert run_suites(alg, "all").passed
+
+    def forbidden(*args):
+        raise AssertionError("Fraction arithmetic while checking")
+
+    for name in ("__mul__", "__add__", "_mul", "_add"):
+        monkeypatch.setattr(Fraction, name, forbidden)
+    for alg in algs:
+        checks = (jacobi_check_gkm(alg), antisymmetry_check(alg), associativity_check(alg.modes))
+        for result in checks:
+            assert result.passed and result.regime == "exhaustive", result.name
+
+
+def test_a_tamper_below_double_precision_fails_with_the_same_witnesses():
+    # 1/(2**61 - 1) added to one stored coefficient: the sums' scale must grow to carry it
+    alg = build_algebra("su2", "s2", 2, charges=[1])
+    _bump_product(Fraction(1, 2**61 - 1), (1, 1), (1, 1), (2, 2))(alg)
+    result = associativity_check(alg.modes)
+    assert (result.passed, result.details["triples"]) == (False, 61)
+    assert result.witness == {"modes": [[1, -1], [1, 1], [1, 1]]}
+    result = jacobi_check_gkm(alg)
+    assert (result.passed, result.details["triples"]) == (False, 413)
+    assert result.witness == {
+        "generators": [T(1, (1, -1)), T(1, (1, 1)), T(2, (1, 1))],
+        "component": T(2, (1, 1)),
+        "value": "(1/11529215046068469755)√30",
+    }
 
 
 @pytest.mark.parametrize(

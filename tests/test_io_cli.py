@@ -376,6 +376,27 @@ def test_every_suite_fails_on_designed_negative(s2_dump, tmp_path, suite, mutate
     assert failing_checks() == found
 
 
+def test_the_oracle_draws_under_the_budget_by_default(tmp_path, capsys):
+    path = tmp_path / "c4.json"
+    args = ["--algebra", "su2", "--manifold", "s2", "--cutoff", "4", "--charges", "1"]
+    assert main(["build", *args, "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(path), "--suite", "oracle"]) == 0
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["name"] == "oracle_agreement" and check["regime"] == "exhaustive"
+    assert check["details"]["samples"] == check["details"]["population"] == 1528
+    # a failure's replay line names the count the oracle drew: the budget, unless overridden
+    data = json.loads(path.read_text())
+    for entry in data["modes"]["eta"]:
+        entry[2] = -entry[2]
+    path.write_text(json.dumps(data))
+    for extra, drawn in (([], "1000"), (["--oracle-samples", "2000"], "2000")):
+        assert main(["verify", str(path), "--suite", "oracle", "--budget", "1000", *extra]) == 3
+        (check,) = json.loads(capsys.readouterr().out)["checks"]
+        assert check["details"]["samples"] <= int(drawn)
+        assert shlex.split(check["witness"]["replay"])[-2:] == ["--oracle-samples", drawn]
+
+
 @pytest.fixture()
 def t2_dump(tmp_path):
     path = tmp_path / "t2.json"

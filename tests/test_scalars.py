@@ -17,7 +17,10 @@ from gkmalg.scalars import (
     SURD_ZERO,
     ComplexSurd,
     SurdScalar,
+    contract,
+    int_row,
     squarefree_split,
+    surd_product,
 )
 
 
@@ -256,3 +259,68 @@ def test_scalars_convert_and_the_oracle_runs_without_mpmath():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "1.414213562373095048801688724209698078570\n"
+
+
+# -- integer rows and the contraction --------------------------------------------
+
+# coprime small denominators and large primes (2**61 - 1, 2**31 - 1), so the scale must grow
+_DENS = st.sampled_from([1, 2, 3, 5, 7, 12, 35, 2**31 - 1, 2**61 - 1]) | st.integers(1, 60)
+_RADICANDS = st.sampled_from([1, 2, 3, 5, 6, 10, 15, 30])
+
+
+def _rows(keys):
+    term = st.tuples(keys, _RADICANDS, st.integers(-(10**20), 10**20))
+    return st.tuples(_DENS, st.lists(term, max_size=4))
+
+
+def _outer_rows():
+    """An outer row over keys 0..3, with each term sometimes followed by its negation."""
+    term = st.tuples(st.integers(0, 3), _RADICANDS, st.integers(-(10**6), 10**6))
+    terms = st.lists(st.tuples(term, st.booleans()), max_size=4).map(
+        lambda ts: [t for t, cancel in ts for t in ([t, (t[0], t[1], -t[2])] if cancel else [t])]
+    )
+    return st.tuples(_DENS, terms)
+
+
+def _fraction_contraction(total: dict, row, rows) -> None:
+    """The reference: ``contract`` term by term with ``Fraction`` coefficients."""
+    den, terms = row
+    for w, d1, n1 in terms:
+        rden, rterms = rows[w]
+        for u, d2, n2 in rterms:
+            d, q = surd_product(d1, Fraction(n1, den), d2, Fraction(n2, rden))
+            total[u, d] = total.get((u, d), 0) + q
+
+
+@given(
+    st.lists(_outer_rows(), min_size=1, max_size=3),
+    st.lists(_rows(st.integers(0, 5)), min_size=4, max_size=4),
+)
+@settings(max_examples=300, deadline=None)
+def test_contract_agrees_with_fraction_sums(outers, inner):
+    acc, scale, total, steps = {}, 1, {}, [1]
+    for row in outers:
+        scale = contract(acc, scale, row, inner.__getitem__)
+        _fraction_contraction(total, row, inner)
+        steps += [row[0] * inner[w][0] for w, _, _ in row[1] if inner[w][1]]
+    # the running scale is the lcm of the denominators that reached the sum
+    assert scale == math.lcm(*steps)
+    exact = {k: q for k, q in total.items() if q}
+    assert {k: Fraction(n, scale) for k, n in acc.items() if n} == exact
+    # a row contracted again with the opposite sign cancels exactly
+    for den, terms in outers:
+        scale = contract(acc, scale, (den, [(w, d, -n) for w, d, n in terms]), inner.__getitem__)
+    assert not any(acc.values())
+
+
+@given(st.lists(st.tuples(st.integers(0, 5), surds()), max_size=5), st.sampled_from([1, -1, 2, -6]))
+@settings(max_examples=200, deadline=None)
+def test_int_row_is_the_canonical_row_of_its_value(entries, factor):
+    entries = list(dict(entries).items())  # distinct keys
+    den, terms = int_row(entries, factor)
+    assert den >= 1 and math.gcd(den, *[n for _, _, n in terms]) == 1
+    assert all(n for _, _, n in terms)
+    values = {}
+    for key, d, n in terms:
+        values.setdefault(key, {})[d] = Fraction(n, den)
+    assert values == {key: {d: q * factor for d, q in x.terms.items()} for key, x in entries if x}
