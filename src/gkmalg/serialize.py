@@ -5,6 +5,13 @@ lists of {radicand, num, den} records with integer strings, so a dump
 round-trips to the identical canonical objects.  Unknown schema versions
 are rejected outright.
 
+A load builds one :class:`~gkmalg.scalars.SurdScalar` per distinct record
+list, memoised for that call only, and shares it between the entries that
+store it; every record is still type-checked before its list is looked up,
+so a ``true`` or ``1.0`` cannot pass as the int it equals.  Numbers are read
+only in the text the writer gives them: ``str(int(...))`` for a record's
+num and den, ``str(Fraction(...))`` for an eigenvalue or charge.
+
 Loading deliberately skips the construction-time validation that
 :func:`gkmalg.liealg.make_algebra` performs: the verification suites read
 the stored tables and produce witnesses, so a tampered dump is diagnosed
@@ -40,7 +47,10 @@ class DumpFormatError(ValueError):
 def _rat_parse(text: str) -> Fraction:
     if type(text) is not str:
         raise ValueError(f"a rational must be a string, got {text!r}")
-    return Fraction(text)
+    value = Fraction(text)
+    if str(value) != text:
+        raise ValueError(f"a rational must be written as {str(value)!r}, got {text!r}")
+    return value
 
 
 def _int(value, what: str, top: int | None = None) -> int:
@@ -50,14 +60,38 @@ def _int(value, what: str, top: int | None = None) -> int:
     return value
 
 
-def _mode_key(label) -> list[int]:
-    return [int(x) for x in label]
-
-
 def _gen_key(gen) -> list:
     if gen[0] == "T":
-        return ["T", gen[1], _mode_key(gen[2])]
+        return ["T", gen[1], list(gen[2])]
     return [gen[0], gen[1]]
+
+
+def _surd_reader():
+    """A reader of stored surd record lists that builds each distinct list's value once.
+
+    The memo lives as long as the returned function, one load.  Every record
+    is type-checked before the lookup, so a ``true`` or ``1.0`` radicand
+    cannot hit the entry of the int it equals.
+    """
+    memo: dict[tuple, SurdScalar] = {}
+
+    def read(records) -> SurdScalar:
+        fields = []
+        for rec in records:
+            d, num, den = rec["radicand"], rec["num"], rec["den"]
+            if type(d) is not int or type(num) is not str or type(den) is not str:
+                raise ValueError(f"a surd record needs an int radicand and string num, den: {records}")
+            fields.append((d, num, den))
+        key = tuple(fields)
+        value = memo.get(key)
+        if value is None:
+            for _, num, den in key:
+                if num != str(int(num)) or den != str(int(den)):
+                    raise ValueError(f"a surd record's num and den must be plain integers: {records}")
+            value = memo[key] = SurdScalar.from_records(records)
+        return value
+
+    return read
 
 
 def dump_algebra(
@@ -85,7 +119,7 @@ def dump_algebra(
     ]
     ms = alg.modes
     products = [
-        [_mode_key(I), _mode_key(J), [[_mode_key(K), c.to_records()] for K, c in sorted(tab.items())]]
+        [list(I), list(J), [[list(K), c.to_records()] for K, c in sorted(tab.items())]]
         for (I, J), tab in sorted(ms.products.items())
     ]
     payload = {
@@ -106,14 +140,14 @@ def dump_algebra(
             "geometry": ms.geometry.to_dict(),
             "cutoff": ms.cutoff,
             "r": ms.r,
-            "modes": [_mode_key(I) for I in ms.modes],
+            "modes": [list(I) for I in ms.modes],
             "products": products,
             "eta": [
-                [_mode_key(I), _mode_key(J), phase]
+                [list(I), list(J), phase]
                 for I, (J, phase) in sorted(ms.eta_table.items())
             ],
             "eigen": [
-                [_mode_key(I), [str(v) for v in vals]]
+                [list(I), [str(v) for v in vals]]
                 for I, vals in sorted(ms.eigen_table.items())
             ],
         },
@@ -176,10 +210,11 @@ def _load_v1(data: dict) -> GKMAlgebra:
     named = make_algebra(str(base_blk["name"]))
     if named.dim != dim:
         raise DumpFormatError(f"malformed dump: base {named.name} is not of dimension {dim}")
+    surd = _surd_reader()
     f: dict[tuple[int, int], dict[int, SurdScalar]] = {}
     for a, b, c, records in base_blk["f"]:
         a, b, c = (_int(x, "f index", dim) for x in (a, b, c))
-        v = SurdScalar.from_records(records)
+        v = surd(records)
         if v.is_zero:
             continue
         f.setdefault((a, b), {})[c] = v
@@ -187,7 +222,7 @@ def _load_v1(data: dict) -> GKMAlgebra:
     g = [[SurdScalar() for _ in range(dim)] for _ in range(dim)]
     for a, b, records in base_blk["g"]:
         a, b = (_int(x, "g index", dim) for x in (a, b))
-        g[a - 1][b - 1] = g[b - 1][a - 1] = SurdScalar.from_records(records)
+        g[a - 1][b - 1] = g[b - 1][a - 1] = surd(records)
     # of a repeated key, or of an f or g entry and its mirror, only the last would be read
     f_keys = [(min(a, b), max(a, b), c) for a, b, c, _ in base_blk["f"]]
     g_keys = [(min(a, b), max(a, b)) for a, b, _ in base_blk["g"]]
@@ -205,7 +240,7 @@ def _load_v1(data: dict) -> GKMAlgebra:
     modes = [tuple(m) for m in mode_blk["modes"]]
     rows, eta, eigen = mode_blk["products"], mode_blk["eta"], mode_blk["eigen"]
     products = {
-        (tuple(I), tuple(J)): {tuple(K): SurdScalar.from_records(records) for K, records in entries}
+        (tuple(I), tuple(J)): {tuple(K): surd(records) for K, records in entries}
         for I, J, entries in rows
     }
     eta_table = {tuple(I): (tuple(J), _int(phase, "eta phase")) for I, J, phase in eta}
