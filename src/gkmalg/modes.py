@@ -24,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from .report import CheckFailed, CheckResult, checking
-from .scalars import SURD_ONE, SURD_ZERO, SurdScalar, int_row
-from .wigner import _CG, _GAUNTS, _NORMED_CG, SpinTriple, _gaunt_key, clebsch_gordan
-from .wigner import d_product_norm, gaunt_normalized
+from .scalars import SURD_ONE, SURD_ZERO, SurdScalar, int_row, surd_product
+from .wigner import _CG, _GAUNTS, _NORMED_CG, SpinTriple, _as_term, _gaunt_key, clebsch_gordan
+from .wigner import gaunt_normalized
 
 ModeLabel = tuple[int, ...]
 Eigen = tuple[Fraction, ...]
@@ -188,7 +188,8 @@ class Sphere3Geometry:
         tm3 = tm1 + tm2
         tmp3 = tmp1 + tmp2
         out: dict[ModeLabel, SurdScalar] = {}
-        # memoised m-dependent factors; labels are validated (by SpinTriple) on a miss
+        # memoised m-dependent factors as (d, num, den) terms num/den sqrt(d);
+        # labels are validated (by SpinTriple) on a miss
         for tj3 in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
             if abs(tm3) > tj3 or abs(tmp3) > tj3:
                 continue
@@ -196,16 +197,21 @@ class Sphere3Geometry:
             left = _NORMED_CG.get(key)
             if left is None:
                 cg = clebsch_gordan(SpinTriple(tj1, tj2, tj3, tm1, tm2, tm3))
-                left = _NORMED_CG[key] = d_product_norm(tj1, tj2, tj3) * cg
-            if left.is_zero:
+                # d_product_norm * CG: sqrt((2j1+1)(2j2+1)(2j3+1)) / (2j3+1) * CG
+                left = _NORMED_CG[key] = _as_term(cg, (tj1 + 1) * (tj2 + 1) * (tj3 + 1), tj3 + 1)
+            d1, n1, q1 = left
+            if not n1:
                 continue
             key = (tj1, tj2, tj3, tmp1, tmp2)
             right = _CG.get(key)
             if right is None:
-                right = _CG[key] = clebsch_gordan(SpinTriple(tj1, tj2, tj3, tmp1, tmp2, tmp3))
-            if right.is_zero:
+                cg = clebsch_gordan(SpinTriple(tj1, tj2, tj3, tmp1, tmp2, tmp3))
+                right = _CG[key] = _as_term(cg)
+            d2, n2, q2 = right
+            if not n2:
                 continue
-            out[(tj3, tm3, tmp3)] = left * right
+            d, n = surd_product(d1, n1, d2, n2)
+            out[(tj3, tm3, tmp3)] = SurdScalar._raw({d: Fraction(n, q1 * q2)})
         return out
 
     def eta(self, I: ModeLabel) -> tuple[ModeLabel, int]:

@@ -9,8 +9,9 @@ A load builds one :class:`~gkmalg.scalars.SurdScalar` per distinct record
 list, memoised for that call only, and shares it between the entries that
 store it; every record is still type-checked before its list is looked up,
 so a ``true`` or ``1.0`` cannot pass as the int it equals.  Numbers are read
-only in the text the writer gives them: ``str(int(...))`` for a record's
-num and den, ``str(Fraction(...))`` for an eigenvalue or charge.
+only in the form the writer gives them: a record list must equal the
+``to_records()`` of the value it is read as (so ``{4, "1", "2"}``, ``"2"/"2"``
+or ``" 1"`` is malformed), and an eigenvalue or charge ``str(Fraction(...))``.
 
 Loading deliberately skips the construction-time validation that
 :func:`gkmalg.liealg.make_algebra` performs: the verification suites read
@@ -71,7 +72,9 @@ def _surd_reader():
 
     The memo lives as long as the returned function, one load.  Every record
     is type-checked before the lookup, so a ``true`` or ``1.0`` radicand
-    cannot hit the entry of the int it equals.
+    cannot hit the entry of the int it equals, and a list is read only in
+    the canonical form the writer gives its value (sorted squarefree
+    radicands, nonzero terms in lowest terms, integer text as ``str(int)``).
     """
     memo: dict[tuple, SurdScalar] = {}
 
@@ -85,10 +88,14 @@ def _surd_reader():
         key = tuple(fields)
         value = memo.get(key)
         if value is None:
-            for _, num, den in key:
-                if num != str(int(num)) or den != str(int(den)):
-                    raise ValueError(f"a surd record's num and den must be plain integers: {records}")
-            value = memo[key] = SurdScalar.from_records(records)
+            value = SurdScalar.from_records(records)
+            # the fields of value.to_records(), without building its dicts
+            canonical = tuple(
+                (d, str(q.numerator), str(q.denominator)) for d, q in sorted(value.terms.items())
+            )
+            if canonical != key:
+                raise ValueError(f"surd records not in the form the writer gives: {records}")
+            memo[key] = value
         return value
 
     return read

@@ -1,20 +1,42 @@
 """Exact angular-momentum coupling coefficients.
 
-3j symbols are evaluated with the single-sum factorial formula over big
-integers: the alternating sum is an exact rational and the prefactor is the
-square root of an exact rational, so every symbol is a single surd term.
-Radicands built from factorials are never factorised directly; their prime
-exponents come from Legendre's formula.
+Every coefficient is one surd term ``sign * p/q * sqrt(d)``, computed on
+Python ints and made a :class:`SurdScalar` once, at the end; no surd or
+``Fraction`` product is taken along the way.
 
-Labels are doubled half-integers throughout (tj = 2j, tm = 2m), the usual
-trick for keeping half-integer spins in integer arithmetic.
+* The alternating sum of the single-sum (Racah) formula is taken by
+  Horner's rule on the integer ratio of consecutive terms, over the
+  running product of their denominators (:func:`_alternating_sum`).
+* A square root of a ratio of factorial products has its squarefree d from
+  one merge of the memoised squarefree parts of each n!, read off the prime
+  exponents of Legendre's formula; the rest of the ratio is then a square,
+  whose root is exact (:func:`_sqrt_factorial_ratio`).
 
-Every coefficient is memoised in-process under plain int tuples: 3j
-symbols in ``_CACHE`` by ``_canonical_key`` (the only memo ``cache_size``
-counts), the prime exponents of n! by n, the m-independent product factors
-by (l1, l2, l3), ``gaunt_normalized`` by the sign-canonical ``_gaunt_key``,
-and the SU(2) product rule's ``d_product_norm * CG`` and bare CG factors by
-(tj1, tj2, tj3, tm1, tm2).  ``clear_cache`` empties every one of them.
+The triple-product coefficient of the 2-sphere fuses its two 3j symbols
+into one such evaluation.  With 2g = l1 + l2 + l3 even and the triangle
+coefficient Delta = (l1+l2-l3)! (l1-l2+l3)! (-l1+l2+l3)! / (2g+1)!,
+
+    (l1 l2 l3; 0 0 0) = (-1)^g sqrt(Delta) g! / ((g-l1)! (g-l2)! (g-l3)!)
+
+(Edmonds 3.7.17), and (l1 l2 l3; m1 m2 -m3) carries the same sqrt(Delta),
+so ``gaunt_normalized`` is
+
+    (-1)^(g+l1+l2) Delta g! / ((g-l1)! (g-l2)! (g-l3)!) S
+        sqrt((2l1+1)(2l2+1)(2l3+1) (l1+m1)! (l1-m1)! (l2+m2)! ... (l3-m3)!)
+
+with S the one Racah sum of the m-dependent symbol.
+
+SU(2) labels are doubled half-integers (tj = 2j, tm = 2m), the usual trick
+for keeping half-integer spins in integer arithmetic; the 2-sphere uses
+plain integers (l, m).
+
+Memos, all in-process under plain int keys: 3j symbols in ``_CACHE`` by
+``_canonical_key`` (the only memo ``cache_size`` counts, which the
+2-sphere never reads); ``gaunt_normalized`` in ``_GAUNTS`` by the
+sign-canonical ``_gaunt_key``; the two halves of the SU(2) product rule,
+``d_product_norm * CG`` and the bare CG, as ``(d, num, den)`` int terms in
+``_NORMED_CG`` and ``_CG`` by (tj1, tj2, tj3, tm1, tm2); and the
+squarefree part of n! by n.  ``clear_cache`` empties every one of them.
 """
 
 from __future__ import annotations
@@ -22,10 +44,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
-from math import factorial, lcm
+from math import factorial, gcd, isqrt, prod
 
-from .scalars import SURD_ZERO, SurdScalar
+from .scalars import SURD_ZERO, SurdScalar, surd_product
 
 
 @dataclass(frozen=True)
@@ -41,7 +62,7 @@ class SpinTriple:
 
     def __post_init__(self):
         for tj, tm in self.columns():
-            if not isinstance(tj, int) or not isinstance(tm, int):
+            if type(tj) is not int or type(tm) is not int:
                 raise ValueError("spin labels must be doubled integers")
             if tj < 0:
                 raise ValueError(f"negative angular momentum 2j={tj}")
@@ -65,7 +86,6 @@ class SpinTriple:
         return cls(*doubled)
 
 
-@lru_cache(maxsize=None)
 def _primes_upto(n: int) -> tuple[int, ...]:
     sieve = bytearray([1]) * (n + 1)
     sieve[:2] = b"\x00\x00"
@@ -76,26 +96,66 @@ def _primes_upto(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _factorial_exponents(n: int) -> tuple[int, ...]:
-    """Exponent in n! of each prime p <= n, by Legendre's formula: the sum of n // p^i."""
-    return tuple(sum(n // p**i for i in range(1, n.bit_length() + 1)) for p in _primes_upto(n))
+def _factorial_radicand(n: int) -> int:
+    """The squarefree part of n!: the product of the primes with an odd exponent in it.
+
+    The exponent of p in n! is the sum of n // p^i (Legendre's formula).
+    """
+    return prod(
+        p for p in _primes_upto(n) if sum(n // p**i for i in range(1, n.bit_length() + 1)) % 2
+    )
 
 
-def _sqrt_factorial_ratio(numerators: list[int], denominators: list[int]) -> SurdScalar:
-    """Exact sqrt of prod(n_i!) / prod(d_i!) as a single surd term."""
-    exps = [_factorial_exponents(n) for n in numerators]
-    exps += [tuple(-e for e in _factorial_exponents(d)) for d in denominators]
-    totals = [sum(col) for col in zip_longest(*exps, fillvalue=0)]
-    num = den = radicand = 1
-    for p, e in zip(_primes_upto(max(*numerators, *denominators)), totals):
-        half, odd = divmod(e, 2)
-        if half > 0:
-            num *= p**half
-        elif half < 0:
-            den *= p**-half
-        if odd:
-            radicand *= p
-    return SurdScalar._raw({radicand: Fraction(num, den)})
+def _sqrt_factorial_ratio(numerators, denominators) -> tuple[int, int, int]:
+    """``(num, den, d)`` with ``num/den sqrt(d) = sqrt(prod n_i! / prod d_i!)``, d squarefree.
+
+    d is the product of the primes with an odd exponent in the ratio, one
+    merge of the memoised squarefree parts of the factorials; the rest of
+    the ratio is then a square, and num and den its exact square roots.
+    """
+    radicand = 1
+    for n in (*numerators, *denominators):
+        part = _factorial_radicand(n)
+        g = gcd(radicand, part)
+        radicand = (radicand // g) * (part // g)
+    top = prod(map(factorial, numerators))
+    bottom = radicand * prod(map(factorial, denominators))
+    g = gcd(top, bottom)
+    return isqrt(top // g), isqrt(bottom // g), radicand
+
+
+def _squarefree(n: int) -> tuple[int, int]:
+    """``(s, d)`` with ``n = s*s*d`` and d squarefree, d the squarefree part of n!/(n-1)!."""
+    a, b = _factorial_radicand(n), _factorial_radicand(n - 1)
+    d = (a * b) // gcd(a, b) ** 2
+    return isqrt(n // d), d
+
+
+def _alternating_sum(a: int, b: int, c: int, d: int, e: int) -> tuple[int, int]:
+    """The Racah sum over k of ``(-1)^k / (k! (a-k)! (b-k)! (c-k)! (d+k)! (e+k)!)``.
+
+    Returned as ``(numerator, positive denominator)``, not reduced.  Each
+    term is the one before times ``-(a-k)(b-k)(c-k) / ((k+1)(d+k+1)(e+k+1))``,
+    so Horner's rule from the last term sums them over the running product
+    of those integer denominators.
+    """
+    kmin = max(0, -d, -e)
+    kmax = min(a, b, c)
+    if kmax < kmin:
+        return 0, 1
+    num = den = 1
+    for k in range(kmax - 1, kmin - 1, -1):
+        step = (k + 1) * (d + k + 1) * (e + k + 1)
+        num, den = den * step - (a - k) * (b - k) * (c - k) * num, den * step
+    den *= (
+        factorial(kmin)
+        * factorial(a - kmin)
+        * factorial(b - kmin)
+        * factorial(c - kmin)
+        * factorial(d + kmin)
+        * factorial(e + kmin)
+    )
+    return (-num if kmin % 2 else num), den
 
 
 def _selection_ok(t: SpinTriple) -> bool:
@@ -141,27 +201,17 @@ _CACHE: dict[tuple[int, ...], SurdScalar] = {}
 
 
 def _racah_sum(tj1, tj2, tj3, tm1, tm2, tm3) -> SurdScalar:
-    kmin = max(0, (tj2 - tj3 - tm1) // 2, (tj1 - tj3 + tm2) // 2)
-    kmax = min((tj1 + tj2 - tj3) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
-    if kmax < kmin:
-        return SURD_ZERO
-    den_k = [
-        factorial(k)
-        * factorial((tj1 + tj2 - tj3) // 2 - k)
-        * factorial((tj1 - tm1) // 2 - k)
-        * factorial((tj2 + tm2) // 2 - k)
-        * factorial((tj3 - tj2 + tm1) // 2 + k)
-        * factorial((tj3 - tj1 - tm2) // 2 + k)
-        for k in range(kmin, kmax + 1)
-    ]
-    # the alternating sum of 1/den over one common denominator
-    common = lcm(*den_k)
-    total = Fraction(
-        sum(-(common // d) if k % 2 else common // d for k, d in enumerate(den_k, kmin)), common
+    """The 3j symbol by the single-sum formula, for labels obeying the selection rules."""
+    total, common = _alternating_sum(
+        (tj1 + tj2 - tj3) // 2,
+        (tj1 - tm1) // 2,
+        (tj2 + tm2) // 2,
+        (tj3 - tj2 + tm1) // 2,
+        (tj3 - tj1 - tm2) // 2,
     )
     if not total:
         return SURD_ZERO
-    nums = [
+    nums = (
         (tj1 + tj2 - tj3) // 2,
         (tj1 - tj2 + tj3) // 2,
         (-tj1 + tj2 + tj3) // 2,
@@ -171,11 +221,11 @@ def _racah_sum(tj1, tj2, tj3, tm1, tm2, tm3) -> SurdScalar:
         (tj2 - tm2) // 2,
         (tj3 + tm3) // 2,
         (tj3 - tm3) // 2,
-    ]
-    dens = [(tj1 + tj2 + tj3) // 2 + 1]
-    prefactor = _sqrt_factorial_ratio(nums, dens)
-    sign = -1 if ((tj1 - tj2 - tm3) // 2) % 2 else 1
-    return prefactor * (total * sign)
+    )
+    num, den, radicand = _sqrt_factorial_ratio(nums, ((tj1 + tj2 + tj3) // 2 + 1,))
+    if ((tj1 - tj2 - tm3) // 2) % 2:
+        total = -total
+    return SurdScalar._raw({radicand: Fraction(total * num, common * den)})
 
 
 def wigner3j(t: SpinTriple) -> SurdScalar:
@@ -196,27 +246,28 @@ def wigner3j(t: SpinTriple) -> SurdScalar:
     return value if phase == 1 else -value
 
 
+def _as_term(x: SurdScalar, n: int = 1, den: int = 1) -> tuple[int, int, int]:
+    """``x sqrt(n) / den`` as a ``(d, num, den)`` term ``num/den sqrt(d)``, d squarefree.
+
+    x is zero or a single surd term; zero is ``(1, 0, 1)``.
+    """
+    if x.is_zero:
+        return 1, 0, 1
+    ((d, q),) = x._terms.items()
+    s, e = _squarefree(n)
+    d, num = surd_product(d, q.numerator * s, e, 1)
+    return d, num, q.denominator * den
+
+
 def clebsch_gordan(t: SpinTriple) -> SurdScalar:
     """Exact <j1 m1; j2 m2 | j3 m3> via the 3j reduction."""
     base = wigner3j(SpinTriple(t.tj1, t.tj2, t.tj3, t.tm1, t.tm2, -t.tm3))
     if base.is_zero:
         return SURD_ZERO
-    sign = -1 if ((t.tj1 - t.tj2 + t.tm3) // 2) % 2 else 1
-    return SurdScalar.sqrt(t.tj3 + 1, sign) * base
-
-
-# m-independent factor of the S^2 products, one per (l1, l2, l3)
-_GAUNT_FACTORS: dict[tuple[int, int, int], SurdScalar] = {}
-
-
-def _gaunt_factor(l1: int, l2: int, l3: int) -> SurdScalar:
-    """sqrt((2l1+1)(2l2+1)(2l3+1)) (l1 l2 l3; 0 0 0), memoised."""
-    factor = _GAUNT_FACTORS.get((l1, l2, l3))
-    if factor is None:
-        zero3j = wigner3j(SpinTriple(2 * l1, 2 * l2, 2 * l3, 0, 0, 0))
-        norm = SurdScalar.sqrt((2 * l1 + 1) * (2 * l2 + 1) * (2 * l3 + 1))
-        factor = _GAUNT_FACTORS[(l1, l2, l3)] = norm * zero3j
-    return factor
+    d, num, den = _as_term(base, t.tj3 + 1)
+    if ((t.tj1 - t.tj2 + t.tm3) // 2) % 2:
+        num = -num
+    return SurdScalar._raw({d: Fraction(num, den)})
 
 
 def d_product_norm(tj1: int, tj2: int, tj3: int) -> SurdScalar:
@@ -242,27 +293,46 @@ def _gaunt_key(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> tuple[in
     return l1, m1, l2, m2, l3, m3
 
 
+def _gaunt(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> SurdScalar:
+    """The fused triple-product coefficient of the module docstring."""
+    if (l1 + l2 + l3) % 2 or m1 + m2 != m3 or not abs(l1 - l2) <= l3 <= l1 + l2:
+        return SURD_ZERO
+    total, common = _alternating_sum(l1 + l2 - l3, l1 - m1, l2 + m2, l3 - l2 + m1, l3 - l1 - m2)
+    if not total:
+        return SURD_ZERO
+    num, den, radicand = _sqrt_factorial_ratio(
+        (l1 + m1, l1 - m1, l2 + m2, l2 - m2, l3 + m3, l3 - m3, 2 * l1 + 1, 2 * l2 + 1, 2 * l3 + 1),
+        (2 * l1, 2 * l2, 2 * l3),
+    )
+    g = (l1 + l2 + l3) // 2
+    # Delta g! / ((g-l1)! (g-l2)! (g-l3)!), where l1 + l2 - l3 = 2(g - l3) and so on
+    num *= factorial(2 * (g - l1)) * factorial(2 * (g - l2)) * factorial(2 * (g - l3))
+    num *= factorial(g)
+    den *= factorial(2 * g + 1) * factorial(g - l1) * factorial(g - l2) * factorial(g - l3)
+    if (g + l1 + l2) % 2:
+        total = -total
+    return SurdScalar._raw({radicand: Fraction(total * num, common * den)})
+
+
 def gaunt_normalized(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> SurdScalar:
     """Triple-product coefficient for unit-normalised spherical modes.
 
     With rho_lm = sqrt(4 pi) Y_lm on the unit-measure sphere,
-    rho_{l1 m1} rho_{l2 m2} = sum_{l3 m3} c rho_{l3 m3} and this returns c.
+    rho_{l1 m1} rho_{l2 m2} = sum_{l3 m3} c rho_{l3 m3} and this returns c,
+    which is (-1)^m3 sqrt((2l1+1)(2l2+1)(2l3+1)) (l1 l2 l3; 0 0 0) (l1 l2 l3; m1 m2 -m3).
     """
     for l, m in ((l1, m1), (l2, m2), (l3, m3)):
-        if not isinstance(l, int) or not isinstance(m, int) or l < 0 or abs(m) > l:
+        if type(l) is not int or type(m) is not int or l < 0 or abs(m) > l:
             raise ValueError(f"bad spherical label (l={l}, m={m})")
     key = _gaunt_key(l1, m1, l2, m2, l3, m3)
     c = _GAUNTS.get(key)
     if c is None:
-        c = _gaunt_factor(l1, l2, l3)
-        if not c.is_zero:
-            c *= wigner3j(SpinTriple(2 * l1, 2 * l2, 2 * l3, 2 * m1, 2 * m2, -2 * m3))
-        c = _GAUNTS[key] = -c if m3 % 2 else c
+        c = _GAUNTS[key] = _gaunt(l1, m1, l2, m2, l3, m3)
     return c
 
 
-_NORMED_CG: dict[tuple[int, ...], SurdScalar] = {}
-_CG: dict[tuple[int, ...], SurdScalar] = {}
+_NORMED_CG: dict[tuple[int, ...], tuple[int, int, int]] = {}
+_CG: dict[tuple[int, ...], tuple[int, int, int]] = {}
 
 
 # -- cache maintenance --------------------------------------------------------
@@ -273,8 +343,7 @@ def cache_size() -> int:
 
 
 def clear_cache() -> None:
-    """Empty the 3j memo and every memo derived from it."""
-    for memo in (_CACHE, _GAUNT_FACTORS, _GAUNTS, _NORMED_CG, _CG):
+    """Empty the 3j memo and every other coupling memo."""
+    for memo in (_CACHE, _GAUNTS, _NORMED_CG, _CG):
         memo.clear()
-    _factorial_exponents.cache_clear()
-
+    _factorial_radicand.cache_clear()

@@ -4,8 +4,9 @@ import io
 import json
 import shlex
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -171,8 +172,7 @@ def test_verify_deterministic_for_seed(s2_dump, capsys):
 def test_root_grading_follows_the_base_name_not_the_stored_f():
     data = dump_algebra(build_algebra("su2", "s2", 1, charges=[1]))
     for *_, records in data["base"]["f"]:
-        for record in records:
-            record["num"] = "0"
+        records.clear()  # the writer's form of a zero coefficient
     checks = {c.name: c for c in run_suites(load_algebra(data), "all").checks}
     assert checks["grading"].regime == "exhaustive"
     assert not checks["killing_consistency"].passed
@@ -479,6 +479,49 @@ def _entry(data, path):
 MUTATIONS = [(m, *mutation) for m in ("s2", "t2") for mutation in _entry_mutations(_small_dump(m))]
 
 
+def _in_writer_form(records) -> bool:
+    """Whether a surd record list is as the writer gives it.
+
+    Radicands strictly increasing and squarefree, terms nonzero, and each
+    num/den in lowest terms with a positive den, written as plain integers.
+    """
+    radicands = [rec["radicand"] for rec in records]
+    if radicands != sorted(set(radicands)):
+        return False
+    for rec in records:
+        d, num, den = rec["radicand"], int(rec["num"]), int(rec["den"])
+        if d < 1 or any(d % (p * p) == 0 for p in range(2, d + 1)):
+            return False
+        if not num or den < 1 or gcd(num, den) != 1:
+            return False
+        if (rec["num"], rec["den"]) != (str(num), str(den)):
+            return False
+    return True
+
+
+def _leaves_writer_form(mutation) -> bool:
+    """Whether a mutation edits a surd record list out of the writer's form."""
+    manifold, path, value = mutation
+    if path[-1] not in ("num", "radicand"):
+        return False
+    records = copy.deepcopy(_entry(_small_dump(manifold), path[:-2]))
+    records[path[-2]][path[-1]] = value
+    return not _in_writer_form(records)
+
+
+# a num+1 that gives "0" or a radicand+1 that gives 16: malformed, not a wrong value
+MALFORMED_MUTATIONS = [m for m in MUTATIONS if _leaves_writer_form(m)]
+
+
+def _assert_malformed(data) -> None:
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stderr(err):
+        dump = Path(tmp) / "mutated.json"
+        dump.write_text(json.dumps(data))
+        assert main(["verify", str(dump), "--suite", "all"]) == 1
+    assert err.getvalue().startswith("error: malformed dump: ")
+
+
 def _verify(argv):
     """Exit code and failing checks (without wall times) of one ``gkmalg verify``."""
     out = io.StringIO()
@@ -494,6 +537,9 @@ def test_every_single_entry_mutation_fails_verification_and_replays(mutation):
     manifold, path, value = mutation
     data = copy.deepcopy(_small_dump(manifold))
     _entry(data, path[:-1])[path[-1]] = value
+    if mutation in MALFORMED_MUTATIONS:
+        _assert_malformed(data)
+        return
     with tempfile.TemporaryDirectory() as tmp:
         dump = Path(tmp) / "mutated.json"
         dump.write_text(json.dumps(data))
@@ -502,6 +548,15 @@ def test_every_single_entry_mutation_fails_verification_and_replays(mutation):
         replay = shlex.split(failing[0]["witness"]["replay"])
         assert replay[:2] == ["gkmalg", "verify"]
         assert _verify(replay[1:]) == (3, failing)
+
+
+def test_a_mutation_out_of_the_writers_form_is_malformed():
+    edited = sorted((m, path[-1]) for m, path, _ in MALFORMED_MUTATIONS)
+    assert edited == [("s2", "num")] * 3 + [("s2", "radicand")] * 4 + [("t2", "num")]
+    for manifold, path, value in MALFORMED_MUTATIONS:
+        data = copy.deepcopy(_small_dump(manifold))
+        _entry(data, path[:-1])[path[-1]] = value
+        _assert_malformed(data)
 
 
 LABEL = ("modes", "products", 1, 2, 0, 0)  # the s2 entry [1, -1] of rho_(0,0) rho_(1,-1)
@@ -541,6 +596,10 @@ INEXACT_VALUES = [
     ("s2", ("modes", "eigen", 1, 1, 0), "-1.0"),
     ("s2", ("charges", 0), "1.0"),
     ("s2", ("charges", 0), "2/2"),
+    # records equal in value to {1, "1", "1"} in a form the writer never gives
+    ("s2", LATER, {"radicand": 4, "num": "1", "den": "2"}),
+    ("s2", LATER, {"radicand": 1, "num": "2", "den": "2"}),
+    ("s2", LATER, {"radicand": 1, "num": "-1", "den": "-1"}),
 ]
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -10,7 +11,6 @@ from pathlib import Path
 import pytest
 
 import gkmalg.modes
-from gkmalg import wigner
 from gkmalg.algebra import build_algebra
 from gkmalg.modes import (
     Sphere2Geometry,
@@ -30,7 +30,6 @@ from gkmalg.verify import (
 )
 from gkmalg.wigner import (
     SpinTriple,
-    cache_size,
     clear_cache,
     clebsch_gordan,
     d_product_norm,
@@ -326,35 +325,68 @@ def test_gaunt_is_equal_under_negating_every_m():
     assert nonzero > 0
 
 
-def test_a_rebuild_after_clear_cache_is_as_cold_as_a_fresh_process(monkeypatch):
+def _memo_sizes() -> dict:
+    """The size of every memo of gkmalg.wigner: each module-level dict and lru_cache."""
+    from gkmalg import wigner
+
+    sizes = {}
+    for name, value in vars(wigner).items():
+        if name.startswith("__"):
+            continue
+        if isinstance(value, dict):
+            sizes[name] = len(value)
+        elif hasattr(value, "cache_info"):
+            sizes[name] = value.cache_info().currsize
+    return sizes
+
+
+def _assert_a_rebuild_is_as_cold_as_a_fresh_process(monkeypatch, rule, build):
+    """After ``clear_cache``, ``build_algebra(*build)`` misses as a fresh process does.
+
+    ``rule`` names the coupling function the product rule calls on a memo
+    miss; its calls and every memo's size are compared with a fresh process.
+    """
     code = (
+        "import json\n"
         "import gkmalg.modes\n"
         "from gkmalg.algebra import build_algebra\n"
-        "from gkmalg.wigner import cache_size\n"
-        "calls = []\n"
-        "cg = gkmalg.modes.clebsch_gordan\n"
-        "gkmalg.modes.clebsch_gordan = lambda t: calls.append(t) or cg(t)\n"
-        "build_algebra('su2', 's3', 2, charges=[1, 1])\n"
-        "print(len(calls), cache_size())\n"
+        + inspect.getsource(_memo_sizes)
+        + "calls = []\n"
+        f"rule = gkmalg.modes.{rule}\n"
+        f"gkmalg.modes.{rule} = lambda *a: calls.append(a) or rule(*a)\n"
+        f"build_algebra(*{build!r})\n"
+        "print(json.dumps([len(calls), _memo_sizes()]))\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     fresh = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    fresh_calls, fresh_size = map(int, fresh.stdout.split())
+    fresh_calls, fresh_sizes = json.loads(fresh.stdout)
     calls = []
-    cg = gkmalg.modes.clebsch_gordan
-    monkeypatch.setattr(gkmalg.modes, "clebsch_gordan", lambda t: calls.append(t) or cg(t))
-    build_algebra("su2", "s3", 2, charges=[1, 1])
+    original = getattr(gkmalg.modes, rule)
+    monkeypatch.setattr(gkmalg.modes, rule, lambda *a: calls.append(a) or original(*a))
+    build_algebra(*build)
     calls.clear()
-    build_algebra("su2", "s3", 2, charges=[1, 1])
+    build_algebra(*build)
     assert calls == []  # a warm build only looks its factors up
     clear_cache()
-    assert wigner._factorial_exponents.cache_info().currsize == 0
-    build_algebra("su2", "s3", 2, charges=[1, 1])
+    assert not any(_memo_sizes().values())
+    build_algebra(*build)
     assert len(calls) == fresh_calls > 0
-    assert cache_size() == fresh_size
+    assert _memo_sizes() == fresh_sizes
+
+
+def test_a_rebuild_after_clear_cache_is_as_cold_as_a_fresh_process(monkeypatch):
+    _assert_a_rebuild_is_as_cold_as_a_fresh_process(
+        monkeypatch, "clebsch_gordan", ("su2", "s3", 2, [1, 1])
+    )
+
+
+def test_an_s2_rebuild_after_clear_cache_is_as_cold_as_a_fresh_process(monkeypatch):
+    _assert_a_rebuild_is_as_cold_as_a_fresh_process(
+        monkeypatch, "gaunt_normalized", ("su2", "s2", 3, [1])
+    )
 
 
 def test_bad_labels_raise_on_a_warm_memo():

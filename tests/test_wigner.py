@@ -2,8 +2,9 @@
 
 The squared-coefficient oracle below evaluates |CG|^2 with its sign from
 the classic summation formula over plain Fractions, independently of the
-package's surd pipeline, and the quadrature grid gives a second opinion on
-the triple-product coefficients.
+package's surd pipeline; the triple-product coefficients are checked
+against a product of two such CGs, and the quadrature grid gives them a
+second opinion.
 """
 
 import itertools
@@ -61,6 +62,18 @@ def _cg_squared_oracle(tj1, tm1, tj2, tm2, tj3, tm3):
     return sign, total * total * norm
 
 
+def _gaunt_squared_oracle(l1, m1, l2, m2, l3, m3):
+    """(sign, c^2) of the triple-product coefficient as exact Fractions.
+
+    c = sqrt((2l1+1)(2l2+1)/(2l3+1)) <l1 0; l2 0 | l3 0> <l1 m1; l2 m2 | l3 m3>,
+    each Clebsch-Gordan coefficient from the classic summation formula above.
+    """
+    zero_sign, zero_sq = _cg_squared_oracle(2 * l1, 0, 2 * l2, 0, 2 * l3, 0)
+    m_sign, m_sq = _cg_squared_oracle(2 * l1, 2 * m1, 2 * l2, 2 * m2, 2 * l3, 2 * m3)
+    norm = Fraction((2 * l1 + 1) * (2 * l2 + 1), 2 * l3 + 1)
+    return zero_sign * m_sign, norm * zero_sq * m_sq
+
+
 def _surd_squared(value: SurdScalar):
     sq = value * value
     assert sq.is_rational
@@ -80,7 +93,7 @@ def _all_labels(max_tj):
 
 def test_cg_matches_independent_squared_oracle():
     checked = 0
-    for tj1, tm1, tj2, tm2, tj3, tm3 in _all_labels(5):
+    for tj1, tm1, tj2, tm2, tj3, tm3 in _all_labels(7):
         value = clebsch_gordan(SpinTriple(tj1, tj2, tj3, tm1, tm2, tm3))
         sign, squared = _cg_squared_oracle(tj1, tm1, tj2, tm2, tj3, tm3)
         assert _surd_squared(value) == squared, (tj1, tm1, tj2, tm2, tj3, tm3)
@@ -89,6 +102,20 @@ def test_cg_matches_independent_squared_oracle():
             assert got_sign == sign, (tj1, tm1, tj2, tm2, tj3, tm3)
         checked += 1
     assert checked > 500
+
+
+def test_gaunt_matches_independent_squared_oracle():
+    labels = [(l, m) for l in range(6) for m in range(-l, l + 1)]
+    clear_cache()
+    nonzero = 0
+    for (l1, m1), (l2, m2), (l3, m3) in itertools.product(labels, repeat=3):
+        value = gaunt_normalized(l1, m1, l2, m2, l3, m3)
+        sign, squared = _gaunt_squared_oracle(l1, m1, l2, m2, l3, m3)
+        assert _surd_squared(value) == squared, (l1, m1, l2, m2, l3, m3)
+        if squared:
+            assert (1 if float(value) > 0 else -1) == sign, (l1, m1, l2, m2, l3, m3)
+            nonzero += 1
+    assert nonzero == 1905
 
 
 def test_spot_values():
@@ -112,6 +139,8 @@ def test_malformed_labels_rejected():
         SpinTriple(-2, 2, 2, 0, 0, 0)
     with pytest.raises(ValueError):
         SpinTriple.of(1, 1, 1, Fraction(1, 3), 0, 0)
+    with pytest.raises(ValueError):
+        SpinTriple(True, True, 0, True, -1, 0)  # a bool is not a doubled integer
 
 
 def test_3j_orthogonality_exact():
@@ -167,6 +196,9 @@ def test_gaunt_rejects_bad_labels():
         gaunt_normalized(1, 2, 1, 0, 2, 0)
     with pytest.raises(ValueError):
         gaunt_normalized(-1, 0, 1, 0, 2, 0)
+    for labels in ((True, 0, 1, 0, 2, 0), (1, False, 1, 0, 2, 0), (1, 0, 1, 0, 2.0, 0)):
+        with pytest.raises(ValueError):
+            gaunt_normalized(*labels)
 
 
 def test_cache_determinism():
