@@ -28,6 +28,16 @@ and g tables, a mode part from the product, eta and eigenvalue tables.
 checks every item in order ("exhaustive"); a smaller one checks that many
 distinct items of the same population, drawn by :func:`sample_items`
 ("sampled", with the seed that reproduces the draw exactly).
+
+Exhaustive invariance decides most triples without summing them.  The sum
+of a triple (x, y, z) is sum_w [x,y]_w <w,z> + sum_w [x,z]_w <y,w>, and the
+form pairs each generator with about one partner, so a term is nonzero only
+where w is in the support of a bracket row and the form row of (w, z), or of
+(y, w), is nonempty.  Every other triple is an empty sum, exactly 0: on
+su2/s3/c4, 8,259 of 2,427,685 triples have a term.  The check reads the
+partners off the same form rows, evaluates only the triples that meet one,
+in population order, and reports the count an in-order pass over every
+triple would give.
 """
 
 from __future__ import annotations
@@ -63,12 +73,13 @@ class Combinations:
 
     With ``lead``, each is preceded by one more item ranging over all of
     ``items``.  Iteration is the exhaustive loop in ``itertools`` order;
-    ``len`` counts the population and ``[i]`` unranks its ``i``-th element
-    without listing the others.
+    ``len`` counts the population, ``[i]`` unranks its ``i``-th element
+    without listing the others, and :meth:`index` ranks one.
     """
 
     def __init__(self, items, k: int, repeats: bool = False, lead: bool = False):
         self.items, self.k, self.repeats, self.lead = list(items), k, repeats, lead
+        self._position = {x: i for i, x in enumerate(self.items)}
         # a multiset c_0 <= ... <= c_k-1 of range(n) is the set c_j + j of range(n + k - 1)
         self._span = len(self.items) + (k - 1 if repeats else 0)
         self._tails = comb(self._span, k)
@@ -81,7 +92,21 @@ class Combinations:
         heads = [(x,) for x in self.items] if self.lead else [()]
         return (head + tail for head in heads for tail in combos(self.items, self.k))
 
+    def index(self, item) -> int:
+        """The ``i`` with ``self[i] == item``; a ValueError if ``item`` is not a member."""
+        picks = [self._position.get(x) for x in item]
+        if None in picks or len(picks) != self.k + self.lead:
+            raise ValueError(f"{item!r} is not in the population")
+        head = picks.pop(0) if self.lead else 0
+        tail = [p + j for j, p in enumerate(picks)] if self.repeats else picks
+        if any(a >= b for a, b in zip(tail, tail[1:])):
+            raise ValueError(f"{item!r} is not in the population")
+        colex = sum(comb(self._span - 1 - s, self.k - j) for j, s in enumerate(tail))
+        return head * self._tails + self._tails - 1 - colex
+
     def __getitem__(self, index: int) -> tuple:
+        if not 0 <= index < len(self):
+            raise IndexError(f"index {index} out of range for {len(self)} items")
         head, rank = divmod(index, self._tails)
         picks = [head] if self.lead else []
         # lexicographic rank r of a k-set S is colex rank total-1-r of {span-1-s : s in S}
@@ -358,6 +383,14 @@ def invariance_check(
     Evaluated on the bracket and form rows with the arguments in this order
     (a tampered eta makes the stored form asymmetric); the witness value is
     the same sum, in the T basis.
+
+    A triple's sum is sum_w [x,y]_w <w,z> + sum_w [x,z]_w <y,w>, so a term is
+    nonzero only where w is in the support of a bracket row and the form row
+    of (w, z), or of (y, w), is nonempty.  The exhaustive regime evaluates
+    just the triples :func:`_form_candidates` finds to have such a term; every
+    other triple is an empty sum, 0, and passes exactly.  Its count is the
+    population on a pass, and the failing triple's position in it on a
+    failure, as if every triple had been checked in order.
     """
     with checking("invariance") as result:
         row, form = alg.bracket_row, alg.form_row
@@ -366,7 +399,12 @@ def invariance_check(
         out_of = _Memo(lambda y: _Memo(lambda w: form(y, w)).__getitem__)
 
         population = Combinations(alg.generator_ids(), 2, repeats=True, lead=True)
-        for ids in _draw(result, "triples", population, sample, seed):
+        triples = _draw(result, "triples", population, sample, seed)
+        exhaustive = result.regime == "exhaustive"
+        if exhaustive:
+            result.details["triples"] = len(population)
+            triples = _form_candidates(alg, population.items)
+        for ids in triples:
             x, y, z = ids
             acc: dict = {}
             scale = 1
@@ -376,10 +414,34 @@ def invariance_check(
             if right[1]:
                 scale = contract(acc, scale, right, out_of[y])
             if any(acc.values()):
+                if exhaustive:
+                    result.details["triples"] = population.index(ids) + 1
                 gens = [repr(alg.generator_of(i)) for i in ids]
                 value = alg._t_value(scale, {d: n for (_, d), n in acc.items()}, ids)
                 raise CheckFailed({"generators": gens, "value": str(value)})
     return result
+
+
+def _form_candidates(alg: GKMAlgebra, ids: list):
+    """Every triple (x, y, z) of ``ids``, y <= z, with a term of its invariance sum, sorted.
+
+    With ``to[w]`` the ids z where <w, z> is nonempty and ``frm[w]`` the ids
+    y where <y, w> is, both read off ``alg.form_row``: each w in the support
+    of [x, v] gives the triples (x, v, z) for z in ``to[w]`` and (x, y, v)
+    for y in ``frm[w]``.  Every row (x, v) is requested, x-major and v
+    ascending, as an in-order pass over all triples requests them, and each
+    x's triples are yielded once its rows are all read.
+    """
+    row, form = alg.bracket_row, alg.form_row
+    to = _Memo(lambda w: [z for z in ids if form(w, z)[1]])
+    frm = _Memo(lambda w: [y for y in ids if form(y, w)[1]])
+    for x in ids:
+        found = set()
+        for v in ids:
+            for w in {w for w, _, _ in row(x, v)[1]}:
+                found.update((x, v, z) for z in to[w] if v <= z)
+                found.update((x, y, v) for y in frm[w] if y <= v)
+        yield from sorted(found)
 
 
 def killing_consistency_check(alg: GKMAlgebra) -> CheckResult:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gkmalg import verify
 from gkmalg.algebra import GKMAlgebra, GKMElement, build_algebra
 from gkmalg.liealg import coefficients_in_span
 from gkmalg.modes import parse_manifold
@@ -174,11 +175,24 @@ def test_sampler_draws_from_the_exhaustive_population(k, repeats, lead):
     exhaustive = list(population)
     assert len(exhaustive) == len(population)
     assert [population[i] for i in range(len(population))] == exhaustive
+    assert [population.index(item) for item in exhaustive] == list(range(len(population)))
+    for index in (-1, len(population)):
+        with pytest.raises(IndexError):
+            population[index]
+    width = k + lead
+    for outsider in (("g7",) * width, exhaustive[0][:-1], exhaustive[0][: width - 2] + ("g1", "g0")):
+        with pytest.raises(ValueError):
+            population.index(outsider)
     for count in (len(population), len(population) + 5):
         assert sorted(sample_items(population, count, seed=3)) == sorted(exhaustive)
     drawn = list(sample_items(population, 20, seed=3))
     assert len(set(drawn)) == 20 and set(drawn) <= set(exhaustive)
     assert drawn == list(sample_items(population, 20, seed=3))
+
+
+def test_unranking_past_the_population_is_an_index_error():
+    with pytest.raises(IndexError):
+        Combinations(range(5), 2)[10]
 
 
 def test_grading_check_passes():
@@ -244,9 +258,31 @@ def test_invariance_exhaustive_and_dk_fault():
     assert any("'D'" in g for g in gens)
 
 
+@pytest.mark.parametrize("factor", [0, 2])
+def test_exhaustive_invariance_equals_every_triple_summed_under_a_dk_tamper(
+    factor, dense_invariance
+):
+    alg = build_algebra("su2", "s2", 2, charges=[1])
+    _scale_dk(factor)(alg)
+    result = invariance_check(alg, sample="all")
+    assert (result.passed, result.details, result.witness) == dense_invariance(alg)
+
+
 def test_invariance_su3():
     alg = build_algebra("su3", "t1", 1, charges=[1])
     assert invariance_check(alg, sample=800, seed=3).passed
+
+
+def test_exhaustive_invariance_sums_only_the_triples_with_a_form_partner(monkeypatch):
+    alg = build_algebra("su2", "s3", 3, charges=[1, 1])
+    calls = []
+    contract = verify.contract
+    monkeypatch.setattr(verify, "contract", lambda *args: calls.append(1) or contract(*args))
+    result = invariance_check(alg, sample=419710)
+    assert (result.passed, result.regime) == (True, "exhaustive")
+    assert result.details == {"population": 419710, "triples": 419710}
+    # about 2,300 triples meet a form partner; summing all of them takes about 840,000 calls
+    assert len(calls) < 10_000
 
 
 def _torus(base, n, cutoff):
