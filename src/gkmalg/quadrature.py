@@ -20,6 +20,10 @@ factors (``mode_factors``) are the one per-geometry evaluation; ``mode_values``
 is their outer product, and ``D_j`` acts on the factor on its angle alone.
 
 All measures are normalised to total mass 1.
+
+numpy is imported on first use: ``np`` starts as a stand-in that imports it
+and rebinds itself, so the package and its exact checks run without numpy
+until the oracle makes its first grid.
 """
 
 from __future__ import annotations
@@ -28,10 +32,20 @@ from dataclasses import dataclass, field
 from functools import reduce
 from math import factorial
 
-import numpy as np
-from numpy.polynomial.legendre import leggauss
-
 from .modes import Geometry, ModeLabel, Sphere2Geometry, Sphere3Geometry, TorusGeometry
+
+
+class _LazyNumpy:
+    """Stands in for numpy until first use, then rebinds ``np`` to numpy itself."""
+
+    def __getattr__(self, name: str):
+        global np
+        import numpy as np
+
+        return getattr(np, name)
+
+
+np = _LazyNumpy()
 
 
 @dataclass
@@ -76,13 +90,13 @@ def make_grid(geometry: Geometry, band: int) -> QuadratureGrid:
         return QuadratureGrid(geometry, band, (phi,) * n, (2 * np.pi,) * n, (uniform,) * n)
     if isinstance(geometry, Sphere2Geometry):
         n_phi = 2 * band + 1
-        z, wz = leggauss(band + 1)
+        z, wz = np.polynomial.legendre.leggauss(band + 1)
         phi = 2 * np.pi * np.arange(n_phi) / n_phi
         weights = (wz / 2.0, np.full(n_phi, 1.0 / n_phi))
         return QuadratureGrid(geometry, band, (z, phi), (None, 2 * np.pi), weights)
     if isinstance(geometry, Sphere3Geometry):
         n_ang = 4 * band + 4
-        z, wz = leggauss(band + 1)
+        z, wz = np.polynomial.legendre.leggauss(band + 1)
         angle = 4 * np.pi * np.arange(n_ang) / n_ang  # alpha and gamma alike
         uniform = np.full(n_ang, 1.0 / n_ang)
         periods = (4 * np.pi, None, 4 * np.pi)

@@ -45,7 +45,8 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from math import comb, factorial
+from bisect import bisect_right
+from math import comb
 
 from .algebra import GKMAlgebra, build_algebra
 from .liealg import coefficients_in_span, jacobi_check_finite, killing_form
@@ -83,6 +84,7 @@ class Combinations:
         # a multiset c_0 <= ... <= c_k-1 of range(n) is the set c_j + j of range(n + k - 1)
         self._span = len(self.items) + (k - 1 if repeats else 0)
         self._tails = comb(self._span, k)
+        self._colex = None
 
     def __len__(self) -> int:
         return (len(self.items) if self.lead else 1) * self._tails
@@ -107,25 +109,18 @@ class Combinations:
     def __getitem__(self, index: int) -> tuple:
         if not 0 <= index < len(self):
             raise IndexError(f"index {index} out of range for {len(self)} items")
+        if self._colex is None:  # per slot, comb(c, size) for c in range(span + 1)
+            spans = range(self._span + 1)
+            self._colex = [[comb(c, size) for c in spans] for size in range(self.k, 0, -1)]
         head, rank = divmod(index, self._tails)
         picks = [head] if self.lead else []
         # lexicographic rank r of a k-set S is colex rank total-1-r of {span-1-s : s in S}
         rest = self._tails - 1 - rank
-        for slot, size in enumerate(range(self.k, 0, -1)):
-            c = _colex_top(rest, size)
-            rest -= comb(c, size)
+        for slot, table in enumerate(self._colex):
+            c = bisect_right(table, rest) - 1  # the largest c with comb(c, size) <= rest
+            rest -= table[c]
             picks.append(self._span - 1 - c - (slot if self.repeats else 0))
         return tuple(self.items[i] for i in picks)
-
-
-def _colex_top(rank: int, size: int) -> int:
-    """The largest c with comb(c, size) <= rank, from a float estimate."""
-    c = max(size - 1, int((factorial(size) * rank) ** (1 / size)) + size // 2)
-    while comb(c + 1, size) <= rank:
-        c += 1
-    while comb(c, size) > rank:
-        c -= 1
-    return c
 
 
 def sample_items(population, count: int, seed: int):
@@ -198,9 +193,13 @@ def associativity_check(
 
 def eigen_additivity_check(ms: ModeSystem) -> CheckResult:
     with checking("eigen_additivity") as result:
-        entries = ((I, J, K, c) for (I, J), table in ms.products.items() for K, c in table.items())
-        for I, J, K, c in result.tally("entries", entries):
-            target = tuple(a + b for a, b in zip(ms.eigen(I), ms.eigen(J)))
+        entries = (
+            (I, J, target, K, c)
+            for (I, J), table in ms.products.items()
+            for target in [tuple(a + b for a, b in zip(ms.eigen(I), ms.eigen(J)))]  # once per row
+            for K, c in table.items()
+        )
+        for I, J, target, K, c in result.tally("entries", entries):
             if not c.is_zero and ms.eigen(K) != target:
                 raise CheckFailed(
                     {

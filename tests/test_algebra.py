@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -188,6 +189,17 @@ def test_sampler_draws_from_the_exhaustive_population(k, repeats, lead):
     drawn = list(sample_items(population, 20, seed=3))
     assert len(set(drawn)) == 20 and set(drawn) <= set(exhaustive)
     assert drawn == list(sample_items(population, 20, seed=3))
+
+
+@pytest.mark.parametrize("k,repeats,lead", [(3, False, False), (3, True, False), (2, True, True)])
+def test_unranking_a_large_population_matches_its_iteration(k, repeats, lead):
+    population = Combinations([f"g{i}" for i in range(90)], k, repeats=repeats, lead=lead)
+    wanted = set(random.Random(11).sample(range(len(population)), 300)) | {0, len(population) - 1}
+    seen = {i: item for i, item in enumerate(population) if i in wanted}
+    assert seen.keys() == wanted
+    for i, item in seen.items():
+        assert population[i] == item
+        assert population.index(item) == i
 
 
 def test_unranking_past_the_population_is_an_index_error():
