@@ -253,8 +253,8 @@ def geometry_from_dict(data: dict) -> Geometry:
         return TorusGeometry(data["n"])
     if kind == "sphere2":
         return Sphere2Geometry()
-    if kind == "sphere3":
-        return Sphere3Geometry(half_integer=bool(data.get("half_integer", True)))
+    if kind == "sphere3" and type(data.get("half_integer")) is bool:
+        return Sphere3Geometry(half_integer=data["half_integer"])
     raise ValueError(f"unsupported manifold record {data!r}")
 
 

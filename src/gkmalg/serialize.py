@@ -13,13 +13,13 @@ only in the form the writer gives them: a record list must equal the
 ``to_records()`` of the value it is read as (so ``{4, "1", "2"}``, ``"2"/"2"``
 or ``" 1"`` is malformed), and an eigenvalue or charge ``str(Fraction(...))``.
 
-Loading deliberately skips the construction-time validation that
-:func:`gkmalg.liealg.make_algebra` performs: the verification suites read
-the stored tables and produce witnesses, so a tampered dump is diagnosed
-as a verification failure instead of a parse error; so is a stored
-:func:`bracket_table`.  A value that cannot be read exactly (not a JSON
-integer where one is stored, an index outside ``1..dim``, an invalid mode
-label, a key stored twice) makes the dump malformed.  ``provenance`` and
+Loading deliberately does not check the stored f and g against anything:
+the verification suites read the stored tables and produce witnesses, so a
+tampered dump is diagnosed as a verification failure instead of a parse
+error; so is a stored :func:`bracket_table`.  A value that cannot be read
+exactly (not a JSON integer where one is stored, a ``half_integer`` that is
+not a JSON boolean, an index outside ``1..dim``, an invalid mode label, a
+key stored twice) makes the dump malformed.  ``provenance`` and
 ``verification`` are not read.
 """
 
@@ -212,8 +212,8 @@ def _load_v1(data: dict) -> GKMAlgebra:
     base_blk = data["base"]
     dim = _int(base_blk["dim"], "dim")
     # Cartan-Weyl data and the hierarchy's smaller torus come from the *name*,
-    # not the stored tables, so a tampered f/g fails verification instead of a
-    # root-vector check; the name is checked before dim-sized tables are built.
+    # not the stored tables, so a tampered f/g fails verification instead of being
+    # refused by cartan_weyl; the name is checked before dim-sized tables are built.
     named = make_algebra(str(base_blk["name"]))
     if named.dim != dim:
         raise DumpFormatError(f"malformed dump: base {named.name} is not of dimension {dim}")

@@ -309,21 +309,15 @@ def jacobi_check_gkm(
     return result
 
 
-def _unit(w: int) -> tuple:
-    """The row of X_w itself."""
-    return 1, ((w, 1, 1),)
-
-
 def antisymmetry_check(alg: GKMAlgebra) -> CheckResult:
     with checking("bracket_antisymmetry") as result:
         row = alg.bracket_row
         pairs = itertools.combinations_with_replacement(alg.generator_ids(), 2)
         for x, y in result.tally("pairs", pairs):
-            # [x, y] + [y, x]: X_y against the rows of x, plus X_x against those of y
-            acc: dict = {}
-            scale = contract(acc, 1, _unit(y), lambda w: row(x, w))
-            contract(acc, scale, _unit(x), lambda w: row(y, w))
-            if any(acc.values()):
+            # rows are in lowest terms with unique keys: [x, y] = -[y, x] term by term
+            (den, terms), (rden, rterms) = row(x, y), row(y, x)
+            negated = {(w, d): -n for w, d, n in terms}
+            if den != rden or negated != {(w, d): n for w, d, n in rterms}:
                 gens = (alg.generator_of(x), alg.generator_of(y))
                 raise CheckFailed({"generators": [repr(g) for g in gens]})
     return result

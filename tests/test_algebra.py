@@ -478,6 +478,36 @@ def test_killing_table_catches_eta_and_dk_tampers(tamper, pairs, witness):
     assert (result.passed, result.details["pairs"], result.witness) == (False, pairs, witness)
 
 
+# one ordering of an in-cutoff product bumped, the other left alone: (I, J, K, delta)
+# -> bracket_antisymmetry's pairs checked and witness (None: passed) on su2/s2/c2
+ANTISYMMETRY_PINS = [
+    (((1, 1), (1, 0), (2, 1), 1), 68, [T(1, (1, 0)), T(2, (1, 1))]),
+    (((1, 1), (1, 0), (2, 1), SurdScalar({1: 1, 2: 1})), 68, [T(1, (1, 0)), T(2, (1, 1))]),
+    (((1, 1), (1, 0), (2, 1), Fraction(1, 2**61 - 1)), 68, [T(1, (1, 0)), T(2, (1, 1))]),
+    (
+        ((2, -1), (1, 1), (1, 0), SurdScalar.sqrt(3, Fraction(1, 7))),
+        96,
+        [T(1, (1, 1)), T(2, (2, -1))],
+    ),
+    # a square has one ordering, so the bump stays symmetric
+    (((1, 1), (1, 1), (2, 2), 1), 435, None),
+]
+
+
+@pytest.mark.parametrize(
+    "tamper,pairs,witness",
+    ANTISYMMETRY_PINS,
+    ids=["one", "1+sqrt2", "below-double-precision", "another-pair", "square"],
+)
+def test_antisymmetry_tampers_keep_their_verdicts_counts_and_witnesses(tamper, pairs, witness):
+    I, J, K, delta = tamper
+    alg = build_algebra("su2", "s2", 2, charges=[1])
+    _bump_product(delta, I, J, K)(alg)
+    result = antisymmetry_check(alg)
+    assert (result.passed, result.details["pairs"]) == (witness is None, pairs)
+    assert result.witness == (None if witness is None else {"generators": witness})
+
+
 def test_generator_checks_read_only_the_bracket_rows(monkeypatch):
     alg = build_algebra("su2", "t2", 1, charges=[1, 1])
     tampered = build_algebra("su2", "s2", 2, charges=[1])

@@ -638,6 +638,31 @@ def test_a_value_the_loader_cannot_read_exactly_is_malformed(manifold, path, val
     assert capsys.readouterr().err.startswith("error: malformed dump: ")
 
 
+@pytest.mark.parametrize("value", ["yes", 1, [0], "deleted"], ids=repr)
+def test_half_integer_must_be_a_json_boolean(value):
+    data = copy.deepcopy(_small_dump("s3"))
+    geometry = data["modes"]["geometry"]
+    if value == "deleted":
+        del geometry["half_integer"]
+    else:
+        geometry["half_integer"] = value
+    with pytest.raises(DumpFormatError, match="unsupported manifold record"):
+        load_algebra(data)
+
+
+def test_verify_rejects_a_half_integer_that_is_not_a_boolean(tmp_path, capsys):
+    data = copy.deepcopy(_small_dump("s3"))
+    assert load_algebra(data).modes.geometry.name == "s3"
+    data["modes"]["geometry"]["half_integer"] = "yes"
+    dump = tmp_path / "s3.json"
+    dump.write_text(json.dumps(data))
+    assert main(["verify", str(dump)]) == 1
+    assert capsys.readouterr().err.startswith("error: malformed dump: unsupported manifold record")
+    integer = dump_algebra(build_algebra("su2", "s3-integer", 2, charges=[1, 1]))
+    assert integer["modes"]["geometry"]["half_integer"] is False
+    assert load_algebra(integer).modes.geometry.name == "s3-integer"
+
+
 @pytest.mark.parametrize("manifold,cutoff", [("s2", 3), ("s3", 2), ("t2", 1)])
 def test_a_load_builds_one_object_per_distinct_coefficient(manifold, cutoff):
     r = parse_manifold(manifold).r
