@@ -32,7 +32,10 @@ times generator k, with d squarefree and n an int, over one positive
 denominator, in lowest terms and with zero terms dropped, so equal rows are
 equal tuples.  A coefficient with several surd terms (a tampered
 ``1 + sqrt 2``, say) is several terms with the same k.  Rows are built on
-first use and memoised in ``_pair_cache``.  A T-T row sums f_ab^c c_IJ^K,
+first use and kept column-major in ``_pair_cache``: one dict per right-hand
+id j, :meth:`GKMAlgebra.bracket_column`, maps i to the row of [X_i, X_j] and
+builds a missing row in its ``__missing__``, so a cached row is one dict
+lookup, with no key tuple.  A T-T row sums f_ab^c c_IJ^K,
 with the mode product as the integer row of
 :meth:`ModeSystem.product_row`, and g_ab omega_j(I, J), the cocycle factor
 of :meth:`ModeSystem.cocycle_pairing`, with :func:`gkmalg.scalars.contract`,
@@ -60,6 +63,7 @@ root-space elements are a view for callers, never built by a check.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -79,6 +83,18 @@ GenId = tuple  # ("T", a, mode) | ("D", j) | ("k", j)
 Row = tuple  # (den, ((k, d, n), ...)): sum of n/den * sqrt(d) * generator k, in the X basis
 
 ZERO_ROW: Row = (1, ())
+
+
+class _Memo(dict):
+    """A dict that fills a missing key ``k`` with ``fn(k)``."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 class GKMElement:
@@ -156,7 +172,7 @@ class GKMAlgebra:
     charges: tuple[Fraction, ...]
     cw: CartanWeylData | None = None
     stored_brackets: list | None = field(default=None, repr=False)  # a dump's bracket table
-    _pair_cache: dict = field(default_factory=dict, init=False, repr=False)  # (i, j) -> Row
+    _pair_cache: dict = field(init=False, repr=False)  # j -> (i -> Row), see __post_init__
     _f_rows: dict = field(default_factory=dict, init=False, repr=False)  # (a, b) -> row of f_ab^c
     _gens: list = field(init=False, repr=False)  # id -> generator
     _gen_ids: dict = field(init=False, repr=False)  # generator -> id
@@ -168,6 +184,11 @@ class GKMAlgebra:
             )
         self._gens = self.generators()
         self._gen_ids = {g: i for i, g in enumerate(self._gens)}
+        # column j maps i to the row of [X_i, X_j] and builds a missing one; _bracket_gens is
+        # looked up at each miss, so a patched builder sees every row built, and the weak
+        # reference leaves no cycle, so an algebra is freed as soon as its last user drops it
+        owner = weakref.ref(self)
+        self._pair_cache = _Memo(lambda j: _Memo(lambda i: owner()._bracket_gens(i, j)))
 
     # -- structure ----------------------------------------------------------
 
@@ -212,17 +233,16 @@ class GKMAlgebra:
         return self._gens[i]
 
     def _bracket_gens(self, i: int, j: int) -> Row:
-        """Build and memoise the row of [X_i, X_j] from the stored tables."""
+        """Build the row of [X_i, X_j] from the stored tables; its column keeps it."""
         p, q = self._gens[i], self._gens[j]
         kp, kq = p[0], q[0]
-        row = ZERO_ROW
         if kp == "D" and kq == "T":
             lam = self.modes.eigen(q[2])[p[1] - 1]
-            row = (lam.denominator, ((j, 1, lam.numerator),)) if lam else ZERO_ROW
-        elif kp == "T" and kq == "D":
+            return (lam.denominator, ((j, 1, lam.numerator),)) if lam else ZERO_ROW
+        if kp == "T" and kq == "D":
             lam = self.modes.eigen(p[2])[q[1] - 1]
-            row = (lam.denominator, ((i, 1, -lam.numerator),)) if lam else ZERO_ROW
-        elif kp == "T" and kq == "T":
+            return (lam.denominator, ((i, 1, -lam.numerator),)) if lam else ZERO_ROW
+        if kp == "T" and kq == "T":
             _, a, I = p
             _, b, J = q
             # sum f_ab^c c_IJ^K and g_ab omega_n(I, J); the X-basis row is minus that
@@ -246,14 +266,16 @@ class GKMAlgebra:
                     for n in range(1, self.r + 1)
                 )
                 scale = contract(acc, scale, int_row([(None, gab)]), lambda _: omegas)
-            row = reduce_row(acc, scale, -1)
-        self._pair_cache[(i, j)] = row
-        return row
+            return reduce_row(acc, scale, -1)
+        return ZERO_ROW
+
+    def bracket_column(self, j: int) -> dict[int, Row]:
+        """i -> the memoised X-basis row of [X_i, X_j]: a cached row is one dict lookup."""
+        return self._pair_cache[j]
 
     def bracket_row(self, i: int, j: int) -> Row:
-        """The memoised X-basis row of [X_i, X_j] (the verification hot path)."""
-        row = self._pair_cache.get((i, j))
-        return self._bracket_gens(i, j) if row is None else row
+        """The memoised X-basis row of [X_i, X_j]."""
+        return self._pair_cache[j][i]
 
     def _t_value(
         self, den: int, terms: Mapping[int, int], inputs: Iterable[int], out: int | None = None
@@ -323,6 +345,19 @@ class GKMAlgebra:
         if {p[0], q[0]} == {"D", "k"} and p[1] == q[1]:
             return 1, ((None, 1, 1),)
         return ZERO_ROW
+
+    def form_partners(self, i: int) -> list[GenId]:
+        """The generators q with <X_i, q> possibly nonempty; :meth:`form_row` is zero on the rest.
+
+        T_aI pairs only with the T_b of mode eta(I), read from the stored eta,
+        so a tampered partner beyond the cutoff is followed; D_j pairs only
+        with k_j, and k_j only with D_j.
+        """
+        p = self._gens[i]
+        if p[0] == "T":
+            partner = self.modes.eta(p[2])[0]
+            return [("T", b, partner) for b in range(1, self.base.dim + 1)]
+        return [("k" if p[0] == "D" else "D", p[1])]
 
     def killing_generators(self, p: GenId, q: GenId) -> ComplexSurd:
         """<p, q> of two generators, as a view over their form row."""

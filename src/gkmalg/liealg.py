@@ -169,10 +169,15 @@ def jacobi_check_finite(f, dim: int, name: str = "") -> CheckResult:
     return result
 
 
+_TRACE_FORMS: dict[str, tuple] = {}  # name -> g of its hard-coded f; SurdScalars are immutable
+
+
 def make_algebra(name: str) -> FiniteAlgebra:
     """Construct su2, su3, or u1^n from the hard-coded tables, with g their trace form.
 
-    Nothing is checked: the tests prove both tables once.
+    Nothing is checked: the tests prove both tables once.  Each call returns
+    a fresh f dict, while g, a tuple of immutable scalars, is computed once
+    per name and shared.
     """
     if name == "su2":
         dim, entries = 3, _SU2_F
@@ -199,7 +204,9 @@ def make_algebra(name: str) -> FiniteAlgebra:
         raise ValueError(f"unknown algebra name {name!r}")
 
     f = _expand_antisymmetric(entries, dim)
-    return FiniteAlgebra(name=name, dim=dim, f=f, g=killing_form(f, dim))
+    if name not in _TRACE_FORMS:
+        _TRACE_FORMS[name] = killing_form(f, dim)
+    return FiniteAlgebra(name=name, dim=dim, f=f, g=_TRACE_FORMS[name])
 
 
 # -- Cartan-Weyl data ----------------------------------------------------------

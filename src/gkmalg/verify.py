@@ -20,7 +20,10 @@ two sums over different denominators compare cross-multiplied.  A failure's
 witness is read off the same exact sum: its first nonzero component, turned
 into a T-basis value by ``GKMAlgebra._t_value`` as ``Fraction(n, den)``.
 A bracket table a dump carries is compared entry by entry with the one read
-off the same rows.  The root grading is decided and witnessed
+off the same rows.  A cached row costs one dict lookup: each check reads
+rows through the column getters of :meth:`GKMAlgebra.bracket_column`, and
+associativity reads products through a check-local column view of
+``ModeSystem.product_row``.  The root grading is decided and witnessed
 on the factorised tables the T-T rows are built from: a base part from the f
 and g tables, a mode part from the product, eta and eigenvalue tables.
 
@@ -34,10 +37,11 @@ of a triple (x, y, z) is sum_w [x,y]_w <w,z> + sum_w [x,z]_w <y,w>, and the
 form pairs each generator with about one partner, so a term is nonzero only
 where w is in the support of a bracket row and the form row of (w, z), or of
 (y, w), is nonempty.  Every other triple is an empty sum, exactly 0: on
-su2/s3/c4, 8,259 of 2,427,685 triples have a term.  The check reads the
-partners off the same form rows, evaluates only the triples that meet one,
-in population order, and reports the count an in-order pass over every
-triple would give.
+su2/s3/c4, 8,259 of 2,427,685 triples have a term.  The check takes each
+generator's candidate partners from the support rule of
+:meth:`GKMAlgebra.form_partners`, keeps those whose form row is nonempty,
+evaluates only the triples that meet one, in population order, and reports
+the count an in-order pass over every triple would give.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ import random
 from bisect import bisect_right
 from math import comb
 
-from .algebra import GKMAlgebra, build_algebra
+from .algebra import GKMAlgebra, _Memo, build_algebra
 from .liealg import coefficients_in_span, jacobi_check_finite, killing_form
 from .modes import ModeSystem, TorusGeometry
 from .quadrature import (
@@ -159,10 +163,13 @@ def commutativity_check(ms: ModeSystem) -> CheckResult:
     return result
 
 
-def _expand(ms: ModeSystem, row: tuple, K) -> tuple[dict, int]:
-    """sum_L c_L * (rho_L rho_K) for the row ``c`` of ``(L, d, n)`` terms, as ``(acc, scale)``."""
+def _expand(product: _Memo, row: tuple, K) -> tuple[dict, int]:
+    """sum_L c_L * (rho_L rho_K) for the row ``c`` of ``(L, d, n)`` terms, as ``(acc, scale)``.
+
+    ``product[K]`` is the getter of K's product column: ``product[K](L)`` is rho_L rho_K.
+    """
     acc: dict = {}
-    return acc, contract(acc, 1, row, lambda L: ms.product_row(L, K))
+    return acc, contract(acc, 1, row, product[K])
 
 
 def _same(left: tuple[dict, int], right: tuple[dict, int]) -> bool:
@@ -180,13 +187,14 @@ def associativity_check(
     sums stay finite on every supported manifold, so the comparison is exact.
     """
     with checking("product_associativity") as result:
-        row = ms.product_row
+        # a check-local column view: product[K](L) is ms.product_row(L, K), one C call when seen
+        product = _Memo(lambda K: _Memo(lambda L: ms.product_row(L, K)).__getitem__)
         population = Combinations(ms.modes, 3, repeats=True)
         for I, J, K in _draw(result, "triples", population, budget, seed):
-            left = _expand(ms, row(I, J), K)
-            if not _same(left, _expand(ms, row(J, K), I)):
+            left = _expand(product, product[J](I), K)
+            if not _same(left, _expand(product, product[K](J), I)):
                 raise CheckFailed({"modes": [list(I), list(J), list(K)]})
-            if not _same(left, _expand(ms, row(I, K), J)):
+            if not _same(left, _expand(product, product[K](I), J)):
                 raise CheckFailed({"modes": [list(I), list(K), list(J)]})
     return result
 
@@ -269,12 +277,24 @@ def mode_axiom_checks(
 # -- algebra-level checks ---------------------------------------------------------
 
 
-def _jacobiator(row, x: int, y: int, z: int) -> tuple[dict, int]:
-    """[[x,y],z] + [[y,z],x] + [[z,x],y] on the X-basis rows: its ``(u, d) -> n`` sum, and scale."""
+def _columns(alg: GKMAlgebra) -> _Memo:
+    """j -> the getter of ``alg``'s bracket column j: ``rows[j](i)`` is the row of [X_i, X_j].
+
+    A cached row is then one C-level call, with no Python frame and no key tuple.
+    """
+    return _Memo(lambda j: alg.bracket_column(j).__getitem__)
+
+
+def _jacobiator(row: _Memo, x: int, y: int, z: int) -> tuple[dict, int]:
+    """[[x,y],z] + [[y,z],x] + [[z,x],y] on the X-basis rows: its ``(u, d) -> n`` sum, and scale.
+
+    ``row`` is :func:`_columns`; rows are requested as (x, y), then its support
+    against z, then (y, z), and so on.
+    """
     acc: dict = {}
     scale = 1
     for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-        scale = contract(acc, scale, row(a, b), lambda w: row(w, c))
+        scale = contract(acc, scale, row[b](a), row[c])
     return acc, scale
 
 
@@ -291,7 +311,7 @@ def jacobi_check_gkm(
     witness is the first nonzero component of the same sum, in the T basis.
     """
     with checking("jacobi_gkm") as result:
-        row = alg.bracket_row
+        row = _columns(alg)
         triples = _draw(result, "triples", Combinations(alg.generator_ids(), 3), sample, seed)
         for ids in triples:
             acc, scale = _jacobiator(row, *ids)
@@ -311,11 +331,11 @@ def jacobi_check_gkm(
 
 def antisymmetry_check(alg: GKMAlgebra) -> CheckResult:
     with checking("bracket_antisymmetry") as result:
-        row = alg.bracket_row
+        row = _columns(alg)
         pairs = itertools.combinations_with_replacement(alg.generator_ids(), 2)
         for x, y in result.tally("pairs", pairs):
             # rows are in lowest terms with unique keys: [x, y] = -[y, x] term by term
-            (den, terms), (rden, rterms) = row(x, y), row(y, x)
+            (den, terms), (rden, rterms) = row[y](x), row[x](y)
             negated = {(w, d): -n for w, d, n in terms}
             if den != rden or negated != {(w, d): n for w, d, n in rterms}:
                 gens = (alg.generator_of(x), alg.generator_of(y))
@@ -354,18 +374,6 @@ def cocycle_antisymmetry_check(alg: GKMAlgebra) -> CheckResult:
     return result
 
 
-class _Memo(dict):
-    """A dict that fills a missing key ``k`` with ``fn(k)``."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
 def invariance_check(
     alg: GKMAlgebra,
     sample: str | int = "all",
@@ -380,13 +388,15 @@ def invariance_check(
     A triple's sum is sum_w [x,y]_w <w,z> + sum_w [x,z]_w <y,w>, so a term is
     nonzero only where w is in the support of a bracket row and the form row
     of (w, z), or of (y, w), is nonempty.  The exhaustive regime evaluates
-    just the triples :func:`_form_candidates` finds to have such a term; every
-    other triple is an empty sum, 0, and passes exactly.  Its count is the
-    population on a pass, and the failing triple's position in it on a
-    failure, as if every triple had been checked in order.
+    just the triples :func:`_form_candidates` finds to have such a term, from
+    the form partners of :meth:`GKMAlgebra.form_partners`; every other triple
+    is an empty sum, 0, and passes exactly.  Its count is the population on a
+    pass, and the failing triple's position in it on a failure, as if every
+    triple had been checked in order.  Rows are read through the bracket
+    columns, one dict lookup each once cached.
     """
     with checking("invariance") as result:
-        row, form = alg.bracket_row, alg.form_row
+        row, form = _columns(alg), alg.form_row
         # into[z] maps w to <w, z> and out_of[y] maps w to <y, w>; a hit runs no Python code
         into = _Memo(lambda z: _Memo(lambda w: form(w, z)).__getitem__)
         out_of = _Memo(lambda y: _Memo(lambda w: form(y, w)).__getitem__)
@@ -401,7 +411,7 @@ def invariance_check(
             x, y, z = ids
             acc: dict = {}
             scale = 1
-            left, right = row(x, y), row(x, z)
+            left, right = row[y](x), row[z](x)
             if left[1]:  # an empty row adds nothing, so skip the call
                 scale = contract(acc, scale, left, into[z])
             if right[1]:
@@ -419,19 +429,30 @@ def _form_candidates(alg: GKMAlgebra, ids: list):
     """Every triple (x, y, z) of ``ids``, y <= z, with a term of its invariance sum, sorted.
 
     With ``to[w]`` the ids z where <w, z> is nonempty and ``frm[w]`` the ids
-    y where <y, w> is, both read off ``alg.form_row``: each w in the support
-    of [x, v] gives the triples (x, v, z) for z in ``to[w]`` and (x, y, v)
-    for y in ``frm[w]``.  Every row (x, v) is requested, x-major and v
-    ascending, as an in-order pass over all triples requests them, and each
-    x's triples are yielded once its rows are all read.
+    y where <y, w> is: each w in the support of [x, v] gives the triples
+    (x, v, z) for z in ``to[w]`` and (x, y, v) for y in ``frm[w]``.  Only the
+    candidates of :meth:`GKMAlgebra.form_partners` are tried, z among the
+    partners of w and y among the ids that have w as a partner, and each is
+    kept when ``alg.form_row`` is nonempty on it.  Every row (x, v) is
+    requested, x-major and v ascending, as an in-order pass over all triples
+    requests them, and each x's triples are yielded once its rows are all read.
     """
-    row, form = alg.bracket_row, alg.form_row
-    to = _Memo(lambda w: [z for z in ids if form(w, z)[1]])
-    frm = _Memo(lambda w: [y for y in ids if form(y, w)[1]])
+    row, form, gen = _columns(alg), alg.form_row, alg.generator_of
+    position = {gen(i): i for i in ids}
+    partner_of: dict = {}  # generator w -> the ids y that have w as a form partner
+    for y in ids:
+        for w in alg.form_partners(y):
+            partner_of.setdefault(w, []).append(y)
+    to = _Memo(
+        lambda w: [
+            z for z in map(position.get, alg.form_partners(w)) if z is not None and form(w, z)[1]
+        ]
+    )
+    frm = _Memo(lambda w: [y for y in partner_of.get(gen(w), ()) if form(y, w)[1]])
     for x in ids:
         found = set()
         for v in ids:
-            for w in {w for w, _, _ in row(x, v)[1]}:
+            for w in {w for w, _, _ in row[v](x)[1]}:
                 found.update((x, v, z) for z in to[w] if v <= z)
                 found.update((x, y, v) for y in frm[w] if y <= v)
         yield from sorted(found)
@@ -636,10 +657,11 @@ def torus_hierarchy_check(alg: GKMAlgebra, embed_suffix: tuple[int, ...] = (0,))
             alg.gen_id(("T", g[1], g[2] + embed_suffix) if g[0] == "T" else g)
             for g in small.generators()
         ]
+        row, small_row = _columns(alg), _columns(small)
         pairs = itertools.combinations_with_replacement(small.generator_ids(), 2)
         for i, j in result.tally("pairs", pairs):
             names = [repr(small.generator_of(i)), repr(small.generator_of(j))]
-            den, terms = alg.bracket_row(lifted[i], lifted[j])
+            den, terms = row[lifted[j]](lifted[i])
             mapped = {}
             for k, d, c in terms:
                 gen = alg.generator_of(k)
@@ -649,7 +671,7 @@ def torus_hierarchy_check(alg: GKMAlgebra, embed_suffix: tuple[int, ...] = (0,))
                     raise CheckFailed({"generators": names, "escaping_component": repr(gen)})
                 mapped[gen, d] = c
             # both rows are in lowest terms, so equal values have equal denominators
-            small_den, small_terms = small.bracket_row(i, j)
+            small_den, small_terms = small_row[j](i)
             expected = {(small.generator_of(k), d): c for k, d, c in small_terms}
             if (den, mapped) != (small_den, expected):
                 raise CheckFailed(
@@ -763,7 +785,7 @@ def run_suites(
         samples = budget if oracle_samples is None else oracle_samples
         report.add(oracle_agreement_check(alg, samples=samples, seed=seed))
     report.stats = {
-        "bracket_rows": len(alg._pair_cache),
+        "bracket_rows": sum(map(len, alg._pair_cache.values())),
         "ext_products": len(alg.modes._ext_products),
         "wigner_cache": cache_size(),
     }

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import itertools
 import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from gkmalg.scalars import CSURD_ZERO, SURD_ZERO, ComplexSurd, SurdScalar
 from gkmalg.serialize import dump_algebra
 from gkmalg.verify import (
     Combinations,
+    _form_candidates,
     _grading_items,
     _root_spaces,
     antisymmetry_check,
@@ -280,6 +283,24 @@ def test_exhaustive_invariance_equals_every_triple_summed_under_a_dk_tamper(
     assert (result.passed, result.details, result.witness) == dense_invariance(alg)
 
 
+@pytest.mark.parametrize("partner", [None, ((3, -1), 1), ((3, 2), -1)])
+def test_form_partners_follow_an_eta_partner_beyond_the_cutoff(partner, dense_invariance):
+    alg = build_algebra("su2", "s2", 2, charges=[1])
+    if partner is not None:
+        alg.modes.eta_table[(1, 1)] = partner  # modes (3, m) lie beyond cutoff 2
+    # the candidate triples are those a scan of every id for every partner finds
+    ids, form = list(alg.generator_ids()), alg.form_row
+    scanned = set()
+    for x, v in itertools.product(ids, ids):
+        for w, _, _ in alg.bracket_row(x, v)[1]:
+            scanned.update((x, v, z) for z in ids if v <= z and form(w, z)[1])
+            scanned.update((x, y, v) for y in ids if y <= v and form(y, w)[1])
+    assert list(_form_candidates(alg, ids)) == sorted(scanned)
+    result = invariance_check(alg, sample="all")
+    assert result.passed == (partner is None)
+    assert (result.passed, result.details, result.witness) == dense_invariance(alg)
+
+
 def test_invariance_su3():
     alg = build_algebra("su3", "t1", 1, charges=[1])
     assert invariance_check(alg, sample=800, seed=3).passed
@@ -287,14 +308,50 @@ def test_invariance_su3():
 
 def test_exhaustive_invariance_sums_only_the_triples_with_a_form_partner(monkeypatch):
     alg = build_algebra("su2", "s3", 3, charges=[1, 1])
-    calls = []
-    contract = verify.contract
+    calls, forms = [], []
+    contract, form_row = verify.contract, alg.form_row
     monkeypatch.setattr(verify, "contract", lambda *args: calls.append(1) or contract(*args))
+    alg.form_row = lambda i, j: forms.append(1) or form_row(i, j)
     result = invariance_check(alg, sample=419710)
     assert (result.passed, result.regime) == (True, "exhaustive")
     assert result.details == {"population": 419710, "triples": 419710}
     # about 2,300 triples meet a form partner; summing all of them takes about 840,000 calls
     assert len(calls) < 10_000
+    # the partners come from the support rule: scanning every id for each takes about 79,700
+    assert len(forms) < 5_000
+
+
+def test_an_algebra_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        alg = build_algebra("su2", "t1", 1, charges=[1])
+        assert jacobi_check_gkm(alg).passed
+        freed = weakref.ref(alg)
+        del alg
+        assert freed() is None  # the row cache holds its algebra weakly
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "base,manifold,rows,digest",
+    [
+        ("su2", "s2", 2221, "baca8820e969653dc1cf7f70d991a557fba67fa9e41b9e8985b8a08448caf30d"),
+        ("su3", "t1", 1092, "8b64cab0c9d260b062216604da3d6db8193c725096f38d19ed7c32e128e5c75a"),
+        ("su2", "s3", 850, "cd40978777f31a4b12d11aadef2070c32052059f59a7a0c3b1c70425890e974b"),
+    ],
+)
+def test_the_checks_build_the_same_rows_and_generator_ids(base, manifold, rows, digest):
+    # recorded when rows were cached by (i, j) pair: the row set, every row and the
+    # order in which out-of-cutoff generators get their ids must not depend on the cache
+    cutoff = 2 if (base, manifold) == ("su2", "s2") else 1
+    alg = build_algebra(base, manifold, cutoff, charges=[1] * parse_manifold(manifold).r)
+    report = run_suites(alg, "all", seed=0)
+    assert all(check.passed for check in report.checks)
+    columns = alg._pair_cache.items()
+    cached = sorted((i, j, row) for j, column in columns for i, row in column.items())
+    assert report.stats["bracket_rows"] == len(cached) == rows
+    assert hashlib.sha256(repr((alg._gens, cached)).encode()).hexdigest() == digest
 
 
 def _torus(base, n, cutoff):

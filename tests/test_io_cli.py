@@ -761,7 +761,7 @@ def test_report_stats_block_is_additive():
     data = report.to_dict()
     assert set(data) == {"passed", "checks", "stats"}
     assert data["stats"] == {
-        "bracket_rows": len(alg._pair_cache),
+        "bracket_rows": sum(map(len, alg._pair_cache.values())),
         "ext_products": len(alg.modes._ext_products),
         "wigner_cache": cache_size(),
     }

@@ -78,6 +78,16 @@ def test_killing_form_values():
     assert killing_form({}, 2) == ((SurdScalar(),) * 2,) * 2
 
 
+def test_make_algebra_shares_g_and_hands_out_a_fresh_f():
+    for name in ("su2", "su3"):
+        first, second = make_algebra(name), make_algebra(name)
+        assert first.g == second.g == killing_form(second.f, second.dim)
+        first.f[(1, 2)][3] = first.f[(1, 2)][3] * 2  # a tamper of one result's f, in place
+        del first.f[(2, 1)]
+        assert make_algebra(name).f == second.f
+        assert make_algebra(name).structure(1, 2)[3] == SurdScalar.rational(1)
+
+
 def test_killing_ad_invariance():
     # g([x,y],z) + g(y,[x,z]) = 0 on all basis triples
     for name in ("su2", "su3"):
