@@ -6,8 +6,10 @@ normalisation [T_a, T_b] = i f_ab^c T_c), plus abelian u(1)^n for torus
 cross-checks.  The metric is the trace form of the adjoint representation.
 The tables are constants, so the tests prove them once (antisymmetry and
 the Jacobi identity exactly, the metric's values, the Cartan-Weyl
-relations) and construction checks nothing; :func:`cartan_weyl` refuses an
-algebra whose tables are not the ones its name gives.
+relations) and construction checks nothing: each name's f and g are built
+once, and :func:`make_algebra` hands out a fresh copy of f with the shared g.
+:func:`cartan_weyl` refuses an algebra whose tables are not the ones its
+name gives.
 """
 
 from __future__ import annotations
@@ -40,33 +42,6 @@ _SU3_F = [
     (4, 5, 8, _SQRT3_HALF),
     (6, 7, 8, _SQRT3_HALF),
 ]
-
-
-def _expand_antisymmetric(entries, dim) -> dict[tuple[int, int], dict[int, SurdScalar]]:
-    f: dict[tuple[int, int], dict[int, SurdScalar]] = {}
-
-    def put(a, b, c, value):
-        if a == b or value.is_zero:
-            return
-        row = f.setdefault((a, b), {})
-        acc = row.get(c, SURD_ZERO) + value
-        if acc.is_zero:
-            row.pop(c, None)
-        else:
-            row[c] = acc
-
-    for a, b, c, v in entries:
-        if max(a, b, c) > dim or min(a, b, c) < 1:
-            raise ValueError(f"structure index out of range: {(a, b, c)}")
-        # even permutations
-        put(a, b, c, v)
-        put(b, c, a, v)
-        put(c, a, b, v)
-        # odd permutations
-        put(b, a, c, -v)
-        put(a, c, b, -v)
-        put(c, b, a, -v)
-    return {key: row for key, row in f.items() if row}
 
 
 @dataclass(frozen=True)
@@ -169,54 +144,49 @@ def jacobi_check_finite(f, dim: int, name: str = "") -> CheckResult:
     return result
 
 
-_TRACE_FORMS: dict[str, tuple] = {}  # name -> g of its hard-coded f; SurdScalars are immutable
+@cache
+def _standard_tables(name: str) -> tuple:
+    """``(dim, f, g)`` of su2 or su3, built once and never handed out.
+
+    Each independent f_abc is set at its even permutations, then at its odd
+    ones negated: that order fixes f's key and row order, and so bracket rows'.
+    """
+    dim, entries = (3, _SU2_F) if name == "su2" else (8, _SU3_F)
+    f: dict[tuple[int, int], dict[int, SurdScalar]] = {}
+    for a, b, c, v in entries:
+        for x, y, z, s in ((a, b, c, v), (b, c, a, v), (c, a, b, v)):
+            f.setdefault((x, y), {})[z] = s
+        for x, y, z in ((b, a, c), (a, c, b), (c, b, a)):
+            f.setdefault((x, y), {})[z] = -v
+    return dim, f, killing_form(f, dim)
 
 
 def make_algebra(name: str) -> FiniteAlgebra:
     """Construct su2, su3, or u1^n from the hard-coded tables, with g their trace form.
 
-    Nothing is checked: the tests prove both tables once.  Each call returns
-    a fresh f dict, while g, a tuple of immutable scalars, is computed once
-    per name and shared.
+    Nothing is checked: the tests prove both tables once.  The su2 and su3
+    tables are built once per name; each call returns a fresh copy of f,
+    while g, a tuple of immutable scalars, is shared.
     """
-    if name == "su2":
-        dim, entries = 3, _SU2_F
-    elif name == "su3":
-        dim, entries = 8, _SU3_F
-    elif name.startswith("u1"):
-        if name == "u1":
-            dim = 1
-        else:
-            try:
-                base, power = name.split("^")
-                dim = int(power)
-            except ValueError:
-                raise ValueError(f"unknown algebra name {name!r}") from None
-            if base != "u1" or dim < 1:
-                raise ValueError(f"unknown algebra name {name!r}")
-        return FiniteAlgebra(
-            name=name,
-            dim=dim,
-            f={},
-            g=((SURD_ZERO,) * dim,) * dim,  # one shared zero row: O(dim), not O(dim^2)
-        )
-    else:
+    if name in ("su2", "su3"):
+        dim, f, g = _standard_tables(name)
+        return FiniteAlgebra(name=name, dim=dim, f={key: dict(row) for key, row in f.items()}, g=g)
+    base, caret, power = name.partition("^")
+    try:
+        dim = int(power) if caret else 1
+    except ValueError:
+        dim = 0
+    if base != "u1" or dim < 1:
         raise ValueError(f"unknown algebra name {name!r}")
-
-    f = _expand_antisymmetric(entries, dim)
-    if name not in _TRACE_FORMS:
-        _TRACE_FORMS[name] = killing_form(f, dim)
-    return FiniteAlgebra(name=name, dim=dim, f=f, g=_TRACE_FORMS[name])
+    return FiniteAlgebra(
+        name=name,
+        dim=dim,
+        f={},
+        g=((SURD_ZERO,) * dim,) * dim,  # one shared zero row: O(dim), not O(dim^2)
+    )
 
 
 # -- Cartan-Weyl data ----------------------------------------------------------
-
-
-@cache
-def _standard_tables(name: str) -> tuple:
-    """``(dim, f, g)`` of ``make_algebra(name)``, built once and never handed out."""
-    alg = make_algebra(name)
-    return alg.dim, alg.f, alg.g
 
 
 @dataclass(frozen=True)

@@ -292,13 +292,7 @@ class ModeSystem:
 
     def product(self, I: ModeLabel, J: ModeLabel) -> dict[ModeLabel, SurdScalar]:
         table = self.products.get((I, J))
-        if table is not None:
-            return table
-        den, terms = self.product_row(I, J)
-        out: dict[ModeLabel, dict[int, Fraction]] = {}
-        for K, d, n in terms:
-            out.setdefault(K, {})[d] = Fraction(n, den)
-        return {K: SurdScalar._raw(t) for K, t in out.items()}
+        return table if table is not None else self.geometry.product(I, J)
 
     def product_row(self, I: ModeLabel, J: ModeLabel) -> tuple:
         """rho_I rho_J as the memoised integer row ``(den, ((K, d, n), ...))``."""

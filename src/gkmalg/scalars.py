@@ -527,5 +527,4 @@ def _coerce_complex(x):
 
 
 CSURD_ZERO = ComplexSurd()
-CSURD_ONE = ComplexSurd.rational(1)
 CSURD_I = ComplexSurd(SURD_ZERO, SURD_ONE)

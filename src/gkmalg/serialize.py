@@ -11,7 +11,9 @@ store it; every record is still type-checked before its list is looked up,
 so a ``true`` or ``1.0`` cannot pass as the int it equals.  Numbers are read
 only in the form the writer gives them: a record list must equal the
 ``to_records()`` of the value it is read as (so ``{4, "1", "2"}``, ``"2"/"2"``
-or ``" 1"`` is malformed), and an eigenvalue or charge ``str(Fraction(...))``.
+or ``" 1"`` is malformed), and an eigenvalue or charge ``str(Fraction(...))``
+inside a JSON list (``charges`` and each eigenvalue vector: a string or
+object there would be read character by character or key by key).
 
 Loading deliberately does not check the stored f and g against anything:
 the verification suites read the stored tables and produce witnesses, so a
@@ -54,6 +56,13 @@ def _rat_parse(text: str) -> Fraction:
     return value
 
 
+def _rat_list(texts, what: str) -> tuple[Fraction, ...]:
+    """The rationals of a JSON list; any other value (a string, an object) is a ValueError."""
+    if type(texts) is not list:
+        raise ValueError(f"{what} must be a list, got {texts!r}")
+    return tuple(map(_rat_parse, texts))
+
+
 def _int(value, what: str, top: int | None = None) -> int:
     """``value`` if it is a JSON integer (in ``1..top`` when given), else ValueError."""
     if type(value) is not int or top is not None and not 1 <= value <= top:
@@ -72,9 +81,10 @@ def _surd_reader():
 
     The memo lives as long as the returned function, one load.  Every record
     is type-checked before the lookup, so a ``true`` or ``1.0`` radicand
-    cannot hit the entry of the int it equals, and a list is read only in
-    the canonical form the writer gives its value (sorted squarefree
-    radicands, nonzero terms in lowest terms, integer text as ``str(int)``).
+    cannot hit the entry of the int it equals.  A miss builds the value from
+    those checked fields, and the list is read only if it is the canonical
+    form the writer gives that value (sorted squarefree radicands, nonzero
+    terms in lowest terms, integer text as ``str(int)``).
     """
     memo: dict[tuple, SurdScalar] = {}
 
@@ -88,7 +98,12 @@ def _surd_reader():
         key = tuple(fields)
         value = memo.get(key)
         if value is None:
-            value = SurdScalar.from_records(records)
+            terms: dict[int, Fraction] = {}
+            for d, num, den in fields:
+                if d in terms:  # the comparison below rejects it too, less plainly
+                    raise ValueError(f"repeated radicand {d} in surd records {records}")
+                terms[d] = Fraction(int(num), int(den))
+            value = SurdScalar(terms)
             # the fields of value.to_records(), without building its dicts
             canonical = tuple(
                 (d, str(q.numerator), str(q.denominator)) for d, q in sorted(value.terms.items())
@@ -251,7 +266,7 @@ def _load_v1(data: dict) -> GKMAlgebra:
         for I, J, entries in rows
     }
     eta_table = {tuple(I): (tuple(J), _int(phase, "eta phase")) for I, J, phase in eta}
-    eigen_table = {tuple(I): tuple(_rat_parse(v) for v in vals) for I, vals in eigen}
+    eigen_table = {tuple(I): _rat_list(vals, "an eigenvalue vector") for I, vals in eigen}
     # every label read must be JSON integers: a 1.0 or true would pass as the int it equals
     entries = [K for row in products.values() for K in row]
     partners = [J for J, _ in eta_table.values()]
@@ -285,7 +300,7 @@ def _load_v1(data: dict) -> GKMAlgebra:
         eta_table=eta_table,
         eigen_table=eigen_table,
     )
-    charges = tuple(_rat_parse(c) for c in data["charges"])
+    charges = _rat_list(data["charges"], "charges")
     cw = None if named.is_abelian else cartan_weyl(named)
     brackets = data.get("brackets")
     if brackets is not None and not isinstance(brackets, list):

@@ -269,6 +269,31 @@ def test_malformed_dump_is_reported_as_malformed(s2_dump, tmp_path, mutate, mess
 
 
 @pytest.mark.parametrize(
+    "manifold,mutate,message",
+    [
+        ("t2", lambda d: d.__setitem__("charges", "12"), "charges must be a list, got '12'"),
+        ("t2", lambda d: d.__setitem__("charges", {"1": 0, "2": 0}), "charges must be a list"),
+        (
+            "s3",
+            lambda d: d["modes"]["eigen"][0].__setitem__(1, "00"),
+            "an eigenvalue vector must be a list, got '00'",
+        ),
+    ],
+    ids=["t2-string-charges", "t2-object-charges", "s3-string-eigen-row"],
+)
+def test_charges_and_eigenvalue_vectors_must_be_json_lists(tmp_path, manifold, mutate, message, capsys):
+    # iterating a string or an object would read its characters or keys as the entries
+    data = dump_algebra(build_algebra("su2", manifold, 1, charges=[1, 1]))
+    mutate(data)
+    with pytest.raises(DumpFormatError, match=message):
+        load_algebra(copy.deepcopy(data))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["verify", str(bad)]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "flags",
     [["--budget", "0"], ["--budget", "-1"], ["--oracle-samples", "0"], ["--oracle-samples", "-1"],
      ["--budget", "many"]],

@@ -196,6 +196,23 @@ def test_products_extend_beyond_cutoff():
 
 
 @pytest.mark.parametrize(
+    "geometry,I,J",
+    [
+        (TorusGeometry(2), (2, 1), (-3, 0)),
+        (Sphere2Geometry(), (3, 0), (2, 1)),
+        (Sphere3Geometry(), (4, 0, 2), (3, 1, -1)),
+    ],
+    ids=["t2", "s2", "s3"],
+)
+def test_an_out_of_cutoff_product_is_the_rule_and_is_not_memoised(geometry, I, J):
+    ms = make_mode_system(geometry, 1)
+    assert (I, J) not in ms.products
+    table, rule = ms.product(I, J), geometry.product(I, J)
+    assert table == rule and list(table) == list(rule) and table
+    assert ms._ext_products == {}  # so stats.ext_products counts only what the checks ask for
+
+
+@pytest.mark.parametrize(
     "manifold,cutoff,digest",
     [
         ("t2", 2, "811341e3f7bdc7c48c4e471590efd7d0c77618fcf2b2c92b6dae43c25336eb27"),
