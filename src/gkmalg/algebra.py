@@ -77,6 +77,7 @@ from .liealg import (
     make_algebra,
 )
 from .modes import Eigen, Geometry, ModeLabel, ModeSystem, make_mode_system, parse_manifold
+from .report import gc_paused
 from .scalars import CSURD_ZERO, ComplexSurd, SurdScalar, contract, int_row, reduce_row
 
 GenId = tuple  # ("T", a, mode) | ("D", j) | ("k", j)
@@ -424,6 +425,7 @@ class GKMAlgebra:
         return labels
 
 
+@gc_paused()
 def build_algebra(
     base: str | FiniteAlgebra,
     manifold: str | Geometry,

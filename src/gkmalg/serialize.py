@@ -9,11 +9,12 @@ A load builds one :class:`~gkmalg.scalars.SurdScalar` per distinct record
 list, memoised for that call only, and shares it between the entries that
 store it; every record is still type-checked before its list is looked up,
 so a ``true`` or ``1.0`` cannot pass as the int it equals.  Numbers are read
-only in the form the writer gives them: a record list must equal the
-``to_records()`` of the value it is read as (so ``{4, "1", "2"}``, ``"2"/"2"``
-or ``" 1"`` is malformed), and an eigenvalue or charge ``str(Fraction(...))``
-inside a JSON list (``charges`` and each eigenvalue vector: a string or
-object there would be read character by character or key by key).
+only in the form the writer gives them: a record list must be a JSON list
+equal to the ``to_records()`` of the value it is read as (so ``{4, "1",
+"2"}``, ``"2"/"2"`` or ``" 1"`` is malformed), and an eigenvalue or charge
+``str(Fraction(...))`` inside a JSON list (``charges`` and each eigenvalue
+vector).  A string or object where a list is stored would be read character
+by character or key by key, a surd's as no records, so it is malformed.
 
 Loading deliberately does not check the stored f and g against anything:
 the verification suites read the stored tables and produce witnesses, so a
@@ -36,6 +37,7 @@ from pathlib import Path
 from .algebra import GKMAlgebra
 from .liealg import FiniteAlgebra, cartan_weyl, make_algebra
 from .modes import ModeSystem, geometry_from_dict
+from .report import gc_paused
 from .scalars import SurdScalar
 
 SCHEMA_VERSION = 1
@@ -89,6 +91,8 @@ def _surd_reader():
     memo: dict[tuple, SurdScalar] = {}
 
     def read(records) -> SurdScalar:
+        if type(records) is not list:  # a string or object would iterate as no records: zero
+            raise ValueError(f"surd records must be a list, got {records!r}")
         fields = []
         for rec in records:
             d, num, den = rec["radicand"], rec["num"], rec["den"]
@@ -116,6 +120,7 @@ def _surd_reader():
     return read
 
 
+@gc_paused()
 def dump_algebra(
     alg: GKMAlgebra,
     build_params: dict | None = None,
@@ -199,12 +204,13 @@ def save_algebra(alg: GKMAlgebra, path, **kwargs) -> None:
     Path(path).write_text(json.dumps(dump_algebra(alg, **kwargs)), encoding="utf-8")
 
 
+@gc_paused()
 def load_algebra(source) -> GKMAlgebra:
     """Rebuild an algebra from a dump dict, JSON text path, or Path."""
     if isinstance(source, (str, Path)):
         try:
             data = json.loads(Path(source).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DumpFormatError(f"cannot read dump: {exc}") from exc
     else:
         data = source

@@ -294,6 +294,36 @@ def test_charges_and_eigenvalue_vectors_must_be_json_lists(tmp_path, manifold, m
 
 
 @pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d["modes"]["products"][0][2].append([[1, 1], ""]),
+        lambda d: d["modes"]["products"][0][2].append([[1, 1], {}]),
+        lambda d: d["base"]["f"][0].__setitem__(3, ""),
+    ],
+    ids=["product-string", "product-object", "f-string"],
+)
+def test_surd_records_must_be_a_json_list(tmp_path, mutate, capsys):
+    # a string or an object iterates as no records, which would read as a stored zero
+    data = dump_algebra(build_algebra("su2", "s2", 1, charges=[1]))
+    mutate(data)
+    message = "surd records must be a list"
+    with pytest.raises(DumpFormatError, match=message):
+        load_algebra(copy.deepcopy(data))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["verify", str(bad)]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_a_dump_that_is_not_utf8_is_reported_as_unreadable(tmp_path, capsys):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe" + '{"schema_version": 1}'.encode("utf-16-le"))
+    assert main(["verify", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read dump: ") and "utf-8" in err
+
+
+@pytest.mark.parametrize(
     "flags",
     [["--budget", "0"], ["--budget", "-1"], ["--oracle-samples", "0"], ["--oracle-samples", "-1"],
      ["--budget", "many"]],
