@@ -6,8 +6,6 @@ paths share no code, so agreement to ~1e-13 is strong evidence both are
 right; the contract tolerance is 1e-10.
 """
 
-import numpy as np
-
 from gkmalg import (
     Sphere2Geometry,
     Sphere3Geometry,

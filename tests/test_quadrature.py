@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
 from math import comb
 from pathlib import Path
 
@@ -18,7 +19,9 @@ from gkmalg.modes import (
     parse_manifold,
 )
 from gkmalg.quadrature import (
+    _gauss_legendre,
     _jacobi,
+    _operator_factors,
     apply_invariant_operator,
     make_grid,
     mode_factors,
@@ -151,12 +154,51 @@ def test_mode_factors_are_memoised_read_only_axis_samples():
         for I in geo.enumerate_modes(2):
             factors = mode_factors(grid, I)
             assert mode_factors(grid, I) is factors  # memoised on the grid
-            assert [f.shape for f in factors] == [(n,) for n in grid.shape]
+            assert [len(f) for f in factors] == list(grid.shape)
+            assert all(type(f) is tuple for f in factors)  # shared factors are read-only
             vals = mode_values(grid, I)
             assert vals.flags.writeable and vals.dtype == complex
             assert abs(grid.integrate(vals * np.conj(vals)) - 1.0) < 1e-12
-        with pytest.raises(ValueError):
-            factors[0][0] = 0.0  # shared factors are read-only
+
+
+# -- the pure-Python factors against numpy -------------------------------------
+
+
+def _outer(factors):
+    return reduce(np.multiply.outer, [np.asarray(f) for f in factors])
+
+
+def test_gauss_legendre_rule_matches_numpy():
+    for n in range(1, 61):
+        nodes, weights = _gauss_legendre(n)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(np.asarray(nodes) - ref_nodes)) <= 1e-14, n
+        assert np.max(np.abs(np.asarray(weights) - ref_weights / 2)) <= 1e-14, n
+
+
+@pytest.mark.parametrize(
+    "geo,band", [(TorusGeometry(2), 3), (Sphere2Geometry(), 4), (Sphere3Geometry(), 3)]
+)
+def test_dft_derivative_factors_match_the_numpy_fft(geo, band):
+    grid = make_grid(geo, band)  # every mode the grid resolves
+    for I in geo.enumerate_modes(band):
+        for j in range(1, geo.r + 1):
+            reference = apply_invariant_operator(grid, j, mode_values(grid, I))
+            separable = _outer(_operator_factors(grid, j, I))
+            assert np.max(np.abs(separable - reference)) < 1e-13, (I, j)
+
+
+def test_array_helpers_are_outer_products_of_the_factors():
+    for _, geo, band in GEOMETRIES:
+        grid = make_grid(geo, band)
+        weights = grid.weights
+        assert isinstance(weights, np.ndarray) and weights.shape == grid.shape
+        assert np.array_equal(weights, _outer(grid.axis_weights))
+        for I in geo.enumerate_modes(1):
+            vals = mode_values(grid, I)
+            assert isinstance(vals, np.ndarray) and vals.shape == grid.shape
+            assert np.array_equal(vals, _outer(mode_factors(grid, I)))
+            assert grid.integrate(vals) == complex(np.sum(_outer(grid.axis_weights) * vals))
 
 
 # -- the polar factors ---------------------------------------------------------
@@ -210,7 +252,7 @@ def _normalized_legendre(l, m, z):
 
 def test_sphere_small_d_factor_matches_the_legendre_recurrence():
     grid = make_grid(Sphere2Geometry(), 30)  # 31 Gauss-Legendre nodes
-    z = grid.axes[0]
+    z = np.asarray(grid.axes[0])
     for l in range(31):
         for m in range(-l, l + 1):
             sign = (-1.0) ** (abs(m) % 2) if m < 0 else 1.0

@@ -1,4 +1,4 @@
-"""Start-up: numpy loads only for the quadrature oracle, and ``python -m`` runs the CLI.
+"""Start-up: no command loads numpy, and ``python -m`` runs the CLI.
 
 Each test runs a fresh interpreter, so what the package imports is seen as a
 new process sees it.
@@ -46,19 +46,20 @@ def test_build_wigner_roots_and_exact_verify_leave_numpy_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-_ORACLE_LOADS_NUMPY = """
+_VERIFY_WITHOUT_NUMPY = """
 import contextlib, io, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 from gkmalg.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     assert main("build --algebra su2 --manifold s2 --cutoff 2 --charges 1 --out a.json".split()) == 0
-    assert "numpy" not in sys.modules
-    assert main("verify a.json --suite oracle".split()) == 0
-assert "numpy" in sys.modules
+    for suite in ("all", "oracle"):
+        assert main(f"verify a.json --suite {suite}".split()) == 0, suite
+        assert sys.modules["numpy"] is None, suite
 """
 
 
-def test_the_oracle_loads_numpy(tmp_path):
-    proc = _python("-c", _ORACLE_LOADS_NUMPY, cwd=tmp_path)
+def test_verify_all_and_the_oracle_run_without_numpy(tmp_path):
+    proc = _python("-c", _VERIFY_WITHOUT_NUMPY, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
 
 
