@@ -35,12 +35,14 @@ equal tuples.  A coefficient with several surd terms (a tampered
 first use and kept column-major in ``_pair_cache``: one dict per right-hand
 id j, :meth:`GKMAlgebra.bracket_column`, maps i to the row of [X_i, X_j] and
 builds a missing row in its ``__missing__``, so a cached row is one dict
-lookup, with no key tuple.  A T-T row sums f_ab^c c_IJ^K,
-with the mode product as the integer row of
-:meth:`ModeSystem.product_row`, and g_ab omega_j(I, J), the cocycle factor
-of :meth:`ModeSystem.cocycle_pairing`, with :func:`gkmalg.scalars.contract`,
-the integer sum the checks use too.  Fractions appear only in views: a
-witness or a T-basis value is built as ``Fraction(n, den)``.
+lookup, with no key tuple.  A T-T row is a block: each term of the
+memoised row of f_ab^c times the integer row of
+:meth:`ModeSystem.product_row`, in (c, K) order, with T_cK's id from a
+per-c memo.  Its keys (id, d) are distinct, so no accumulator is needed
+(terms are merged only when a tampered f_ab^c has two radicands); the
+central part g_ab omega_j(I, J), from :meth:`ModeSystem.cocycle_pairing`,
+joins it, and one gcd puts the row in lowest terms.  Fractions appear only
+in views: a witness or a T-basis value is built as ``Fraction(n, den)``.
 
 :class:`GKMElement` brackets, with complex coefficients in the T basis, are
 a view over the rows.  Writing each generator as ``s * X`` with s = -i for T
@@ -78,7 +80,7 @@ from .liealg import (
 )
 from .modes import Eigen, Geometry, ModeLabel, ModeSystem, make_mode_system, parse_manifold
 from .report import gc_paused
-from .scalars import CSURD_ZERO, ComplexSurd, SurdScalar, contract, int_row, reduce_row
+from .scalars import CSURD_ZERO, ComplexSurd, SurdScalar, int_row, lowest_row, surd_product
 
 GenId = tuple  # ("T", a, mode) | ("D", j) | ("k", j)
 Row = tuple  # (den, ((k, d, n), ...)): sum of n/den * sqrt(d) * generator k, in the X basis
@@ -174,7 +176,8 @@ class GKMAlgebra:
     cw: CartanWeylData | None = None
     stored_brackets: list | None = field(default=None, repr=False)  # a dump's bracket table
     _pair_cache: dict = field(init=False, repr=False)  # j -> (i -> Row), see __post_init__
-    _f_rows: dict = field(default_factory=dict, init=False, repr=False)  # (a, b) -> row of f_ab^c
+    _f_rows: dict = field(default_factory=dict, init=False, repr=False)  # (a, b) -> f row and flag
+    _t_ids: dict = field(init=False, repr=False)  # c -> (K -> id of T_cK)
     _gens: list = field(init=False, repr=False)  # id -> generator
     _gen_ids: dict = field(init=False, repr=False)  # generator -> id
 
@@ -190,6 +193,7 @@ class GKMAlgebra:
         # reference leaves no cycle, so an algebra is freed as soon as its last user drops it
         owner = weakref.ref(self)
         self._pair_cache = _Memo(lambda j: _Memo(lambda i: owner()._bracket_gens(i, j)))
+        self._t_ids = _Memo(lambda c: _Memo(lambda K: owner().gen_id(("T", c, K))))
 
     # -- structure ----------------------------------------------------------
 
@@ -246,28 +250,38 @@ class GKMAlgebra:
         if kp == "T" and kq == "T":
             _, a, I = p
             _, b, J = q
-            # sum f_ab^c c_IJ^K and g_ab omega_n(I, J); the X-basis row is minus that
-            acc: dict = {}
-            scale = 1
+            # minus f_ab^c c_IJ^K X_cK, the f row times the product row
             frow = self._f_rows.get((a, b))
             if frow is None:
-                frow = self._f_rows[a, b] = int_row(self.base.structure(a, b).items())
-            if frow[1]:
+                fden, fterms = int_row(self.base.structure(a, b).items())
+                repeated = len({c for c, _, _ in fterms}) < len(fterms)
+                frow = self._f_rows[a, b] = fden, fterms, repeated
+            den, fterms, repeated = frow
+            terms: list = []
+            if fterms:
                 pden, pterms = self.modes.product_row(I, J)
-                gen_id = self.gen_id
-
-                def t_row(c: int) -> Row:  # rho_I rho_J as a row of the generators T_cK
-                    return pden, [(gen_id(("T", c, K)), d, n) for K, d, n in pterms]
-
-                scale = contract(acc, scale, frow, t_row)
+                den *= pden
+                for c, d1, n1 in fterms:
+                    ids = self._t_ids[c]
+                    terms += [(ids[K], *surd_product(d1, -n1, d2, n2)) for K, d2, n2 in pterms]
+                if repeated:  # an f_ab^c with two radicands: terms can meet, so sum them
+                    acc: dict = {}
+                    for k, d, n in terms:
+                        acc[k, d] = acc.get((k, d), 0) + n
+                    terms = [(k, d, n) for (k, d), n in acc.items() if n]
             gab = self.base.killing_entry(a, b)
             if not gab.is_zero and self.modes.eta(I)[0] == J:
-                omegas = int_row(
+                # minus g_ab omega_n(I, J) k_n, over the product of both denominators
+                gden, gterms = int_row([(None, gab)])
+                oden, oterms = int_row(
                     (self.gen_id(("k", n)), self.modes.cocycle_pairing(n, I, J))
                     for n in range(1, self.r + 1)
                 )
-                scale = contract(acc, scale, int_row([(None, gab)]), lambda _: omegas)
-            return reduce_row(acc, scale, -1)
+                terms = [(k, d, n * gden * oden) for k, d, n in terms]
+                for _, d1, n1 in gterms:
+                    terms += [(k, *surd_product(d1, -den * n1, d2, n2)) for k, d2, n2 in oterms]
+                den *= gden * oden
+            return lowest_row(den, terms)
         return ZERO_ROW
 
     def bracket_column(self, j: int) -> dict[int, Row]:

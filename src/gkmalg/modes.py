@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from .report import CheckFailed, CheckResult, checking
-from .scalars import SURD_ONE, SURD_ZERO, SurdScalar, int_row, surd_product
+from .scalars import SURD_ONE, SURD_ZERO, SurdScalar, int_row, lowest_row, surd_product
 from .wigner import _CG, _GAUNTS, _NORMED_CG, SpinTriple, _as_term, _gaunt_key, clebsch_gordan
 from .wigner import gaunt_normalized
 
@@ -36,6 +37,7 @@ class TorusGeometry:
     """T^n with plane-wave modes labelled by integer vectors."""
 
     kind = "torus"
+    eigen_den = 1  # every eigenvalue of the rule is a multiple of 1/eigen_den
 
     def __init__(self, n: int):
         if n < 1:
@@ -85,6 +87,7 @@ class Sphere2Geometry:
 
     kind = "sphere2"
     r = 1
+    eigen_den = 1
 
     name = "s2"
     unit: ModeLabel = (0, 0)
@@ -141,6 +144,7 @@ class Sphere3Geometry:
 
     kind = "sphere3"
     r = 2
+    eigen_den = 2
 
     unit: ModeLabel = (0, 0, 0)
 
@@ -183,11 +187,15 @@ class Sphere3Geometry:
         return label[0]
 
     def product(self, I: ModeLabel, J: ModeLabel) -> dict[ModeLabel, SurdScalar]:
+        return {K: SurdScalar._raw({d: Fraction(n, q)}) for K, d, n, q in self._product_terms(I, J)}
+
+    def _product_terms(self, I: ModeLabel, J: ModeLabel) -> list[tuple]:
+        """The nonzero terms ``(K, d, n, q)`` of rho_I rho_J, each ``n/q sqrt(d)`` on ints."""
         tj1, tm1, tmp1 = I
         tj2, tm2, tmp2 = J
         tm3 = tm1 + tm2
         tmp3 = tmp1 + tmp2
-        out: dict[ModeLabel, SurdScalar] = {}
+        out = []
         # memoised m-dependent factors as (d, num, den) terms num/den sqrt(d);
         # labels are validated (by SpinTriple) on a miss
         for tj3 in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
@@ -211,7 +219,7 @@ class Sphere3Geometry:
             if not n2:
                 continue
             d, n = surd_product(d1, n1, d2, n2)
-            out[(tj3, tm3, tmp3)] = SurdScalar._raw({d: Fraction(n, q1 * q2)})
+            out.append(((tj3, tm3, tmp3), d, n, q1 * q2))
         return out
 
     def eta(self, I: ModeLabel) -> tuple[ModeLabel, int]:
@@ -295,13 +303,19 @@ class ModeSystem:
         return table if table is not None else self.geometry.product(I, J)
 
     def product_row(self, I: ModeLabel, J: ModeLabel) -> tuple:
-        """rho_I rho_J as the memoised integer row ``(den, ((K, d, n), ...))``."""
+        """rho_I rho_J as the memoised integer row ``(den, ((K, d, n), ...))``; beyond the
+        cutoff it is the geometry's rule, on S^3 built straight from its int CG terms."""
         key = (I, J)
         row = self._table_rows.get(key) or self._ext_products.get(key)
         if row is None:
             table = self.products.get(key)
             if table is not None:
                 row = self._table_rows[key] = int_row(table.items())
+            elif isinstance(self.geometry, Sphere3Geometry):  # one lcm over the int CG terms
+                terms = self.geometry._product_terms(I, J)
+                scale = lcm(*[q for *_, q in terms])
+                row = lowest_row(scale, [(K, d, n * (scale // q)) for K, d, n, q in terms])
+                self._ext_products[key] = row
             else:
                 row = self._ext_products[key] = int_row(self.geometry.product(I, J).items())
         return row

@@ -8,12 +8,13 @@ sqrt(d) over distinct squarefree d are linearly independent over Q, so a
 value is zero iff its canonical term map is empty.
 
 Every product reduces to :func:`surd_product` on two terms, with int or
-Fraction coefficients: :meth:`SurdScalar.__mul__` is built on it, and so is
-:func:`contract`, the one rule the bracket-row builder and the exact checks
-sum with.  Those sums run on integer rows ``(den, ((key, d, n), ...))``:
-integer numerators n over one positive denominator, in lowest terms and
-with zero terms dropped (:func:`int_row`, :func:`reduce_row`), so equal
-rows are equal tuples and a sum is zero exactly when every numerator is.
+Fraction coefficients: :meth:`SurdScalar.__mul__` is built on it, and so
+are the block rows of the bracket-row builder and :func:`contract`, the one
+rule the exact checks sum with.  Both run on integer rows
+``(den, ((key, d, n), ...))``: integer numerators n over one positive
+denominator, in lowest terms and with zero terms dropped (:func:`int_row`,
+:func:`lowest_row`), so equal rows are equal tuples and a sum is zero
+exactly when every numerator is.
 
 Values are immutable after construction and safe to share between workers.
 Floats enter only at the oracle boundary via :meth:`SurdScalar.evalf`.
@@ -73,21 +74,12 @@ def surd_product(d1: int, q1, d2: int, q2):
     return (d1 // g) * (d2 // g), q1 * q2 * g
 
 
-def _lowest(scale: int, terms: list) -> tuple:
+def lowest_row(scale: int, terms: list) -> tuple:
     """The row of nonzero ``(key, d, n)`` terms over ``scale``, divided by their gcd."""
     g = gcd(scale, *[n for _, _, n in terms])
     if g == 1:
         return scale, tuple(terms)
     return scale // g, tuple([(key, d, n // g) for key, d, n in terms])
-
-
-def reduce_row(acc: dict, scale: int, factor: int = 1) -> tuple:
-    """The integer row of ``factor * acc / scale``, for a sum ``(key, d) -> n`` over ``scale``.
-
-    ``factor`` is a nonzero int.  Zero terms are dropped and the rest divided
-    by the gcd of the numerators and ``scale``; terms keep the order of ``acc``.
-    """
-    return _lowest(scale, [(key, d, factor * n) for (key, d), n in acc.items() if n])
 
 
 def int_row(entries, factor: int = 1) -> tuple:
@@ -97,7 +89,7 @@ def int_row(entries, factor: int = 1) -> tuple:
     """
     terms = [(key, d, q) for key, x in entries for d, q in x._terms.items()]
     scale = lcm(*[q.denominator for _, _, q in terms])
-    return _lowest(
+    return lowest_row(
         scale, [(key, d, factor * q.numerator * (scale // q.denominator)) for key, d, q in terms]
     )
 

@@ -14,18 +14,21 @@ are evaluated exactly on the X-basis bracket and form rows of
 :mod:`gkmalg.algebra`, and associativity on the mode-product rows of
 ``ModeSystem.product_row``.  Rows are integer numerators over one
 denominator, and every sum is :func:`gkmalg.scalars.contract` into an int
-accumulator over a running common denominator, so an item of these checks
-passes with no Fraction arithmetic.  Canonical rows compare as tuples, and
-two sums over different denominators compare cross-multiplied.  A failure's
-witness is read off the same exact sum: its first nonzero component, turned
-into a T-basis value by ``GKMAlgebra._t_value`` as ``Fraction(n, den)``.
+accumulator over a running common denominator.  Canonical rows compare as
+tuples, and two sums over different denominators compare cross-multiplied.
+The root grading is decided on the factorised tables the T-T rows are built
+from: a base part from the f and g tables, once per distinct base pair, and
+a mode part from the product, eta and eigenvalue tables.  Grading and
+eigenvalue additivity add and compare root and eigenvalue labels as int
+tuples over one denominator each (:func:`_eigen_ints`).  So a passing item
+of these checks does no Fraction arithmetic.  A failure's witness is read
+off the same sum or labels, and only then is a Fraction built: a sum's
+first nonzero component becomes a T-basis value by ``GKMAlgebra._t_value``.
 A bracket table a dump carries is compared entry by entry with the one read
 off the same rows.  A cached row costs one dict lookup: each check reads
 rows through the column getters of :meth:`GKMAlgebra.bracket_column`, and
 associativity reads products through a check-local column view of
-``ModeSystem.product_row``.  The root grading is decided and witnessed
-on the factorised tables the T-T rows are built from: a base part from the f
-and g tables, a mode part from the product, eta and eigenvalue tables.
+``ModeSystem.product_row``.
 
 :func:`_draw` alone picks the regime: a budget that covers the population
 checks every item in order ("exhaustive"); a smaller one checks that many
@@ -46,11 +49,12 @@ the count an in-order pass over every triple would give.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
 from bisect import bisect_right
-from math import comb
+from math import comb, isfinite, lcm
 
 from .algebra import GKMAlgebra, _Memo, build_algebra
 from .liealg import coefficients_in_span, jacobi_check_finite, killing_form
@@ -199,21 +203,36 @@ def associativity_check(
     return result
 
 
+def _scaled(scale: int):
+    """The map from a vector of rationals whose denominators divide ``scale`` to its numerators."""
+    return lambda vec: tuple(v.numerator * (scale // v.denominator) for v in vec)
+
+
+def _eigen_ints(ms: ModeSystem) -> tuple:
+    """``(scaled, eig)``: eigenvalue vectors as int tuples over the lcm of the table's and
+    the rule's denominators, ``eig[K]`` memoised for mode K, so label sums are int ones."""
+    dens = (v.denominator for e in ms.eigen_table.values() for v in e)
+    scaled = _scaled(lcm(ms.geometry.eigen_den, *dens))
+    return scaled, _Memo(lambda K: scaled(ms.eigen(K)))
+
+
 def eigen_additivity_check(ms: ModeSystem) -> CheckResult:
     with checking("eigen_additivity") as result:
+        eig = _eigen_ints(ms)[1]
         entries = (
             (I, J, target, K, c)
             for (I, J), table in ms.products.items()
-            for target in [tuple(a + b for a, b in zip(ms.eigen(I), ms.eigen(J)))]  # once per row
+            for target in [tuple(a + b for a, b in zip(eig[I], eig[J]))]  # once per row
             for K, c in table.items()
         )
         for I, J, target, K, c in result.tally("entries", entries):
-            if not c.is_zero and ms.eigen(K) != target:
+            if not c.is_zero and eig[K] != target:
+                expected = (a + b for a, b in zip(ms.eigen(I), ms.eigen(J)))
                 raise CheckFailed(
                     {
                         "modes": [list(I), list(J), list(K)],
                         "eigen_K": [str(v) for v in ms.eigen(K)],
-                        "expected": [str(v) for v in target],
+                        "expected": [str(v) for v in expected],
                     }
                 )
     return result
@@ -556,37 +575,36 @@ def _root_spaces(alg: GKMAlgebra) -> dict:
     }
 
 
-def _base_part(alg: GKMAlgebra, x, y, root) -> tuple:
-    """``(bracketed, kind, pairing)`` for base vectors x, y and the target root.
+def _base_part(alg: GKMAlgebra, x, y, line) -> tuple:
+    """``(bracketed, kind, pairing)`` for base vectors x, y and the target root's line.
 
-    ``bracketed`` is whether [x, y] != 0; ``kind`` is None when [x, y] lies in
-    the target root line (the Cartan span at root 0), else why it does not;
-    ``pairing`` is <x, y>.
+    ``line`` spans the target root space of g (the Cartan span at root 0), or
+    is None when the target is not a root.  ``bracketed`` is whether
+    [x, y] != 0; ``kind`` is None when [x, y] lies in ``line``, else why it
+    does not; ``pairing`` is <x, y>.
     """
-    base, cw = alg.base, alg.cw
-    w = base.bracket_vectors(x, y)
+    w = alg.base.bracket_vectors(x, y)
     bracketed, kind = not all(c.is_zero for c in w), None
-    if bracketed and root not in cw.root_vectors and any(root):
+    if bracketed and line is None:
         kind = "bracket outside the root system"
-    elif bracketed:
-        span = [cw.root_vectors[root]] if any(root) else cw.cartan
-        if coefficients_in_span(w, span) is None:
-            kind = "base part outside expected root line"
-    return bracketed, kind, base.killing_vectors(x, y)
+    elif bracketed and coefficients_in_span(w, line) is None:
+        kind = "base part outside expected root line"
+    return bracketed, kind, alg.base.killing_vectors(x, y)
 
 
-def _mode_part(ms: ModeSystem, I, J) -> tuple:
-    """``(products, central)`` for modes I, J, from the stored tables.
+def _mode_part(ms: ModeSystem, I, J, eig: _Memo) -> tuple:
+    """``(products, central)`` for modes I, J, from the stored tables and int eigenvalues ``eig``.
 
     ``products`` holds ``(K, drift)`` for each nonzero entry K of rho_I rho_J,
     in table order, with ``drift`` whether K's eigenvalues differ from I's
-    plus J's; ``central`` holds each nonzero cocycle factor
-    ``(j, omega_j(rho_I, rho_J))``, omega_j = I(j) eta_IJ.
+    plus J's; ``central`` holds ``(j, omega_j)`` for each nonzero cocycle
+    factor omega_j(rho_I, rho_J) = I(j) eta_IJ, whose value is ``omega_j()``.
     """
-    target = tuple(a + b for a, b in zip(ms.eigen(I), ms.eigen(J)))
-    products = [(K, ms.eigen(K) != target) for K, c in ms.product(I, J).items() if not c.is_zero]
-    omegas = ((j, ms.cocycle_pairing(j, I, J)) for j in range(1, ms.r + 1))
-    return products, [(j, omega) for j, omega in omegas if not omega.is_zero]
+    target = tuple(a + b for a, b in zip(eig[I], eig[J]))
+    products = [(K, eig[K] != target) for K, c in ms.product(I, J).items() if not c.is_zero]
+    partner, phase = ms.eta(I)
+    js = [j for j in range(1, ms.r + 1) if partner == J and phase and eig[I][j - 1]]
+    return products, [(j, functools.partial(ms.cocycle_pairing, j, I, J)) for j in js]
 
 
 def _grading_items(alg: GKMAlgebra, spaces: dict):
@@ -602,25 +620,32 @@ def _grading_items(alg: GKMAlgebra, spaces: dict):
 
     the formula :meth:`GKMAlgebra._bracket_gens` builds the T-T rows by, so
     each item is decided from a base part per distinct (x, y, target root)
-    and a mode part per (I, J), each computed once.  A central term off
-    (0, 0) is reported first, as its T-basis coefficient <x, y> omega_j of
-    the first such k_j; otherwise the first mode K of [u, v] whose
-    eigenvalues drift, or whose base part [x, y] leaves the root line.
+    and a mode part per (I, J), each computed once.  Root and eigenvalue
+    labels are int tuples over one denominator each, so their sums and
+    comparisons are int ones.  A central term off (0, 0) is reported first,
+    as its T-basis coefficient <x, y> omega_j of the first such k_j;
+    otherwise the first mode K of [u, v] whose eigenvalues drift, or whose
+    base part [x, y] leaves the root line.
     """
-    ms, bases, modes = alg.modes, {}, {}
-    pairs = itertools.combinations_with_replacement(spaces.items(), 2)
-    for ((alpha, m), us), ((beta, n), vs) in pairs:
-        root = tuple(a + b for a, b in zip(alpha, beta))
-        central_ok = not any(root) and not any(a + b for a, b in zip(m, n))
-        memo = bases.setdefault(root, {})
+    ms, cw, bases, modes = alg.modes, alg.cw, {}, {}
+    scaled, eig = _eigen_ints(ms)
+    roots = _scaled(lcm(*(v.denominator for alpha in cw.roots for v in alpha)))
+    lines = {roots(alpha): [x] for alpha, x in cw.root_vectors.items()}
+    lines[(0,) * cw.rank] = cw.cartan
+    labels = [(*label, roots(label[0]), scaled(label[1]), basis) for label, basis in spaces.items()]
+    pairs = itertools.combinations_with_replacement(labels, 2)
+    for (alpha, m, ia, im, us), (beta, n, ib, in_, vs) in pairs:
+        root = tuple(a + b for a, b in zip(ia, ib))
+        central_ok = not any(root) and not any(a + b for a, b in zip(im, in_))
+        line, memo = lines.get(root), bases.setdefault(root, {})
         for x, cx, I in us:
             for y, cy, J in vs:
                 base = memo.get((cx, cy))
                 if base is None:
-                    base = memo[cx, cy] = _base_part(alg, x, y, root)
+                    base = memo[cx, cy] = _base_part(alg, x, y, line)
                 mode = modes.get((I, J))
                 if mode is None:
-                    mode = modes[I, J] = _mode_part(ms, I, J)
+                    mode = modes[I, J] = _mode_part(ms, I, J, eig)
                 yield alpha, m, beta, n, _grading_witness(base, mode, central_ok)
 
 
@@ -629,7 +654,7 @@ def _grading_witness(base: tuple, mode: tuple, central_ok: bool) -> dict | None:
     (bracketed, kind, pairing), (products, central) = base, mode
     if central and not central_ok and not pairing.is_zero:
         j, omega = central[0]
-        return {"component": repr(("k", j)), "value": str(pairing * omega), "kind": "central"}
+        return {"component": repr(("k", j)), "value": str(pairing * omega()), "kind": "central"}
     if bracketed:
         for K, drift in products:
             if drift or kind:
@@ -688,6 +713,35 @@ def _oracle_band(ms: ModeSystem) -> int:
     return max(1, 2 * worst)
 
 
+def _quantity(ms: ModeSystem, tables: list, starts: list, i: int) -> tuple:
+    """The i-th oracle quantity ``(kind, args, exact value)``, built alone.
+
+    The stored product entries come first, in table order (the first entry
+    of ``tables[t]`` is the ``starts[t]``-th), then eta, each eigenvalue and
+    each cocycle factor of every mode.
+    """
+    if i < starts[-1]:
+        t = bisect_right(starts, i) - 1
+        (I, J), table = tables[t]
+        K, c = next(itertools.islice(table.items(), i - starts[t], None))
+        return "product", (I, J, K), c
+    mode, rest = divmod(i - starts[-1], 1 + 2 * ms.r)  # eta, then eigen and cocycle per j
+    I, j = ms.modes[mode], (rest + 1) // 2
+    J, phase = ms.eta(I)
+    if not rest:
+        return "eta", (I, J), phase
+    if rest % 2:
+        return "eigen", (j, I), ms.eigen(I)[j - 1]
+    return "cocycle", (j, I, J), ms.cocycle_pairing(j, I, J)
+
+
+def _json_number(x: float | complex) -> float | str | list:
+    """``x`` as JSON: a complex as ``[re, im]``, a NaN or an infinity as its text."""
+    if isinstance(x, complex):
+        return [_json_number(x.real), _json_number(x.imag)]
+    return x if isfinite(x) else str(x)
+
+
 def oracle_agreement_check(
     alg: GKMAlgebra | ModeSystem,
     samples: int = 500,
@@ -696,10 +750,12 @@ def oracle_agreement_check(
 ) -> CheckResult:
     """Exact tables vs quadrature: products, eta, eigenvalues, cocycles.
 
-    Enumerates every stored quantity and compares all of them, or ``samples``
-    of them drawn with the seed when the table is larger than that.  Exact
-    values are turned into floats only for the quantities drawn, each
-    distinct value once.  The integrals run on the pure-Python factors of
+    Compares every stored quantity (see :func:`_quantity`), or ``samples``
+    of them drawn with the seed when the table is larger than that; indices
+    are drawn first, and only the drawn quantities are built.  Exact values
+    are turned into floats only for the quantities drawn, each distinct
+    value once.  A quantity passes only when its delta is at most ``tol``,
+    so a NaN fails.  The integrals run on the pure-Python factors of
     :mod:`gkmalg.quadrature`, so the check never imports numpy.
     """
     with checking("oracle_agreement") as result:
@@ -711,37 +767,29 @@ def oracle_agreement_check(
             "eigen": numeric_eigencheck,
             "cocycle": numeric_cocycle_pairing,
         }
-        quantities: list[tuple] = []
-        for (I, J), table in ms.products.items():
-            for K, c in table.items():
-                quantities.append(("product", (I, J, K), c))
-        for I in ms.modes:
-            J, phase = ms.eta(I)
-            quantities.append(("eta", (I, J), phase))
-            for j in range(1, ms.r + 1):
-                quantities.append(("eigen", (j, I), ms.eigen(I)[j - 1]))
-                quantities.append(("cocycle", (j, I, J), ms.cocycle_pairing(j, I, J)))
         result.details["band"] = grid.band
         worst = 0.0
         floats = {}  # each distinct exact value is converted once
-        for kind, args, value in _draw(result, "samples", quantities, samples, seed):
+        tables = list(ms.products.items())
+        starts = list(itertools.accumulate(map(len, ms.products.values()), initial=0))
+        population = range(starts[-1] + (1 + 2 * ms.r) * len(ms.modes))
+        for i in _draw(result, "samples", population, samples, seed):
+            kind, args, value = _quantity(ms, tables, starts, i)
             if (exact := floats.get(value)) is None:
                 exact = floats[value] = float(value)
             numeric = numeric_of[kind](grid, *args)
             delta = abs(numeric - exact)
-            worst = max(worst, delta)
-            if delta > tol:
+            if not delta <= tol:  # a NaN fails too
                 raise CheckFailed(
                     {
                         "quantity": kind,
                         "labels": repr(args),
                         "exact": exact,
-                        "numeric": [numeric.real, numeric.imag]
-                        if isinstance(numeric, complex)
-                        else numeric,
-                        "delta": delta,
+                        "numeric": _json_number(numeric),
+                        "delta": _json_number(delta),
                     }
                 )
+            worst = max(worst, delta)
         result.details["max_delta"] = worst
     return result
 

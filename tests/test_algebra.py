@@ -12,7 +12,15 @@ from gkmalg import verify
 from gkmalg.algebra import GKMAlgebra, GKMElement, build_algebra
 from gkmalg.liealg import coefficients_in_span
 from gkmalg.modes import parse_manifold
-from gkmalg.scalars import CSURD_ZERO, SURD_ZERO, ComplexSurd, SurdScalar
+from gkmalg.scalars import (
+    CSURD_ZERO,
+    SURD_ZERO,
+    ComplexSurd,
+    SurdScalar,
+    contract,
+    int_row,
+    lowest_row,
+)
 from gkmalg.serialize import dump_algebra
 from gkmalg.verify import (
     Combinations,
@@ -22,6 +30,7 @@ from gkmalg.verify import (
     antisymmetry_check,
     associativity_check,
     cocycle_antisymmetry_check,
+    eigen_additivity_check,
     grading_check,
     invariance_check,
     jacobi_check_gkm,
@@ -389,6 +398,58 @@ def test_oracle_agreement_and_fault():
     assert result.witness["quantity"] == "product"
 
 
+def test_a_nan_from_the_oracle_fails_with_a_strict_json_witness(monkeypatch):
+    alg = build_algebra("su2", "s2", 1, charges=[1])
+    monkeypatch.setattr(verify, "numeric_product_coefficient", lambda *args: float("nan"))
+    result = oracle_agreement_check(alg, samples=1000, seed=0)
+    assert not result.passed and result.details["samples"] == 1
+    assert result.witness["quantity"] == "product"
+    assert (result.witness["numeric"], result.witness["delta"]) == ("nan", "nan")
+    json.dumps(result.to_dict(), allow_nan=False)  # no NaN literal in the report
+
+
+def _quantity_list(ms):
+    """The oracle's population as the list it was before it was indexed lazily."""
+    quantities = []
+    for (I, J), table in ms.products.items():
+        for K, c in table.items():
+            quantities.append(("product", (I, J, K), c))
+    for I in ms.modes:
+        J, phase = ms.eta(I)
+        quantities.append(("eta", (I, J), phase))
+        for j in range(1, ms.r + 1):
+            quantities.append(("eigen", (j, I), ms.eigen(I)[j - 1]))
+            quantities.append(("cocycle", (j, I, J), ms.cocycle_pairing(j, I, J)))
+    return quantities
+
+
+@pytest.mark.parametrize("manifold,cutoff", [("t2", 2), ("s2", 3), ("s3", 2)])
+def test_the_lazy_oracle_population_draws_as_the_list_did(monkeypatch, manifold, cutoff):
+    alg = build_algebra("su2", manifold, cutoff, charges=[1] * parse_manifold(manifold).r)
+    population = _quantity_list(alg.modes)
+    drawn, built, numeric_of = [], [], {}
+    for kind, name in [("product", "product_coefficient"), ("eta", "conjugation_pairing"),
+                       ("eigen", "eigencheck"), ("cocycle", "cocycle_pairing")]:
+        numeric = numeric_of[kind] = getattr(verify, f"numeric_{name}")
+        monkeypatch.setattr(
+            verify, f"numeric_{name}", lambda grid, *a, _f=numeric: drawn.append(a) or _f(grid, *a)
+        )
+    quantity = verify._quantity
+    monkeypatch.setattr(verify, "_quantity", lambda *a: built.append(1) or quantity(*a))
+    grid = verify.make_grid(alg.modes.geometry, verify._oracle_band(alg.modes))
+    for seed, samples in [(0, 100), (3, 100), (11, 100), (5, len(population))]:
+        drawn.clear()
+        built.clear()
+        result = oracle_agreement_check(alg, samples=samples, seed=seed)
+        sampled = samples < len(population)
+        expected = list(sample_items(population, samples, seed)) if sampled else population
+        assert result.passed and drawn == [args for _, args, _ in expected]
+        assert result.regime == ("sampled" if sampled else "exhaustive")
+        assert len(built) == samples
+        deltas = [abs(numeric_of[k](grid, *args) - float(v)) for k, args, v in expected]
+        assert result.details["max_delta"] == max(deltas)
+
+
 def test_oracle_converts_only_the_drawn_quantities(monkeypatch):
     alg = build_algebra("su2", "s2", 4, charges=[1])
     evalf = SurdScalar.evalf
@@ -490,7 +551,11 @@ def test_tampers_keep_their_verdicts_counts_and_witnesses(tamper):
 
 
 def test_a_passing_item_does_no_fraction_arithmetic(monkeypatch):
-    algs = [build_algebra("su2", "s2", 2, charges=[1]), build_algebra("su3", "t1", 1, charges=[1])]
+    algs = [
+        build_algebra("su2", "s2", 2, charges=[1]),
+        build_algebra("su3", "t1", 1, charges=[1]),
+        build_algebra("su2", "s3", 1, charges=[1, 1]),
+    ]
     for alg in algs:  # build every row the checks read
         assert run_suites(alg, "all").passed
 
@@ -500,9 +565,99 @@ def test_a_passing_item_does_no_fraction_arithmetic(monkeypatch):
     for name in ("__mul__", "__add__", "_mul", "_add"):
         monkeypatch.setattr(Fraction, name, forbidden)
     for alg in algs:
-        checks = (jacobi_check_gkm(alg), antisymmetry_check(alg), associativity_check(alg.modes))
+        checks = (
+            jacobi_check_gkm(alg),
+            antisymmetry_check(alg),
+            associativity_check(alg.modes),
+            eigen_additivity_check(alg.modes),
+        )
         for result in checks:
             assert result.passed and result.regime == "exhaustive", result.name
+
+
+FRACTION_OPERATORS = [
+    f"__{side}{op}__" for op in ("add", "sub", "mul", "truediv") for side in ("", "r")
+]
+
+
+def _grading_fraction_ops(monkeypatch, cutoff):
+    """The Fraction additions, subtractions, products and quotients of one grading check."""
+    alg = build_algebra("su2", "s3", cutoff, charges=[1, 1])
+    calls = []
+    with monkeypatch.context() as patch:
+        for name in FRACTION_OPERATORS:
+            method = getattr(Fraction, name)
+            patch.setattr(Fraction, name, lambda *a, _m=method: calls.append(1) or _m(*a))
+        result = grading_check(alg)
+    assert result.passed
+    return result.details["bracket_pairs"], len(calls)
+
+
+def test_grading_does_fraction_arithmetic_per_distinct_base_pair_only(monkeypatch):
+    # labels, eigenvalues and cocycle factors are decided on ints; what is left is the
+    # base part, computed once per distinct (x, y, target root), the same at every cutoff
+    (small, small_ops), (large, large_ops) = (_grading_fraction_ops(monkeypatch, c) for c in (2, 3))
+    assert large > 2 * small
+    assert 0 < small_ops == large_ops
+
+
+def _reference_row(alg: GKMAlgebra, i: int, j: int) -> tuple:
+    """The T-T row of [X_i, X_j] summed with ``contract``, as the rows were built before blocks."""
+    (_, a, I), (_, b, J) = alg.generator_of(i), alg.generator_of(j)
+    acc: dict = {}
+    scale = 1
+    frow = int_row(alg.base.structure(a, b).items())
+    if frow[1]:
+        pden, pterms = alg.modes.product_row(I, J)
+
+        def t_row(c: int) -> tuple:  # rho_I rho_J as a row of the generators T_cK
+            return pden, [(alg.gen_id(("T", c, K)), d, n) for K, d, n in pterms]
+
+        scale = contract(acc, scale, frow, t_row)
+    gab = alg.base.killing_entry(a, b)
+    if not gab.is_zero and alg.modes.eta(I)[0] == J:
+        omegas = int_row(
+            (alg.gen_id(("k", n)), alg.modes.cocycle_pairing(n, I, J)) for n in range(1, alg.r + 1)
+        )
+        scale = contract(acc, scale, int_row([(None, gab)]), lambda _: omegas)
+    return lowest_row(scale, [(k, d, -n) for (k, d), n in acc.items() if n])
+
+
+def _two_radicands(alg):
+    # f_12^3 + sqrt 2 meets rho_(1,0)^2 = 1 + sqrt 2 at (2, 0): four terms, two keys
+    f = alg.base.f
+    f[(1, 2)][3] = f[(1, 2)][3] + SurdScalar.sqrt(2)
+    f[(2, 1)][3] = f[(2, 1)][3] - SurdScalar.sqrt(2)
+    alg.modes.products[((1, 0), (1, 0))][(2, 0)] = SurdScalar({1: 1, 2: 1})
+
+
+@pytest.mark.parametrize(
+    "base,manifold,cutoff,tamper",
+    [
+        ("su2", "s3", 2, None),
+        ("su3", "s2", 1, None),
+        ("su2", "t2", 1, None),
+        ("su2", "s2", 1, _two_radicands),
+    ],
+    ids=["su2/s3/c2", "su3/s2/c1", "su2/t2/c1", "su2/s2/c1 two radicands"],
+)
+def test_block_rows_equal_the_contracted_rows(base, manifold, cutoff, tamper):
+    alg = build_algebra(base, manifold, cutoff, charges=[1] * parse_manifold(manifold).r)
+    if tamper is not None:
+        tamper(alg)
+    run_suites(alg, "all")
+    ids = len(alg._gens)
+    rows = [(i, j, row) for j, column in alg._pair_cache.items() for i, row in column.items()]
+    kinds = [g[0] for g in alg._gens]
+    tt = [(i, j, row) for i, j, row in rows if kinds[i] == kinds[j] == "T"]
+    assert len(tt) > len(rows) // 2
+    for i, j, row in tt:
+        assert row == _reference_row(alg, i, j), (alg.generator_of(i), alg.generator_of(j))
+    assert len(alg._gens) == ids  # the reference assigned no new generator ids
+    if tamper is not None:  # the merged terms are there, once each
+        row = alg.bracket_row(alg.gen_id(("T", 1, (1, 0))), alg.gen_id(("T", 2, (1, 0))))
+        keys = [(k, d) for k, d, _ in row[1]]
+        assert len(keys) == len(set(keys)) and (alg.gen_id(("T", 3, (2, 0))), 2) in keys
 
 
 def test_a_tamper_below_double_precision_fails_with_the_same_witnesses():

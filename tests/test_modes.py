@@ -19,7 +19,7 @@ from gkmalg.modes import (
     make_mode_system,
     parse_manifold,
 )
-from gkmalg.scalars import SURD_ZERO, SurdScalar
+from gkmalg.scalars import SURD_ZERO, SurdScalar, int_row
 from gkmalg.serialize import dump_algebra
 from gkmalg.verify import (
     associativity_check,
@@ -210,6 +210,18 @@ def test_an_out_of_cutoff_product_is_the_rule_and_is_not_memoised(geometry, I, J
     table, rule = ms.product(I, J), geometry.product(I, J)
     assert table == rule and list(table) == list(rule) and table
     assert ms._ext_products == {}  # so stats.ext_products counts only what the checks ask for
+
+
+@pytest.mark.parametrize("half_integer", [True, False])
+def test_s3_rows_beyond_the_cutoff_are_the_rule_products(half_integer):
+    # built straight from the int CG terms, they must be the int rows of the SurdScalar rule
+    geometry = Sphere3Geometry(half_integer)
+    ms = make_mode_system(geometry, 0)
+    labels = geometry.enumerate_modes(6)
+    for I, J in itertools.product(labels, labels):
+        if (I, J) not in ms.products:
+            assert ms.product_row(I, J) == int_row(geometry.product(I, J).items()), (I, J)
+    assert len(ms._ext_products) == len(labels) ** 2 - 1
 
 
 @pytest.mark.parametrize(
