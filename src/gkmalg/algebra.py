@@ -420,12 +420,23 @@ class GKMAlgebra:
         alpha = tuple(Fraction(v) for v in alpha)
         if any(alpha) and alpha not in cw.root_vectors:
             raise ValueError(f"{alpha} is not a root of {self.base.name}")
-        return [self.vector_element(x, I) for x, I in self._root_basis(alpha, n)]
+        modes = self._modes_by_eigen().get(n, ())
+        return [self.vector_element(x, I) for x, I in self._root_basis(alpha, modes)]
 
-    def _root_basis(self, alpha: RootVec, n: Eigen):
-        """Yield ``(x, I)`` for the basis x (x) rho_I of g_(alpha, n), mode outer."""
+    def _modes_by_eigen(self) -> dict:
+        """Each eigenvalue vector n -> the modes within the cutoff that carry it, in mode order."""
+        groups: dict = {}
+        for I in self.modes.modes:
+            groups.setdefault(self.modes.eigen(I), []).append(I)
+        return groups
+
+    def _root_basis(self, alpha: RootVec, modes):
+        """Yield ``(x, I)`` for the basis x (x) rho_I of g_(alpha, n), mode outer.
+
+        ``modes`` are the modes of eigenvalue n, from :meth:`_modes_by_eigen`.
+        """
         vectors = [self.cw.root_vectors[alpha]] if any(alpha) else self.cw.cartan
-        return ((x, I) for I in self.modes.modes if self.modes.eigen(I) == n for x in vectors)
+        return ((x, I) for I in modes for x in vectors)
 
     def root_space_labels(self) -> list[tuple[RootVec, Eigen]]:
         """All (alpha | 0, n) labels with nonempty spaces within the cutoff."""

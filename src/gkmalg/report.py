@@ -4,7 +4,10 @@
 times the check's :class:`CheckResult` and turns a :class:`CheckFailed`
 raised by the check body into a failure carrying the witness.  It imports
 nothing from the package, so every module that defines a check can use it.
-Check bodies, and the builds, dumps and loads, run under :func:`gc_paused`.
+Check bodies, and the builds, dumps and loads, run under :func:`gc_paused`,
+which on its way out moves what they built into the collector's oldest
+generation (CPython's ``gc.freeze``/``gc.unfreeze``), so young collections
+after the pause do not re-scan it.
 """
 
 from __future__ import annotations
@@ -89,6 +92,16 @@ def gc_paused():
     form no cycles, so reference counting alone frees them.  The collector is
     re-enabled afterwards only if it was on before, so a caller that turned
     it off finds it off.  Also usable as a decorator.
+
+    Before re-enabling it, the pause moves every tracked object into the
+    oldest generation with ``gc.freeze(); gc.unfreeze()``, which CPython does
+    in constant time and which zeroes the young count.  So the first young
+    collection after the pause does not scan what the body built, and no later
+    one does either; only a full collection looks at it again.  That is safe
+    for the same reason as the pause: what the body leaves alive holds no
+    cycles to free sooner.  The promotion is skipped when the caller has
+    frozen objects, since ``gc.unfreeze`` would thaw them too, and when the
+    collector was off, so such callers see exactly the plain pause.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -96,6 +109,9 @@ def gc_paused():
         yield
     finally:
         if was_enabled:
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 

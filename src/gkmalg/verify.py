@@ -568,10 +568,12 @@ def _root_spaces(alg: GKMAlgebra) -> dict:
     ``code`` numbers the distinct base vectors x by value, so memo keys on
     them hash cheaply.
     """
-    codes = {}
+    codes, by_eigen = {}, alg._modes_by_eigen()
     return {
-        label: [(x, codes.setdefault(x, len(codes)), I) for x, I in alg._root_basis(*label)]
-        for label in alg.root_space_labels()
+        (alpha, n): [
+            (x, codes.setdefault(x, len(codes)), I) for x, I in alg._root_basis(alpha, by_eigen[n])
+        ]
+        for alpha, n in alg.root_space_labels()
     }
 
 

@@ -35,8 +35,10 @@ Memos, all in-process under plain int keys: 3j symbols in ``_CACHE`` by
 2-sphere never reads); ``gaunt_normalized`` in ``_GAUNTS`` by the
 sign-canonical ``_gaunt_key``; the two halves of the SU(2) product rule,
 ``d_product_norm * CG`` and the bare CG, as ``(d, num, den)`` int terms in
-``_NORMED_CG`` and ``_CG`` by (tj1, tj2, tj3, tm1, tm2); and the
-squarefree part of n! by n.  ``clear_cache`` empties every one of them.
+``_NORMED_CG`` and ``_CG`` by (tj1, tj2, tj3, tm1, tm2); the squarefree
+part of n! by n; and the two m-free pieces of ``gaunt_normalized``, the
+root ``sqrt((2l+1) (l+m)! (l-m)!)`` of each column by (l, m) and the signed
+triangle factor by (l1, l2, l3).  ``clear_cache`` empties every one of them.
 """
 
 from __future__ import annotations
@@ -293,25 +295,39 @@ def _gaunt_key(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> tuple[in
     return l1, m1, l2, m2, l3, m3
 
 
+@lru_cache(maxsize=None)
+def _column_root(l: int, m: int) -> tuple[int, int]:
+    """``(d, s)`` with ``s sqrt(d) = sqrt((2l+1) (l+m)! (l-m)!)``, d squarefree."""
+    s, _, d = _sqrt_factorial_ratio((l + m, l - m, 2 * l + 1), (2 * l,))  # an integer: den 1
+    return d, s
+
+
+@lru_cache(maxsize=None)
+def _triangle_factor(l1: int, l2: int, l3: int) -> Fraction:
+    """``(-1)^(g+l1+l2) Delta g! / ((g-l1)! (g-l2)! (g-l3)!)`` of the module docstring."""
+    g = (l1 + l2 + l3) // 2
+    # Delta's numerator, where l1 + l2 - l3 = 2(g - l3) and so on
+    num = factorial(2 * (g - l1)) * factorial(2 * (g - l2)) * factorial(2 * (g - l3))
+    num *= factorial(g)
+    den = factorial(2 * g + 1) * factorial(g - l1) * factorial(g - l2) * factorial(g - l3)
+    return Fraction(-num if (g + l1 + l2) % 2 else num, den)
+
+
 def _gaunt(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> SurdScalar:
-    """The fused triple-product coefficient of the module docstring."""
+    """The fused triple-product coefficient of the module docstring.
+
+    Only the Racah sum S is computed per call; the root of each column and
+    the m-free triangle factor are memoised.
+    """
     if (l1 + l2 + l3) % 2 or m1 + m2 != m3 or not abs(l1 - l2) <= l3 <= l1 + l2:
         return SURD_ZERO
     total, common = _alternating_sum(l1 + l2 - l3, l1 - m1, l2 + m2, l3 - l2 + m1, l3 - l1 - m2)
     if not total:
         return SURD_ZERO
-    num, den, radicand = _sqrt_factorial_ratio(
-        (l1 + m1, l1 - m1, l2 + m2, l2 - m2, l3 + m3, l3 - m3, 2 * l1 + 1, 2 * l2 + 1, 2 * l3 + 1),
-        (2 * l1, 2 * l2, 2 * l3),
-    )
-    g = (l1 + l2 + l3) // 2
-    # Delta g! / ((g-l1)! (g-l2)! (g-l3)!), where l1 + l2 - l3 = 2(g - l3) and so on
-    num *= factorial(2 * (g - l1)) * factorial(2 * (g - l2)) * factorial(2 * (g - l3))
-    num *= factorial(g)
-    den *= factorial(2 * g + 1) * factorial(g - l1) * factorial(g - l2) * factorial(g - l3)
-    if (g + l1 + l2) % 2:
-        total = -total
-    return SurdScalar._raw({radicand: Fraction(total * num, common * den)})
+    d, s = surd_product(*_column_root(l1, m1), *_column_root(l2, m2))
+    d, s = surd_product(d, s, *_column_root(l3, m3))
+    t = _triangle_factor(l1, l2, l3)
+    return SurdScalar._raw({d: Fraction(total * s * t.numerator, common * t.denominator)})
 
 
 def gaunt_normalized(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> SurdScalar:
@@ -346,4 +362,5 @@ def clear_cache() -> None:
     """Empty the 3j memo and every other coupling memo."""
     for memo in (_CACHE, _GAUNTS, _NORMED_CG, _CG):
         memo.clear()
-    _factorial_radicand.cache_clear()
+    for memo in (_factorial_radicand, _column_root, _triangle_factor):
+        memo.cache_clear()

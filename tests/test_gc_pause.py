@@ -1,9 +1,11 @@
 """The cyclic collector is held off while an algebra is built, dumped, loaded and checked.
 
 Every such phase runs under ``report.gc_paused``: the collector is off inside
-it and back in the caller's state after it, however it ends.  The pause is
-safe only while those phases make no cyclic garbage, which the last test
-pins, so a cycle added later fails here before it can leak under the pause.
+it and back in the caller's state after it, however it ends.  Leaving a pause
+moves what it built into the oldest generation, unless the caller froze
+objects or had the collector off.  The pause and the move are safe only while
+those phases make no cyclic garbage, which the last test pins, so a cycle
+added later fails here before it can wait for a full collection.
 """
 
 import copy
@@ -105,6 +107,57 @@ def test_no_collection_starts_inside_build_dump_or_load(tmp_path):
         gc.callbacks.remove(probe)
         (gc.enable if was_enabled else gc.disable)()
     assert inside == []
+
+
+def _leaves_a_pause(frame) -> bool:
+    """Whether ``frame`` runs the exit of a ``gc_paused`` block, in its body or its manager."""
+    body = inspect.unwrap(gc_paused).__code__
+    if frame.f_code is body:
+        return True
+    manager = frame.f_locals.get("self") if frame.f_code.co_name == "__exit__" else None
+    return getattr(getattr(manager, "gen", None), "gi_code", None) is body
+
+
+def test_a_pause_hands_what_it_built_to_the_oldest_generation(tmp_path):
+    exits = []
+
+    def probe(phase, info):
+        frame = inspect.currentframe().f_back
+        while phase == "start" and frame is not None:
+            if _leaves_a_pause(frame):
+                exits.append(info["generation"])
+                return
+            frame = frame.f_back
+
+    path = tmp_path / "c4.json"
+    was_enabled = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(probe)
+    try:
+        alg = build_algebra("su2", "s2", 4, charges=[1])
+        oldest = any(obj is alg.modes.products for obj in gc.get_objects(generation=2))
+        path.write_text(json.dumps(dump_algebra(alg)))
+        assert run_suites(load_algebra(path), "all").passed
+    finally:
+        gc.callbacks.remove(probe)
+        (gc.enable if was_enabled else gc.disable)()
+    assert exits == []
+    assert oldest
+
+
+def test_a_callers_frozen_objects_stay_frozen(collector):
+    gc.freeze()
+    frozen = gc.get_freeze_count()
+    try:
+        alg = build_algebra("su2", "t2", 1, charges=[1, 1])
+        assert gc.get_freeze_count() == frozen
+        loaded = load_algebra(dump_algebra(alg))
+        assert gc.get_freeze_count() == frozen
+        # not "all": the oracle's decimal contexts replace, and so free, a frozen object
+        assert run_suites(loaded, "jacobi").passed
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
 
 
 @pytest.mark.parametrize(
