@@ -52,7 +52,13 @@ real in the X basis: the form row of a generator pair,
 :meth:`GKMAlgebra.form_row`, is read straight off the g and eta tables as
 <X_aI, X_bJ> = -g_ab eta_IJ, with <D_i, k_j> = delta_ij by definition, as an
 integer row whose one output, a scalar, has the key None; and
-``killing_generators`` and ``killing`` are views over it.  These phases are
+``killing_generators`` and ``killing`` are views over it.  The views of
+elements are the bilinear extensions of the generator views and nothing
+more: :meth:`GKMAlgebra.bracket` sums ``_row_view`` of each generator pair,
+scaled by the product of the two coefficients, with :class:`GKMElement`
+addition, and :meth:`GKMAlgebra.killing` sums the ``form_row`` values the
+same way with :class:`ComplexSurd` addition, each of which keeps its own
+canonical form (a zero coefficient is dropped).  These phases are
 nonzero, so Jacobi, antisymmetry and invariance hold on the rows exactly when
 they hold on the elements; :mod:`gkmalg.verify` checks them on the rows, and
 :meth:`GKMAlgebra._t_value`, the one place the phase rule is written, turns
@@ -68,6 +74,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Mapping
 
 from .liealg import (
@@ -115,15 +122,8 @@ class GKMElement:
 
     def __add__(self, other: "GKMElement") -> "GKMElement":
         self._check_peer(other)
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            acc = out.get(g)
-            total = c if acc is None else acc + c
-            if total.is_zero:
-                out.pop(g, None)
-            else:
-                out[g] = total
-        return GKMElement(self.algebra, out)
+        keys = self.coeffs | other.coeffs
+        return GKMElement(self.algebra, {g: self.coefficient(g) + other.coefficient(g) for g in keys})
 
     def __neg__(self) -> "GKMElement":
         return GKMElement(self.algebra, {g: -c for g, c in self.coeffs.items()})
@@ -146,11 +146,7 @@ class GKMElement:
     def fold_charges(self) -> ComplexSurd:
         """Scalar obtained by replacing each central generator by its charge."""
         charges = self.algebra.charges
-        total = CSURD_ZERO
-        for g, c in self.coeffs.items():
-            if g[0] == "k":
-                total = total + c * charges[g[1] - 1]
-        return total
+        return sum((c * charges[g[1] - 1] for g, c in self.central_part().items()), CSURD_ZERO)
 
     def __eq__(self, other):
         return isinstance(other, GKMElement) and self.coeffs == other.coeffs
@@ -161,8 +157,8 @@ class GKMElement:
         bits = [f"({c}) {g}" for g, c in sorted(self.coeffs.items(), key=lambda kv: repr(kv[0]))]
         return "GKMElement(" + " + ".join(bits) + ")"
 
-    def _check_peer(self, other: "GKMElement") -> None:
-        if other.algebra is not self.algebra:
+    def _check_peer(self, *others: "GKMElement") -> None:
+        if any(other.algebra is not self.algebra for other in others):
             raise ValueError("elements belong to different algebras")
 
 
@@ -323,25 +319,14 @@ class GKMAlgebra:
         return GKMElement(self, dict(self._row_view(self.gen_id(p), self.gen_id(q))))
 
     def bracket(self, x: GKMElement, y: GKMElement) -> GKMElement:
-        if x.algebra is not self or y.algebra is not self:
-            raise ValueError("elements belong to different algebras")
-        total: dict[GenId, ComplexSurd] = {}
+        """[x, y], the bilinear extension of the generator rows."""
+        total = self.zero()
+        total._check_peer(x, y)
         for p, cp in x.coeffs.items():
             i = self.gen_id(p)
             for q, cq in y.coeffs.items():
-                view = self._row_view(i, self.gen_id(q))
-                if not view:
-                    continue
-                weight = cp * cq
-                for gen, value in view:
-                    term = weight * value
-                    acc = total.get(gen)
-                    out = term if acc is None else acc + term
-                    if out.is_zero:
-                        total.pop(gen, None)
-                    else:
-                        total[gen] = out
-        return GKMElement(self, total)
+                total += GKMElement(self, dict(self._row_view(i, self.gen_id(q)))).scale(cp * cq)
+        return total
 
     # -- invariant form -----------------------------------------------------
 
@@ -381,15 +366,10 @@ class GKMAlgebra:
         return self._t_value(den, {d: n for _, d, n in terms}, (i, j))
 
     def killing(self, x: GKMElement, y: GKMElement) -> ComplexSurd:
-        if x.algebra is not self or y.algebra is not self:
-            raise ValueError("elements belong to different algebras")
-        total = CSURD_ZERO
-        for p, cp in x.coeffs.items():
-            for q, cq in y.coeffs.items():
-                pairing = self.killing_generators(p, q)
-                if not pairing.is_zero:
-                    total = total + cp * cq * pairing
-        return total
+        """<x, y>, the bilinear extension of the generator form rows."""
+        self.zero()._check_peer(x, y)
+        pairs = product(x.coeffs.items(), y.coeffs.items())
+        return sum((cp * cq * self.killing_generators(p, q) for (p, cp), (q, cq) in pairs), CSURD_ZERO)
 
     # -- root spaces ----------------------------------------------------------
 

@@ -64,35 +64,21 @@ class FiniteAlgebra:
         return self.g[a - 1][b - 1]
 
     def bracket_vectors(self, x: Vector, y: Vector) -> Vector:
-        """[x, y] for coordinate vectors in the T_a basis (i f convention)."""
-        out = [CSURD_ZERO] * self.dim
-        for a, xa in enumerate(x, start=1):
-            if xa.is_zero:
-                continue
-            for b, yb in enumerate(y, start=1):
-                if yb.is_zero:
-                    continue
-                row = self.f.get((a, b))
-                if not row:
-                    continue
-                coeff = (xa * yb).times_i()
-                for c, fabc in row.items():
-                    out[c - 1] = out[c - 1] + coeff * fabc
-        return tuple(out)
+        """[x, y] = sum_ab x_a y_b i f_ab^c T_c for coordinate vectors in the T_a basis."""
+        terms = [
+            (c, (xa * yb).times_i() * fabc)
+            for a, xa in enumerate(x, start=1) if xa
+            for b, yb in enumerate(y, start=1) if yb
+            for c, fabc in self.structure(a, b).items()
+        ]
+        return tuple(sum((v for c, v in terms if c == k), CSURD_ZERO) for k in range(1, self.dim + 1))
 
     def killing_vectors(self, x: Vector, y: Vector) -> ComplexSurd:
         """Bilinear extension of g_ab to coordinate vectors."""
-        total = CSURD_ZERO
-        for a, xa in enumerate(x, start=1):
-            if xa.is_zero:
-                continue
-            for b, yb in enumerate(y, start=1):
-                if yb.is_zero:
-                    continue
-                gab = self.g[a - 1][b - 1]
-                if not gab.is_zero:
-                    total = total + xa * yb * gab
-        return total
+        return sum(
+            (xa * yb * gab for xa, row in zip(x, self.g) if xa for yb, gab in zip(y, row) if yb and gab),
+            CSURD_ZERO,
+        )
 
 
 def killing_form(f, dim: int) -> tuple[tuple[SurdScalar, ...], ...]:

@@ -25,8 +25,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from .report import CheckFailed, CheckResult, checking
-from .scalars import SURD_ONE, SURD_ZERO, SurdScalar, int_row, lowest_row, surd_product
-from .wigner import _CG, _GAUNTS, _NORMED_CG, SpinTriple, _as_term, _gaunt_key, clebsch_gordan
+from .scalars import SURD_ONE, SURD_ZERO, SurdScalar, int_row, lowest_row, squarefree_split
+from .scalars import surd_product
+from .wigner import _CG, _GAUNTS, SpinTriple, _as_term, _gaunt_key, clebsch_gordan
 from .wigner import gaunt_normalized
 
 ModeLabel = tuple[int, ...]
@@ -66,6 +67,10 @@ class TorusGeometry:
             modes = [m + (k,) for m in modes for k in rng]
         return sorted(modes)
 
+    def mode_count(self, cutoff: int) -> int:
+        """``len(enumerate_modes(cutoff))`` for cutoff >= 0, without enumerating."""
+        return (2 * cutoff + 1) ** self.n
+
     def degree(self, label: ModeLabel) -> int:
         return max((abs(m) for m in label), default=0)
 
@@ -103,6 +108,10 @@ class Sphere2Geometry:
         if cutoff < 0:
             raise ValueError("cutoff must be >= 0")
         return [(l, m) for l in range(cutoff + 1) for m in range(-l, l + 1)]
+
+    def mode_count(self, cutoff: int) -> int:
+        """``len(enumerate_modes(cutoff))`` for cutoff >= 0, without enumerating."""
+        return (cutoff + 1) ** 2
 
     def degree(self, label: ModeLabel) -> int:
         return label[0]
@@ -183,6 +192,13 @@ class Sphere3Geometry:
                     out.append((tj, tm, tmp))
         return out
 
+    def mode_count(self, cutoff: int) -> int:
+        """``len(enumerate_modes(cutoff))`` for cutoff >= 0: a sum of (2j+1)^2, without enumerating."""
+        if self.half_integer:
+            return (cutoff + 1) * (cutoff + 2) * (2 * cutoff + 3) // 6
+        k = cutoff // 2  # 2j = 0, 2, ..., 2k
+        return (k + 1) * (2 * k + 1) * (2 * k + 3) // 3
+
     def degree(self, label: ModeLabel) -> int:
         return label[0]
 
@@ -196,30 +212,22 @@ class Sphere3Geometry:
         tm3 = tm1 + tm2
         tmp3 = tmp1 + tmp2
         out = []
-        # memoised m-dependent factors as (d, num, den) terms num/den sqrt(d);
-        # labels are validated (by SpinTriple) on a miss
+        # a term is d_product_norm = s sqrt(e) / (2j3+1), with s^2 e = (2j1+1)(2j2+1)(2j3+1),
+        # times the memoised CG terms of the m and the m' column
+        dims = (tj1 + 1) * (tj2 + 1)
         for tj3 in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
             if abs(tm3) > tj3 or abs(tmp3) > tj3:
                 continue
-            key = (tj1, tj2, tj3, tm1, tm2)
-            left = _NORMED_CG.get(key)
-            if left is None:
-                cg = clebsch_gordan(SpinTriple(tj1, tj2, tj3, tm1, tm2, tm3))
-                # d_product_norm * CG: sqrt((2j1+1)(2j2+1)(2j3+1)) / (2j3+1) * CG
-                left = _NORMED_CG[key] = _as_term(cg, (tj1 + 1) * (tj2 + 1) * (tj3 + 1), tj3 + 1)
-            d1, n1, q1 = left
+            d1, n1, q1 = _CG.get((tj1, tj2, tj3, tm1, tm2)) or _cg_miss(tj1, tj2, tj3, tm1, tm2)
             if not n1:
                 continue
-            key = (tj1, tj2, tj3, tmp1, tmp2)
-            right = _CG.get(key)
-            if right is None:
-                cg = clebsch_gordan(SpinTriple(tj1, tj2, tj3, tmp1, tmp2, tmp3))
-                right = _CG[key] = _as_term(cg)
-            d2, n2, q2 = right
+            d2, n2, q2 = _CG.get((tj1, tj2, tj3, tmp1, tmp2)) or _cg_miss(tj1, tj2, tj3, tmp1, tmp2)
             if not n2:
                 continue
-            d, n = surd_product(d1, n1, d2, n2)
-            out.append(((tj3, tm3, tmp3), d, n, q1 * q2))
+            s, e = squarefree_split(dims * (tj3 + 1))
+            d, n = surd_product(d1, n1 * s, e, 1)
+            d, n = surd_product(d, n, d2, n2)
+            out.append(((tj3, tm3, tmp3), d, n, q1 * q2 * (tj3 + 1)))
         return out
 
     def eta(self, I: ModeLabel) -> tuple[ModeLabel, int]:
@@ -232,6 +240,16 @@ class Sphere3Geometry:
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "half_integer": self.half_integer}
+
+
+def _cg_miss(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int) -> tuple[int, int, int]:
+    """Memoise <j1 m1; j2 m2 | j3 m1+m2> in ``wigner._CG`` as a ``(d, num, den)`` term.
+
+    The one call of :func:`clebsch_gordan` (which validates the labels) on a miss.
+    """
+    cg = clebsch_gordan(SpinTriple(tj1, tj2, tj3, tm1, tm2, tm1 + tm2))
+    _CG[tj1, tj2, tj3, tm1, tm2] = term = _as_term(cg)
+    return term
 
 
 Geometry = TorusGeometry | Sphere2Geometry | Sphere3Geometry

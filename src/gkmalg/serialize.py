@@ -283,8 +283,11 @@ def _load_v1(data: dict) -> GKMAlgebra:
     for label in {*modes, *entries, *partners}:  # the keys are checked against the modes below
         geometry.validate(label)
     cutoff = _int(mode_blk["cutoff"], "cutoff")
-    # an absent row would fall back to the geometry rules and go unchecked
-    if modes != geometry.enumerate_modes(cutoff):
+    # an absent row would fall back to the geometry rules and go unchecked.  The counts go
+    # first, so a crafted cutoff or torus dimension enumerates no more labels than are stored;
+    # every geometry has at least `cutoff` labels, so a larger cutoff is refused uncounted
+    counted = cutoff <= len(modes) and len(modes) == geometry.mode_count(cutoff)
+    if not counted or modes != geometry.enumerate_modes(cutoff):
         raise DumpFormatError("malformed dump: mode list disagrees with the geometry and cutoff")
     pairs = {(I, J) for I in modes for J in modes}
     if products.keys() != pairs or len(rows) != len(pairs):  # a repeated row: the last is read

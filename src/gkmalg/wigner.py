@@ -33,12 +33,13 @@ plain integers (l, m).
 Memos, all in-process under plain int keys: 3j symbols in ``_CACHE`` by
 ``_canonical_key`` (the only memo ``cache_size`` counts, which the
 2-sphere never reads); ``gaunt_normalized`` in ``_GAUNTS`` by the
-sign-canonical ``_gaunt_key``; the two halves of the SU(2) product rule,
-``d_product_norm * CG`` and the bare CG, as ``(d, num, den)`` int terms in
-``_NORMED_CG`` and ``_CG`` by (tj1, tj2, tj3, tm1, tm2); the squarefree
-part of n! by n; and the two m-free pieces of ``gaunt_normalized``, the
-root ``sqrt((2l+1) (l+m)! (l-m)!)`` of each column by (l, m) and the signed
-triangle factor by (l1, l2, l3).  ``clear_cache`` empties every one of them.
+sign-canonical ``_gaunt_key``; both Clebsch-Gordan factors of the SU(2)
+product rule in the one memo ``_CG``, as ``(d, num, den)`` int terms by
+(tj1, tj2, tj3, tm1, tm2), the rule applying ``d_product_norm`` per term;
+the squarefree part of n! by n; and the two m-free pieces of
+``gaunt_normalized``, the root ``sqrt((2l+1) (l+m)! (l-m)!)`` of each
+column by (l, m) and the signed triangle factor by (l1, l2, l3).
+``clear_cache`` empties every one of them.
 """
 
 from __future__ import annotations
@@ -248,8 +249,8 @@ def wigner3j(t: SpinTriple) -> SurdScalar:
     return value if phase == 1 else -value
 
 
-def _as_term(x: SurdScalar, n: int = 1, den: int = 1) -> tuple[int, int, int]:
-    """``x sqrt(n) / den`` as a ``(d, num, den)`` term ``num/den sqrt(d)``, d squarefree.
+def _as_term(x: SurdScalar, n: int = 1) -> tuple[int, int, int]:
+    """``x sqrt(n)`` as a ``(d, num, den)`` term ``num/den sqrt(d)``, d squarefree.
 
     x is zero or a single surd term; zero is ``(1, 0, 1)``.
     """
@@ -258,7 +259,7 @@ def _as_term(x: SurdScalar, n: int = 1, den: int = 1) -> tuple[int, int, int]:
     ((d, q),) = x._terms.items()
     s, e = _squarefree(n)
     d, num = surd_product(d, q.numerator * s, e, 1)
-    return d, num, q.denominator * den
+    return d, num, q.denominator
 
 
 def clebsch_gordan(t: SpinTriple) -> SurdScalar:
@@ -347,7 +348,6 @@ def gaunt_normalized(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> Su
     return c
 
 
-_NORMED_CG: dict[tuple[int, ...], tuple[int, int, int]] = {}
 _CG: dict[tuple[int, ...], tuple[int, int, int]] = {}
 
 
@@ -360,7 +360,7 @@ def cache_size() -> int:
 
 def clear_cache() -> None:
     """Empty the 3j memo and every other coupling memo."""
-    for memo in (_CACHE, _GAUNTS, _NORMED_CG, _CG):
+    for memo in (_CACHE, _GAUNTS, _CG):
         memo.clear()
     for memo in (_factorial_radicand, _column_root, _triangle_factor):
         memo.cache_clear()

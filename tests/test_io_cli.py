@@ -4,6 +4,7 @@ import io
 import json
 import shlex
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import gcd
@@ -19,7 +20,7 @@ from gkmalg.modes import parse_manifold
 from gkmalg.report import VerificationReport
 from gkmalg.scalars import SurdScalar
 from gkmalg.serialize import DumpFormatError, dump_algebra, load_algebra, save_algebra
-from gkmalg.verify import bracket_table_check, invariance_check, run_suites, torus_hierarchy_check
+from gkmalg.verify import SUITES, bracket_table_check, invariance_check, run_suites, torus_hierarchy_check
 from gkmalg.wigner import cache_size, clear_cache
 
 
@@ -184,6 +185,31 @@ def test_verify_corrupt_dump_exit1(tmp_path, capsys):
     assert main(["verify", str(bad)]) == 1
     missing = tmp_path / "missing.json"
     assert main(["verify", str(missing)]) == 1
+
+
+@pytest.mark.parametrize(
+    "build, cutoff",
+    [
+        (("su2", "t1", 1, [1]), 10**6),  # a million labels on the circle
+        (("u1", "t13", 0, [1] * 13), 1),  # 3**13 labels on T^13, one stored
+    ],
+    ids=["large-cutoff", "high-torus-dimension"],
+)
+def test_a_crafted_cutoff_is_malformed_without_enumerating_its_modes(tmp_path, capsys, build, cutoff):
+    data = dump_algebra(build_algebra(*build))
+    data["modes"]["cutoff"] = cutoff
+    path = tmp_path / "crafted.json"
+    path.write_text(json.dumps(data))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DumpFormatError, match="mode list disagrees"):
+            load_algebra(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert main(["verify", str(path)]) == 1
+    assert "mode list disagrees" in capsys.readouterr().err
 
 
 _REPEATED_BASE = "an f or g entry, or its mirror, repeats"
@@ -841,6 +867,45 @@ def test_roots_cli_rejects_u1(tmp_path, capsys):
     assert main(["build", "--algebra", "u1", "--manifold", "t1", "--cutoff", "1", "--charges", "1", "--out", str(path)]) == 0
     capsys.readouterr()
     assert main(["roots", str(path), "--alpha", "+a", "--n", "0"]) == 2
+
+
+def test_build_rejects_a_charge_with_zero_denominator(tmp_path, capsys):
+    out = str(tmp_path / "x.json")
+    assert main(["build", "--algebra", "su2", "--manifold", "s2", "--cutoff", "1", "--charges", "1/0", "--out", out]) == 2
+    assert "bad charges '1/0'" in capsys.readouterr().err
+
+
+def test_build_into_a_missing_directory_is_an_io_failure(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "x.json")
+    assert main(["build", "--algebra", "su2", "--manifold", "s2", "--cutoff", "1", "--charges", "1", "--out", out]) == 1
+    assert "cannot write" in capsys.readouterr().err
+
+
+def test_roots_on_a_dump_that_is_not_json_is_an_io_failure(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert main(["roots", str(bad), "--alpha", "0", "--n", "0"]) == 1
+    assert "cannot read dump" in capsys.readouterr().err
+
+
+def test_roots_rejects_an_eigenvalue_vector_of_the_wrong_length(s2_dump, capsys):
+    assert main(["roots", str(s2_dump), "--alpha", "0", "--n", "0,1"]) == 2
+    assert "eigenvalue vector must have length 1" in capsys.readouterr().err
+
+
+def test_roots_rejects_a_named_root_above_rank_one(tmp_path, capsys):
+    path = tmp_path / "su3.json"
+    assert main(["build", "--algebra", "su3", "--manifold", "s2", "--cutoff", "0", "--charges", "1", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["roots", str(path), "--alpha", "+a", "--n", "0"]) == 2
+    assert "named roots +a/-a only make sense at rank 1" in capsys.readouterr().err
+
+
+def test_run_suites_rejects_an_unknown_suite():
+    alg = build_algebra("su2", "t1", 0, charges=[1])
+    with pytest.raises(ValueError, match="unknown suite 'bogus'") as info:
+        run_suites(alg, "bogus")
+    assert str(SUITES) in str(info.value)
 
 
 def test_wigner_cli(capsys):

@@ -48,6 +48,17 @@ def test_enumeration_counts():
     assert len(TorusGeometry(2).enumerate_modes(1)) == 9
 
 
+@pytest.mark.parametrize(
+    "geometry",
+    [TorusGeometry(1), TorusGeometry(3), Sphere2Geometry(), Sphere3Geometry(), Sphere3Geometry(False)],
+    ids=["t1", "t3", "s2", "s3", "s3-integer"],
+)
+def test_mode_count_is_the_length_of_the_enumeration(geometry):
+    for cutoff in range(8):
+        # the loader refuses a cutoff above the stored count uncounted: there are at least that many
+        assert geometry.mode_count(cutoff) == len(geometry.enumerate_modes(cutoff)) >= cutoff
+
+
 def test_parse_manifold():
     assert parse_manifold("s1").n == 1
     assert parse_manifold("t3").n == 3

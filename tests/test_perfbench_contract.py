@@ -56,7 +56,7 @@ def test_tracer_sees_coupling_misses_inside_the_product_rules():
         build_algebra("su2", "s2", 2, charges=[1])
     # every memo miss, and only a miss, goes through the patched names
     calls = t.summarise()["calls"]
-    assert calls["wigner.clebsch_gordan"] == len(wigner._NORMED_CG) + len(wigner._CG)
+    assert calls["wigner.clebsch_gordan"] == len(wigner._CG)
     assert calls["wigner.gaunt_normalized"] == len(wigner._GAUNTS)
     parents = {"wigner.clebsch_gordan": [], "wigner.gaunt_normalized": []}
     for name_id, parent in zip(t.span_name, t.parents):
