@@ -100,7 +100,9 @@ def jacobi_check_finite(f, dim: int, name: str = "") -> CheckResult:
     Antisymmetry goes first: with it, the cyclic identity over distinct
     unordered triples spans the full Jacobi identity (repeated arguments
     cancel pairwise), and without it a single flipped entry would otherwise
-    slip through the vacuous low-rank triples.
+    slip through the vacuous low-rank triples.  A failing triple's witness is
+    the first output index, in the order the cyclic terms reach it, whose sum
+    is nonzero.
     """
     label = f"jacobi_finite[{name}]" if name else "jacobi_finite"
     with checking(label) as result:
@@ -115,18 +117,16 @@ def jacobi_check_finite(f, dim: int, name: str = "") -> CheckResult:
                             {"indices": [a, b, c], "kind": "antisymmetry", "value": str(total)}
                         )
         for a, b, c in result.tally("triples", combinations(range(1, dim + 1), 3)):
-            acc: dict[int, SurdScalar] = {}
-            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                for d, v1 in f.get((x, y), {}).items():
-                    for e, v2 in f.get((d, z), {}).items():
-                        s = acc.get(e, SURD_ZERO) + v1 * v2
-                        if s.is_zero:
-                            acc.pop(e, None)
-                        else:
-                            acc[e] = s
-            if acc:
-                e, value = next(iter(acc.items()))
-                raise CheckFailed({"indices": [a, b, c, e], "value": str(value)})
+            terms = [
+                (e, v1 * v2)
+                for x, y, z in ((a, b, c), (b, c, a), (c, a, b))
+                for d, v1 in f.get((x, y), {}).items()
+                for e, v2 in f.get((d, z), {}).items()
+            ]
+            for e in dict.fromkeys([e for e, _ in terms]):
+                value = sum([v for k, v in terms if k == e], SURD_ZERO)
+                if value:
+                    raise CheckFailed({"indices": [a, b, c, e], "value": str(value)})
     return result
 
 

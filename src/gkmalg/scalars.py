@@ -5,7 +5,9 @@ this package is a finite Q-linear combination ``sum_d q_d * sqrt(d)`` with
 rational q_d and squarefree d >= 1.  That set is a ring, contains the
 inverses of its single-term members, and admits an exact zero test: the
 sqrt(d) over distinct squarefree d are linearly independent over Q, so a
-value is zero iff its canonical term map is empty.
+value is zero iff its canonical term map is empty.  Every such map is built
+by :func:`_fold`, the one rule that sums equal radicands and drops zero
+sums: constructing a :class:`SurdScalar`, ``+`` and ``*`` all return through it.
 
 Every product reduces to :func:`surd_product` on two terms, with int or
 Fraction coefficients: :meth:`SurdScalar.__mul__` is built on it, and so
@@ -71,6 +73,8 @@ def surd_product(d1: int, q1, d2: int, q2):
         return 1, q1 * q2 * d1
     # both squarefree, so d1*d2 = g^2 * (d1/g)(d2/g)
     g = gcd(d1, d2)
+    if g == 1:
+        return d1 * d2, q1 * q2
     return (d1 // g) * (d2 // g), q1 * q2 * g
 
 
@@ -130,6 +134,26 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected an int or Fraction, got {type(x).__name__}")
 
 
+def _fold(canon: dict, pairs) -> dict:
+    """Fold ``(d, q)`` pairs, d squarefree and q nonzero, into the canonical map ``canon``.
+
+    Equal radicands are summed in the order they come, a radicand whose sum
+    is zero is dropped (and goes to the end if it comes again), and ``canon``
+    is returned.  It adds no ``Fraction`` operation beyond those sums.
+    """
+    for d, q in pairs:
+        acc = canon.get(d)
+        if acc is None:
+            canon[d] = q
+        else:
+            total = acc + q
+            if total:
+                canon[d] = total
+            else:
+                del canon[d]
+    return canon
+
+
 class SurdScalar:
     """Immutable Q-linear combination of square roots of squarefree integers.
 
@@ -141,22 +165,14 @@ class SurdScalar:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms=None):
-        canon: dict[int, Fraction] = {}
+        pairs = []
         if terms:
-            for rad, coeff in dict(terms).items():
+            for rad, coeff in terms.items() if hasattr(terms, "items") else terms:
                 q = _as_fraction(coeff)
-                if not q:
-                    continue
-                s, d = squarefree_split(rad)
-                if s != 1:
-                    q *= s
-                acc = canon.get(d)
-                total = q if acc is None else acc + q
-                if total:
-                    canon[d] = total
-                elif d in canon:
-                    del canon[d]
-        self._terms = canon
+                if q:
+                    s, d = squarefree_split(rad)
+                    pairs.append((d, q * s if s != 1 else q))
+        self._terms = _fold({}, pairs)
         self._hash = None
 
     # -- construction ------------------------------------------------------
@@ -181,7 +197,7 @@ class SurdScalar:
         if not q:
             return SURD_ZERO
         s, d = squarefree_split(radicand)
-        return cls._raw({d: q * s})
+        return cls._raw({d: q * s if s != 1 else q})
 
     @classmethod
     def sqrt_rational(cls, value) -> "SurdScalar":
@@ -225,15 +241,7 @@ class SurdScalar:
             return self
         if not self._terms:
             return other
-        terms = dict(self._terms)
-        for d, q in other._terms.items():
-            acc = terms.get(d)
-            total = q if acc is None else acc + q
-            if total:
-                terms[d] = total
-            else:
-                terms.pop(d, None)
-        return SurdScalar._raw(terms)
+        return SurdScalar._raw(_fold(dict(self._terms), other._terms.items()))
 
     __radd__ = __add__
 
@@ -253,23 +261,18 @@ class SurdScalar:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return SURD_ZERO
-            return SurdScalar._raw({d: q * other for d, q in self._terms.items()})
-        if not isinstance(other, SurdScalar):
+        if isinstance(other, SurdScalar):
+            pairs = [
+                surd_product(d1, q1, d2, q2)
+                for d1, q1 in self._terms.items()
+                for d2, q2 in other._terms.items()
+            ]
+            return SurdScalar._raw(_fold({}, pairs))
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        out: dict[int, Fraction] = {}
-        for d1, q1 in self._terms.items():
-            for d2, q2 in other._terms.items():
-                d, q = surd_product(d1, q1, d2, q2)
-                acc = out.get(d)
-                total = q if acc is None else acc + q
-                if total:
-                    out[d] = total
-                else:
-                    out.pop(d, None)
-        return SurdScalar._raw(out)
+        if not other:
+            return SURD_ZERO
+        return SurdScalar._raw({d: q * other for d, q in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -484,7 +487,8 @@ class ComplexSurd:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its real part, so it hashes as one
+        return hash(self.re) if self.im.is_zero else hash((self.re, self.im))
 
     def __bool__(self):
         return not self.is_zero

@@ -1,8 +1,11 @@
 """Exact angular-momentum coupling coefficients.
 
-Every coefficient is one surd term ``sign * p/q * sqrt(d)``, computed on
-Python ints and made a :class:`SurdScalar` once, at the end; no surd or
-``Fraction`` product is taken along the way.
+Every 3j symbol and 2-sphere product coefficient is one surd term
+``sign * p/q * sqrt(d)``, computed on Python ints and made a
+:class:`SurdScalar` once, at the end; no surd or ``Fraction`` product is
+taken along the way.  A Clebsch-Gordan coefficient takes one
+:class:`SurdScalar` product more, its 3j symbol times ``+-sqrt(2j3+1)``;
+the S^3 product rule then keeps it as an int term (:func:`_as_term`).
 
 * The alternating sum of the single-sum (Racah) formula is taken by
   Horner's rule on the integer ratio of consecutive terms, over the
@@ -127,13 +130,6 @@ def _sqrt_factorial_ratio(numerators, denominators) -> tuple[int, int, int]:
     return isqrt(top // g), isqrt(bottom // g), radicand
 
 
-def _squarefree(n: int) -> tuple[int, int]:
-    """``(s, d)`` with ``n = s*s*d`` and d squarefree, d the squarefree part of n!/(n-1)!."""
-    a, b = _factorial_radicand(n), _factorial_radicand(n - 1)
-    d = (a * b) // gcd(a, b) ** 2
-    return isqrt(n // d), d
-
-
 def _alternating_sum(a: int, b: int, c: int, d: int, e: int) -> tuple[int, int]:
     """The Racah sum over k of ``(-1)^k / (k! (a-k)! (b-k)! (c-k)! (d+k)! (e+k)!)``.
 
@@ -249,28 +245,26 @@ def wigner3j(t: SpinTriple) -> SurdScalar:
     return value if phase == 1 else -value
 
 
-def _as_term(x: SurdScalar, n: int = 1) -> tuple[int, int, int]:
-    """``x sqrt(n)`` as a ``(d, num, den)`` term ``num/den sqrt(d)``, d squarefree.
+def _as_term(x: SurdScalar) -> tuple[int, int, int]:
+    """``x`` as a ``(d, num, den)`` int term ``num/den sqrt(d)``, d squarefree.
 
     x is zero or a single surd term; zero is ``(1, 0, 1)``.
     """
     if x.is_zero:
         return 1, 0, 1
     ((d, q),) = x._terms.items()
-    s, e = _squarefree(n)
-    d, num = surd_product(d, q.numerator * s, e, 1)
-    return d, num, q.denominator
+    return d, q.numerator, q.denominator
 
 
 def clebsch_gordan(t: SpinTriple) -> SurdScalar:
-    """Exact <j1 m1; j2 m2 | j3 m3> via the 3j reduction."""
+    """Exact <j1 m1; j2 m2 | j3 m3> via the 3j reduction (Edmonds 1957, §3.7).
+
+    The 3j symbol times sqrt(2j3+1), with the phase (-1)^(j1-j2+m3) as its sign.
+    """
     base = wigner3j(SpinTriple(t.tj1, t.tj2, t.tj3, t.tm1, t.tm2, -t.tm3))
     if base.is_zero:
         return SURD_ZERO
-    d, num, den = _as_term(base, t.tj3 + 1)
-    if ((t.tj1 - t.tj2 + t.tm3) // 2) % 2:
-        num = -num
-    return SurdScalar._raw({d: Fraction(num, den)})
+    return base * SurdScalar.sqrt(t.tj3 + 1, -1 if ((t.tj1 - t.tj2 + t.tm3) // 2) % 2 else 1)
 
 
 def d_product_norm(tj1: int, tj2: int, tj3: int) -> SurdScalar:

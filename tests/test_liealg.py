@@ -126,6 +126,28 @@ def test_jacobi_check_passes_and_fails():
     assert not result.passed and result.witness.get("kind") != "antisymmetry"
 
 
+# su3 tampers (p, q, r, v), each setting f_pq^r = v and f_qp^r = -v, and the
+# whole witness each fails with.  In the last two the running sum of index 5
+# (resp. 2) returns to zero and becomes nonzero again before a second index,
+# 1, turns nonzero, so the pins fix which of two failing indices is named.
+JACOBI_WITNESS_PINS = [
+    ([(1, 4, 7, 1)], {"indices": [1, 2, 4, 5], "value": "-1/4"}),
+    ([(1, 4, 3, -1), (1, 6, 5, 1)], {"indices": [1, 2, 4, 5], "value": "-1/4"}),
+    ([(5, 7, 2, 1), (4, 6, 1, 1)], {"indices": [1, 4, 5, 2], "value": "-1/4"}),
+]
+
+
+@pytest.mark.parametrize("entries, witness", JACOBI_WITNESS_PINS)
+def test_jacobi_check_pins_the_whole_witness(entries, witness):
+    tampered = {k: dict(v) for k, v in make_algebra("su3").f.items()}
+    for p, q, r, v in entries:
+        tampered.setdefault((p, q), {})[r] = SurdScalar.rational(v)
+        tampered.setdefault((q, p), {})[r] = SurdScalar.rational(-v)
+    result = jacobi_check_finite(tampered, 8)
+    assert not result.passed
+    assert result.witness == witness
+
+
 def _assert_cartan_weyl(alg, rank):
     """The five relations of the Cartan-Weyl data of ``alg``, exactly."""
     cw = cartan_weyl(alg)

@@ -154,6 +154,85 @@ def test_hash_consistent_with_eq(a):
     assert hash(clone) == hash(a)
 
 
+@given(surds(), surds())
+@settings(max_examples=60, deadline=None)
+def test_complex_hash_consistent_with_eq(a, b):
+    clone_a, clone_b = SurdScalar(a.terms), SurdScalar(b.terms)
+    for z, w in (
+        (ComplexSurd.real(a), a),
+        (ComplexSurd.real(a), ComplexSurd.real(clone_a)),
+        (ComplexSurd.imaginary(b), ComplexSurd.imaginary(clone_b)),
+        (ComplexSurd(a, b), ComplexSurd(clone_a, clone_b)),
+    ):
+        assert z == w
+        assert hash(z) == hash(w)
+
+
+def test_a_real_complex_surd_finds_the_key_it_equals():
+    assert {1: "a"}.get(ComplexSurd.rational(1)) == "a"
+    assert {SURD_ONE: "a"}.get(ComplexSurd.rational(1)) == "a"
+    root = ComplexSurd.real(SurdScalar.sqrt(8, Fraction(1, 2)))
+    assert {SurdScalar.sqrt(2): "b"}.get(root) == "b"
+
+
+def test_pairs_with_a_repeated_radicand_are_summed():
+    assert SurdScalar([(2, 1), (2, 1)]) == SurdScalar.sqrt(2, 2)
+    assert SurdScalar([(3, 1), (3, -1)]) == SURD_ZERO
+    assert SurdScalar([(2, 1), (8, 1), (5, 0)]) == SurdScalar.sqrt(2, 3)
+    # a mapping gives one coefficient per key; keys equal after splitting still merge
+    assert SurdScalar({2: 1, 8: 1}) == SurdScalar.sqrt(2, 3)
+    assert SurdScalar({3: 1, 12: Fraction(-1, 2)}) == SURD_ZERO
+
+
+_radicand = st.integers(min_value=1, max_value=60)
+
+
+@st.composite
+def pair_lists(draw, undo=()):
+    """``(radicand, coefficient)`` pairs, some of which cancel each other or those of ``undo``."""
+    pairs = draw(st.lists(st.tuples(_radicand, _coeff), max_size=5))
+    if pairs or undo:
+        for rad, q in draw(st.lists(st.sampled_from([*pairs, *undo]), max_size=3)):
+            # the same radicand, or one a square factor 4 larger
+            pairs.append((4 * rad, -q / 2) if draw(st.booleans()) else (rad, -q))
+    return pairs
+
+
+def _reference(pairs) -> dict:
+    """The canonical map of ``sum q sqrt(rad)`` on a plain Fraction dict."""
+    ref: dict[int, Fraction] = {}
+    for rad, q in pairs:
+        s = max(k for k in range(1, math.isqrt(rad) + 1) if rad % (k * k) == 0)
+        d = rad // (s * s)
+        ref[d] = ref.get(d, Fraction(0)) + Fraction(q) * s
+    return {d: q for d, q in ref.items() if q}
+
+
+def _assert_canonical(x: SurdScalar, pairs) -> None:
+    for d, q in x.terms.items():
+        assert all(d % (p * p) for p in range(2, math.isqrt(d) + 1)), d
+        assert type(q) is Fraction and q
+    assert dict(x.terms) == _reference(pairs)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_every_operation_returns_the_canonical_map(data):
+    pa = data.draw(pair_lists())
+    pb = data.draw(pair_lists(undo=pa))
+    a, b = SurdScalar(pa), SurdScalar(pb)
+    _assert_canonical(a, pa)
+    _assert_canonical(b, pb)
+    mapping = dict(pa)
+    _assert_canonical(SurdScalar(mapping), mapping.items())
+    neg_b = [(rad, -q) for rad, q in pb]
+    _assert_canonical(a + b, pa + pb)
+    _assert_canonical(a - b, pa + neg_b)
+    _assert_canonical(-b, neg_b)
+    _assert_canonical(a - a, [])
+    _assert_canonical(a * b, [(r1 * r2, q1 * q2) for r1, q1 in pa for r2, q2 in pb])
+
+
 def test_complex_surd_arithmetic():
     i = CSURD_I
     assert i * i == ComplexSurd.rational(-1)
