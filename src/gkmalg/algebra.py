@@ -32,17 +32,22 @@ times generator k, with d squarefree and n an int, over one positive
 denominator, in lowest terms and with zero terms dropped, so equal rows are
 equal tuples.  A coefficient with several surd terms (a tampered
 ``1 + sqrt 2``, say) is several terms with the same k.  Rows are built on
-first use and kept column-major in ``_pair_cache``: one dict per right-hand
-id j, :meth:`GKMAlgebra.bracket_column`, maps i to the row of [X_i, X_j] and
-builds a missing row in its ``__missing__``, so a cached row is one dict
-lookup, with no key tuple.  A T-T row is a block: each term of the
-memoised row of f_ab^c times the integer row of
-:meth:`ModeSystem.product_row`, in (c, K) order, with T_cK's id from a
-per-c memo.  Its keys (id, d) are distinct, so no accumulator is needed
-(terms are merged only when a tampered f_ab^c has two radicands); the
-central part g_ab omega_j(I, J), from :meth:`ModeSystem.cocycle_pairing`,
-joins it, and one gcd puts the row in lowest terms.  Fractions appear only
-in views: a witness or a T-basis value is built as ``Fraction(n, den)``.
+first use and kept column-major in ``_pair_cache``: column j,
+:meth:`GKMAlgebra.bracket_column`, is a slotted dict of i -> the row of
+[X_i, X_j] that holds j and a weak reference to the algebra, and builds a
+missing row with one ``_bracket_gens(i, j)`` call; a cached row is one
+dict lookup, with no key tuple.  A T-T row reads the block of its base
+pair (a, b), built once: the terms of f_ab^c, negated, each with the
+per-c memo of T_cK ids, and the integer row of g_ab.  Each f term times
+the integer row of :meth:`ModeSystem.product_row`, in (c, K) order (a
+radicand-1 term just scales numerators), gives terms with distinct keys
+(id, d), so no accumulator is needed (terms are merged only when a
+tampered f_ab^c has two radicands); the central part g_ab omega_j(I, J),
+from :meth:`ModeSystem.cocycle_pairing`, joins it, and one gcd puts the
+row in lowest terms, unless f_ab is one term +-1 over 1 and there is no
+central part: the row is then the product row, already in lowest terms,
+with a sign.  Fractions appear only in views: a witness or a T-basis
+value is built as ``Fraction(n, den)``.
 
 :class:`GKMElement` brackets, with complex coefficients in the T basis, are
 a view over the rows.  Writing each generator as ``s * X`` with s = -i for T
@@ -105,6 +110,19 @@ class _Memo(dict):
     def __missing__(self, key):
         value = self[key] = self.fn(key)
         return value
+
+
+class _Column(dict):
+    """Column j of the row cache: i -> the row of [X_i, X_j], built by the owner on a miss."""
+
+    __slots__ = ("owner", "j")
+
+    def __init__(self, owner, j: int):
+        self.owner, self.j = owner, j
+
+    def __missing__(self, i):
+        row = self[i] = self.owner()._bracket_gens(i, self.j)
+        return row
 
 
 class GKMElement:
@@ -172,7 +190,7 @@ class GKMAlgebra:
     cw: CartanWeylData | None = None
     stored_brackets: list | None = field(default=None, repr=False)  # a dump's bracket table
     _pair_cache: dict = field(init=False, repr=False)  # j -> (i -> Row), see __post_init__
-    _f_rows: dict = field(default_factory=dict, init=False, repr=False)  # (a, b) -> f row and flag
+    _blocks: list = field(init=False, repr=False)  # [a][b] -> base-pair block, see _block
     _t_ids: dict = field(init=False, repr=False)  # c -> (K -> id of T_cK)
     _gens: list = field(init=False, repr=False)  # id -> generator
     _gen_ids: dict = field(init=False, repr=False)  # generator -> id
@@ -188,7 +206,8 @@ class GKMAlgebra:
         # looked up at each miss, so a patched builder sees every row built, and the weak
         # reference leaves no cycle, so an algebra is freed as soon as its last user drops it
         owner = weakref.ref(self)
-        self._pair_cache = _Memo(lambda j: _Memo(lambda i: owner()._bracket_gens(i, j)))
+        self._pair_cache = _Memo(lambda j: _Column(owner, j))
+        self._blocks = [[None] * (self.base.dim + 1) for _ in range(self.base.dim + 1)]
         self._t_ids = _Memo(lambda c: _Memo(lambda K: owner().gen_id(("T", c, K))))
 
     # -- structure ----------------------------------------------------------
@@ -233,42 +252,48 @@ class GKMAlgebra:
     def generator_of(self, i: int) -> GenId:
         return self._gens[i]
 
+    def _block(self, a: int, b: int) -> tuple:
+        """Base pair (a, b)'s ``(fden, ((T_c id memo, d, -n), ...), repeated, unit, g row)``."""
+        fden, fterms = int_row(self.base.structure(a, b).items())
+        gab = self.base.killing_entry(a, b)
+        repeated = len({c for c, _, _ in fterms}) < len(fterms)
+        unit = fden == 1 and len(fterms) == 1 and fterms[0][1] == 1 and abs(fterms[0][2]) == 1
+        terms = tuple((self._t_ids[c], d, -n) for c, d, n in fterms)
+        grow = None if gab.is_zero else int_row([(None, gab)])
+        block = self._blocks[a][b] = (fden, terms, repeated, unit, grow)
+        return block
+
     def _bracket_gens(self, i: int, j: int) -> Row:
         """Build the row of [X_i, X_j] from the stored tables; its column keeps it."""
         p, q = self._gens[i], self._gens[j]
         kp, kq = p[0], q[0]
-        if kp == "D" and kq == "T":
-            lam = self.modes.eigen(q[2])[p[1] - 1]
-            return (lam.denominator, ((j, 1, lam.numerator),)) if lam else ZERO_ROW
-        if kp == "T" and kq == "D":
-            lam = self.modes.eigen(p[2])[q[1] - 1]
-            return (lam.denominator, ((i, 1, -lam.numerator),)) if lam else ZERO_ROW
-        if kp == "T" and kq == "T":
+        if kp == kq == "T":
             _, a, I = p
             _, b, J = q
+            den, fterms, repeated, unit, grow = self._blocks[a][b] or self._block(a, b)
+            central = grow is not None and self.modes.eta(I)[0] == J
+            if not (fterms or central):
+                return ZERO_ROW
             # minus f_ab^c c_IJ^K X_cK, the f row times the product row
-            frow = self._f_rows.get((a, b))
-            if frow is None:
-                fden, fterms = int_row(self.base.structure(a, b).items())
-                repeated = len({c for c, _, _ in fterms}) < len(fterms)
-                frow = self._f_rows[a, b] = fden, fterms, repeated
-            den, fterms, repeated = frow
             terms: list = []
             if fterms:
                 pden, pterms = self.modes.product_row(I, J)
                 den *= pden
-                for c, d1, n1 in fterms:
-                    ids = self._t_ids[c]
-                    terms += [(ids[K], *surd_product(d1, -n1, d2, n2)) for K, d2, n2 in pterms]
+                for ids, d1, m1 in fterms:
+                    if d1 == 1:
+                        terms += [(ids[K], d2, m1 * n2) for K, d2, n2 in pterms]
+                    else:
+                        terms += [(ids[K], *surd_product(d1, m1, d2, n2)) for K, d2, n2 in pterms]
+                if unit and not central:  # +-(the product row), already in lowest terms
+                    return den, tuple(terms)
                 if repeated:  # an f_ab^c with two radicands: terms can meet, so sum them
                     acc: dict = {}
                     for k, d, n in terms:
                         acc[k, d] = acc.get((k, d), 0) + n
                     terms = [(k, d, n) for (k, d), n in acc.items() if n]
-            gab = self.base.killing_entry(a, b)
-            if not gab.is_zero and self.modes.eta(I)[0] == J:
+            if central:
                 # minus g_ab omega_n(I, J) k_n, over the product of both denominators
-                gden, gterms = int_row([(None, gab)])
+                gden, gterms = grow
                 oden, oterms = int_row(
                     (self.gen_id(("k", n)), self.modes.cocycle_pairing(n, I, J))
                     for n in range(1, self.r + 1)
@@ -278,6 +303,12 @@ class GKMAlgebra:
                     terms += [(k, *surd_product(d1, -den * n1, d2, n2)) for k, d2, n2 in oterms]
                 den *= gden * oden
             return lowest_row(den, terms)
+        if kp == "D" and kq == "T":
+            lam = self.modes.eigen(q[2])[p[1] - 1]
+            return (lam.denominator, ((j, 1, lam.numerator),)) if lam else ZERO_ROW
+        if kp == "T" and kq == "D":
+            lam = self.modes.eigen(p[2])[q[1] - 1]
+            return (lam.denominator, ((i, 1, -lam.numerator),)) if lam else ZERO_ROW
         return ZERO_ROW
 
     def bracket_column(self, j: int) -> dict[int, Row]:
@@ -333,15 +364,19 @@ class GKMAlgebra:
     def form_row(self, i: int, j: int) -> Row:
         """<X_i, X_j> as an integer row with the one key None, read off the g and eta tables.
 
-        <X_aI, X_bJ> = -g_ab * phase when eta(I) = (J, phase), <D_i, k_j> =
-        delta_ij by definition, and every other pair is zero.
+        <X_aI, X_bJ> = -g_ab * phase when eta(I) = (J, phase), on the g row of the
+        :meth:`_block`; <D_i, k_j> = delta_ij by definition; every other pair is zero.
         """
         p, q = self._gens[i], self._gens[j]
         if p[0] == q[0] == "T":
             partner, phase = self.modes.eta(p[2])
             if partner != q[2] or not phase:
                 return ZERO_ROW
-            return int_row([(None, self.base.killing_entry(p[1], q[1]))], -phase)
+            grow = (self._blocks[p[1]][q[1]] or self._block(p[1], q[1]))[4]
+            if grow is None or phase == -1:
+                return grow or ZERO_ROW
+            scaled = [(k, d, -phase * n) for k, d, n in grow[1]]
+            return (grow[0], tuple(scaled)) if phase == 1 else lowest_row(grow[0], scaled)
         if {p[0], q[0]} == {"D", "k"} and p[1] == q[1]:
             return 1, ((None, 1, 1),)
         return ZERO_ROW

@@ -26,7 +26,6 @@ from fractions import Fraction
 from math import lcm
 from .report import CheckFailed, CheckResult, checking
 from .scalars import SURD_ONE, SURD_ZERO, SurdScalar, int_row, lowest_row, squarefree_split
-from .scalars import surd_product
 from .wigner import _CG, _GAUNTS, SpinTriple, _as_term, _gaunt_key, clebsch_gordan
 from .wigner import gaunt_normalized
 
@@ -212,8 +211,9 @@ class Sphere3Geometry:
         tm3 = tm1 + tm2
         tmp3 = tmp1 + tmp2
         out = []
-        # a term is d_product_norm = s sqrt(e) / (2j3+1), with s^2 e = (2j1+1)(2j2+1)(2j3+1),
-        # times the memoised CG terms of the m and the m' column
+        # a term is d_product_norm = sqrt((2j1+1)(2j2+1)(2j3+1)) / (2j3+1) times the memoised
+        # CG terms n1/q1 sqrt(d1) and n2/q2 sqrt(d2) of the m and the m' column, so its radicand
+        # is the squarefree part e of (2j1+1)(2j2+1)(2j3+1) d1 d2 = s^2 e, and its numerator s n1 n2
         dims = (tj1 + 1) * (tj2 + 1)
         for tj3 in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
             if abs(tm3) > tj3 or abs(tmp3) > tj3:
@@ -224,10 +224,8 @@ class Sphere3Geometry:
             d2, n2, q2 = _CG.get((tj1, tj2, tj3, tmp1, tmp2)) or _cg_miss(tj1, tj2, tj3, tmp1, tmp2)
             if not n2:
                 continue
-            s, e = squarefree_split(dims * (tj3 + 1))
-            d, n = surd_product(d1, n1 * s, e, 1)
-            d, n = surd_product(d, n, d2, n2)
-            out.append(((tj3, tm3, tmp3), d, n, q1 * q2 * (tj3 + 1)))
+            s, e = squarefree_split(dims * (tj3 + 1) * d1 * d2)
+            out.append(((tj3, tm3, tmp3), e, s * n1 * n2, q1 * q2 * (tj3 + 1)))
         return out
 
     def eta(self, I: ModeLabel) -> tuple[ModeLabel, int]:
@@ -331,7 +329,7 @@ class ModeSystem:
                 row = self._table_rows[key] = int_row(table.items())
             elif isinstance(self.geometry, Sphere3Geometry):  # one lcm over the int CG terms
                 terms = self.geometry._product_terms(I, J)
-                scale = lcm(*[q for *_, q in terms])
+                scale = lcm(*[t[3] for t in terms])
                 row = lowest_row(scale, [(K, d, n * (scale // q)) for K, d, n, q in terms])
                 self._ext_products[key] = row
             else:

@@ -12,11 +12,11 @@ sums: constructing a :class:`SurdScalar`, ``+`` and ``*`` all return through it.
 Every product reduces to :func:`surd_product` on two terms, with int or
 Fraction coefficients: :meth:`SurdScalar.__mul__` is built on it, and so
 are the block rows of the bracket-row builder and :func:`contract`, the one
-rule the exact checks sum with.  Both run on integer rows
-``(den, ((key, d, n), ...))``: integer numerators n over one positive
-denominator, in lowest terms and with zero terms dropped (:func:`int_row`,
-:func:`lowest_row`), so equal rows are equal tuples and a sum is zero
-exactly when every numerator is.
+rule the exact checks sum with (both inline its radicand-1 case).  Both run
+on integer rows ``(den, ((key, d, n), ...))``: integer numerators n over
+one positive denominator, in lowest terms and with zero terms dropped
+(:func:`int_row`, :func:`lowest_row`), so equal rows are equal tuples and
+a sum is zero exactly when every numerator is.
 
 Values are immutable after construction and safe to share between workers.
 Floats enter only at the oracle boundary via :meth:`SurdScalar.evalf`.
@@ -105,9 +105,11 @@ def contract(acc: dict, scale: int, row: tuple, rows) -> int:
     row is ``(den, ((key, d, n), ...))``; the new scale is returned.  It is
     the lcm of the denominators seen so far: when a new product of
     denominators does not divide it, it grows to their lcm and ``acc`` is
-    rescaled in place.  Every product of two surd terms is :func:`surd_product`.
+    rescaled in place.  Every product of two surd terms is :func:`surd_product`,
+    except that a term of radicand 1 scales the numerators of ``rows(w)`` directly.
     """
     den, terms = row
+    get = acc.get
     for w, d1, n1 in terms:
         rden, rterms = rows(w)
         if not rterms:
@@ -119,10 +121,15 @@ def contract(acc: dict, scale: int, row: tuple, rows) -> int:
             for key in acc:
                 acc[key] *= grow
         m = scale // step * n1
+        if d1 == 1:  # surd_product's first case, without the call
+            for u, d2, n2 in rterms:
+                key = (u, d2)
+                acc[key] = get(key, 0) + m * n2
+            continue
         for u, d2, n2 in rterms:
             d, n = surd_product(d1, m, d2, n2)
             key = (u, d)
-            acc[key] = acc.get(key, 0) + n
+            acc[key] = get(key, 0) + n
     return scale
 
 

@@ -82,11 +82,11 @@ def _surd_reader():
     """A reader of stored surd record lists that builds each distinct list's value once.
 
     The memo lives as long as the returned function, one load.  Every record
-    is type-checked before the lookup, so a ``true`` or ``1.0`` radicand
-    cannot hit the entry of the int it equals.  A miss builds the value from
-    those checked fields, and the list is read only if it is the canonical
-    form the writer gives that value (sorted squarefree radicands, nonzero
-    terms in lowest terms, integer text as ``str(int)``).
+    is type-checked, with no fourth key, before the lookup, so a ``true`` or
+    ``1.0`` radicand cannot hit the entry of the int it equals.  A miss
+    builds the value from those checked fields, and the list is read only if
+    it is the canonical form the writer gives that value (sorted squarefree
+    radicands, nonzero terms in lowest terms, integer text as ``str(int)``).
     """
     memo: dict[tuple, SurdScalar] = {}
 
@@ -96,8 +96,8 @@ def _surd_reader():
         fields = []
         for rec in records:
             d, num, den = rec["radicand"], rec["num"], rec["den"]
-            if type(d) is not int or type(num) is not str or type(den) is not str:
-                raise ValueError(f"a surd record needs an int radicand and string num, den: {records}")
+            if len(rec) != 3 or type(d) is not int or type(num) is not str or type(den) is not str:
+                raise ValueError(f"a surd record is an int radicand and string num, den: {records}")
             fields.append((d, num, den))
         key = tuple(fields)
         value = memo.get(key)

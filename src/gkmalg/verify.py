@@ -28,7 +28,7 @@ A bracket table a dump carries is compared entry by entry with the one read
 off the same rows.  A cached row costs one dict lookup: each check reads
 rows through the column getters of :meth:`GKMAlgebra.bracket_column`, and
 associativity reads products through a check-local column view of
-``ModeSystem.product_row``.
+``ModeSystem.product_row``; Jacobi and invariance contract no empty row.
 
 :func:`_draw` alone picks the regime: a budget that covers the population
 checks every item in order ("exhaustive"); a smaller one checks that many
@@ -304,19 +304,6 @@ def _columns(alg: GKMAlgebra) -> _Memo:
     return _Memo(lambda j: alg.bracket_column(j).__getitem__)
 
 
-def _jacobiator(row: _Memo, x: int, y: int, z: int) -> tuple[dict, int]:
-    """[[x,y],z] + [[y,z],x] + [[z,x],y] on the X-basis rows: its ``(u, d) -> n`` sum, and scale.
-
-    ``row`` is :func:`_columns`; rows are requested as (x, y), then its support
-    against z, then (y, z), and so on.
-    """
-    acc: dict = {}
-    scale = 1
-    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-        scale = contract(acc, scale, row[b](a), row[c])
-    return acc, scale
-
-
 def jacobi_check_gkm(
     alg: GKMAlgebra,
     sample: str | int = "all",
@@ -333,7 +320,14 @@ def jacobi_check_gkm(
         row = _columns(alg)
         triples = _draw(result, "triples", Combinations(alg.generator_ids(), 3), sample, seed)
         for ids in triples:
-            acc, scale = _jacobiator(row, *ids)
+            # [[x,y],z] + [[y,z],x] + [[z,x],y]: rows (x, y), then its support against z, ...
+            x, y, z = ids
+            acc: dict = {}
+            scale = 1
+            for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+                inner = row[b](a)
+                if inner[1]:  # an empty row adds nothing, so skip the call
+                    scale = contract(acc, scale, inner, row[c])
             if not any(acc.values()):
                 continue
             u = next(w for (w, _), n in acc.items() if n)

@@ -38,7 +38,8 @@ Memos, all in-process under plain int keys: 3j symbols in ``_CACHE`` by
 2-sphere never reads); ``gaunt_normalized`` in ``_GAUNTS`` by the
 sign-canonical ``_gaunt_key``; both Clebsch-Gordan factors of the SU(2)
 product rule in the one memo ``_CG``, as ``(d, num, den)`` int terms by
-(tj1, tj2, tj3, tm1, tm2), the rule applying ``d_product_norm`` per term;
+(tj1, tj2, tj3, tm1, tm2), the rule folding ``d_product_norm`` into one
+squarefree split per term;
 the squarefree part of n! by n; and the two m-free pieces of
 ``gaunt_normalized``, the root ``sqrt((2l+1) (l+m)! (l-m)!)`` of each
 column by (l, m) and the signed triangle factor by (l1, l2, l3).
@@ -261,7 +262,9 @@ def clebsch_gordan(t: SpinTriple) -> SurdScalar:
 
     The 3j symbol times sqrt(2j3+1), with the phase (-1)^(j1-j2+m3) as its sign.
     """
-    base = wigner3j(SpinTriple(t.tj1, t.tj2, t.tj3, t.tm1, t.tm2, -t.tm3))
+    flipped = object.__new__(SpinTriple)  # t with m3 negated: still valid, so not checked again
+    flipped.__dict__.update(vars(t), tm3=-t.tm3)
+    base = wigner3j(flipped)
     if base.is_zero:
         return SURD_ZERO
     return base * SurdScalar.sqrt(t.tj3 + 1, -1 if ((t.tj1 - t.tj2 + t.tm3) // 2) % 2 else 1)

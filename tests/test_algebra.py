@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from gkmalg import verify
-from gkmalg.algebra import GKMAlgebra, GKMElement, build_algebra
+from gkmalg.algebra import ZERO_ROW, GKMAlgebra, GKMElement, build_algebra
 from gkmalg.liealg import coefficients_in_span
 from gkmalg.modes import parse_manifold
 from gkmalg.scalars import (
@@ -631,6 +632,13 @@ def _two_radicands(alg):
     alg.modes.products[((1, 0), (1, 0))][(2, 0)] = SurdScalar({1: 1, 2: 1})
 
 
+def _unit_surd(alg):
+    # f_12^3 = sqrt 2: one f term of numerator 1 whose products can share a factor with the den
+    f = alg.base.f
+    f[(1, 2)][3] = SurdScalar.sqrt(2)
+    f[(2, 1)][3] = -SurdScalar.sqrt(2)
+
+
 @pytest.mark.parametrize(
     "base,manifold,cutoff,tamper",
     [
@@ -638,8 +646,9 @@ def _two_radicands(alg):
         ("su3", "s2", 1, None),
         ("su2", "t2", 1, None),
         ("su2", "s2", 1, _two_radicands),
+        ("su2", "s3", 2, _unit_surd),
     ],
-    ids=["su2/s3/c2", "su3/s2/c1", "su2/t2/c1", "su2/s2/c1 two radicands"],
+    ids=["su2/s3/c2", "su3/s2/c1", "su2/t2/c1", "su2/s2/c1 two radicands", "su2/s3/c2 f=sqrt2"],
 )
 def test_block_rows_equal_the_contracted_rows(base, manifold, cutoff, tamper):
     alg = build_algebra(base, manifold, cutoff, charges=[1] * parse_manifold(manifold).r)
@@ -654,10 +663,30 @@ def test_block_rows_equal_the_contracted_rows(base, manifold, cutoff, tamper):
     for i, j, row in tt:
         assert row == _reference_row(alg, i, j), (alg.generator_of(i), alg.generator_of(j))
     assert len(alg._gens) == ids  # the reference assigned no new generator ids
-    if tamper is not None:  # the merged terms are there, once each
+    if tamper is _two_radicands:  # the merged terms are there, once each
         row = alg.bracket_row(alg.gen_id(("T", 1, (1, 0))), alg.gen_id(("T", 2, (1, 0))))
         keys = [(k, d) for k, d, _ in row[1]]
         assert len(keys) == len(set(keys)) and (alg.gen_id(("T", 3, (2, 0))), 2) in keys
+
+
+@pytest.mark.parametrize("phase", [-2, -1, 0, 1, 3])
+def test_form_rows_follow_the_stored_eta_phase(phase):
+    # <X_aI, X_bJ> = -g_ab * phase where eta(I) = (J, phase), by int_row on each pair's g_ab,
+    # with a g entry of a denominator and two radicands, so a phase of 3 needs the gcd
+    alg = build_algebra("su2", "s2", 2, charges=[1])
+    g = [list(row) for row in alg.base.g]
+    g[0][0] = SurdScalar({1: Fraction(2, 3), 3: Fraction(4, 9)})
+    alg.base = dataclasses.replace(alg.base, g=tuple(map(tuple, g)))
+    for I, (J, _) in list(alg.modes.eta_table.items()):
+        alg.modes.eta_table[I] = (J, phase)
+    ts = [(i, alg.generator_of(i)) for i in alg.generator_ids() if alg.generator_of(i)[0] == "T"]
+    for i, (_, a, I) in ts:
+        partner, stored = alg.modes.eta(I)
+        for j, (_, b, J) in ts:
+            expected = ZERO_ROW
+            if partner == J and stored:
+                expected = int_row([(None, alg.base.killing_entry(a, b))], -stored)
+            assert alg.form_row(i, j) == expected, (I, J)
 
 
 def test_a_tamper_below_double_precision_fails_with_the_same_witnesses():

@@ -341,6 +341,27 @@ def test_surd_records_must_be_a_json_list(tmp_path, mutate, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d["base"]["f"][0][3][0].__setitem__("note", 5),
+        lambda d: d["modes"]["products"][0][2][0][1][0].__setitem__("note", 5),
+    ],
+    ids=["f-entry", "product-entry"],
+)
+def test_surd_records_with_an_extra_key_are_malformed(tmp_path, mutate, capsys):
+    # the writer's to_records() gives exactly radicand, num and den
+    data = dump_algebra(build_algebra("su2", "s2", 1, charges=[1]))
+    mutate(data)
+    message = "a surd record is an int radicand and string num, den"
+    with pytest.raises(DumpFormatError, match=message):
+        load_algebra(copy.deepcopy(data))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["verify", str(bad)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_a_dump_that_is_not_utf8_is_reported_as_unreadable(tmp_path, capsys):
     bad = tmp_path / "utf16.json"
     bad.write_bytes(b"\xff\xfe" + '{"schema_version": 1}'.encode("utf-16-le"))

@@ -20,7 +20,7 @@ import worker  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 from gkmalg.algebra import GKMAlgebra, build_algebra  # noqa: E402
-from gkmalg.verify import jacobi_check_gkm, oracle_agreement_check  # noqa: E402
+from gkmalg.verify import jacobi_check_gkm, oracle_agreement_check, run_suites  # noqa: E402
 from gkmalg import wigner  # noqa: E402
 
 PATCHED = [(owner, attr) for owner, attr, _ in tracer._SPANNED + tracer._COUNTED] + [
@@ -47,6 +47,14 @@ def test_tracer_sees_every_bracket_row_built():
         assert jacobi_check_gkm(alg).passed
     built = sum(map(len, alg._pair_cache.values()))
     assert t.summarise()["calls"]["algebra.bracket_gens"] == built > 0
+
+
+def test_tracer_sees_every_bracket_row_a_full_suite_builds():
+    # sampled Jacobi, out-of-cutoff rows and antisymmetry: every row goes through _bracket_gens
+    with tracer.installed(tracer.Tracer()) as t:
+        alg = build_algebra("su2", "s3", 2, charges=[1, 1])
+        report = run_suites(alg, "all", budget=500)
+    assert t.summarise()["calls"]["algebra.bracket_gens"] == report.stats["bracket_rows"] == 2748
 
 
 def test_tracer_sees_coupling_misses_inside_the_product_rules():
