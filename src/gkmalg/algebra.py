@@ -69,9 +69,10 @@ they hold on the elements; :mod:`gkmalg.verify` checks them on the rows, and
 :meth:`GKMAlgebra._t_value`, the one place the phase rule is written, turns
 every row value into its T-basis value.  A tampered eta makes the
 stored form asymmetric, so invariance is evaluated as <[x,y],z> + <y,[x,z]>
-with the arguments in exactly that order.  The root grading is decided and
-witnessed on the tables the T-T rows are built from, by the same formula;
-root-space elements are a view for callers, never built by a check.
+with the arguments in exactly that order.  The root grading is decided on
+the named root system and the mode tables the T-T rows are built from, by
+the same formula; root-space elements are a view for callers, never built
+by a check.
 """
 
 from __future__ import annotations
@@ -436,7 +437,10 @@ class GKMAlgebra:
         if any(alpha) and alpha not in cw.root_vectors:
             raise ValueError(f"{alpha} is not a root of {self.base.name}")
         modes = self._modes_by_eigen().get(n, ())
-        return [self.vector_element(x, I) for x, I in self._root_basis(alpha, modes)]
+        return [
+            self.vector_element(cw.root_vectors[alpha] if k is None else cw.cartan[k], I)
+            for k, I in self._root_basis(alpha, modes)
+        ]
 
     def _modes_by_eigen(self) -> dict:
         """Each eigenvalue vector n -> the modes within the cutoff that carry it, in mode order."""
@@ -446,12 +450,13 @@ class GKMAlgebra:
         return groups
 
     def _root_basis(self, alpha: RootVec, modes):
-        """Yield ``(x, I)`` for the basis x (x) rho_I of g_(alpha, n), mode outer.
+        """Yield ``(k, I)`` for the basis of g_(alpha, n), mode outer: H^k (x) rho_I at
+        alpha = 0, E_alpha (x) rho_I (k None) at a root.
 
         ``modes`` are the modes of eigenvalue n, from :meth:`_modes_by_eigen`.
         """
-        vectors = [self.cw.root_vectors[alpha]] if any(alpha) else self.cw.cartan
-        return ((x, I) for I in modes for x in vectors)
+        ks = [None] if any(alpha) else range(self.cw.rank)
+        return ((k, I) for I in modes for k in ks)
 
     def root_space_labels(self) -> list[tuple[RootVec, Eigen]]:
         """All (alpha | 0, n) labels with nonempty spaces within the cutoff."""

@@ -19,11 +19,13 @@ by character or key by key, a surd's as no records, so it is malformed.
 Loading deliberately does not check the stored f and g against anything:
 the verification suites read the stored tables and produce witnesses, so a
 tampered dump is diagnosed as a verification failure instead of a parse
-error; so is a stored :func:`bracket_table`.  A value that cannot be read
-exactly (not a JSON integer where one is stored, a ``half_integer`` that is
-not a JSON boolean, an index outside ``1..dim``, an invalid mode label, a
-key stored twice) makes the dump malformed.  ``provenance`` and
-``verification`` are not read.
+error.  ``base_tables`` compares them with the tables of the base's name at
+verify time, with exit 3 and the first differing entry as the witness; a
+stored :func:`bracket_table` is diagnosed the same way.  A value that
+cannot be read exactly (not a JSON integer where one is stored, a
+``half_integer`` that is not a JSON boolean, an index outside ``1..dim``,
+an invalid mode label, a key stored twice) makes the dump malformed.
+``provenance`` and ``verification`` are not read.
 """
 
 from __future__ import annotations
@@ -84,9 +86,10 @@ def _surd_reader():
     The memo lives as long as the returned function, one load.  Every record
     is type-checked, with no fourth key, before the lookup, so a ``true`` or
     ``1.0`` radicand cannot hit the entry of the int it equals.  A miss
-    builds the value from those checked fields, and the list is read only if
-    it is the canonical form the writer gives that value (sorted squarefree
-    radicands, nonzero terms in lowest terms, integer text as ``str(int)``).
+    builds the value with :meth:`SurdScalar.from_records`, and the list is
+    read only if it is the canonical form the writer gives that value (sorted
+    squarefree radicands, nonzero terms in lowest terms, integer text as
+    ``str(int)``).
     """
     memo: dict[tuple, SurdScalar] = {}
 
@@ -102,12 +105,7 @@ def _surd_reader():
         key = tuple(fields)
         value = memo.get(key)
         if value is None:
-            terms: dict[int, Fraction] = {}
-            for d, num, den in fields:
-                if d in terms:  # the comparison below rejects it too, less plainly
-                    raise ValueError(f"repeated radicand {d} in surd records {records}")
-                terms[d] = Fraction(int(num), int(den))
-            value = SurdScalar(terms)
+            value = SurdScalar.from_records(records)  # a repeated radicand is a ValueError
             # the fields of value.to_records(), without building its dicts
             canonical = tuple(
                 (d, str(q.numerator), str(q.denominator)) for d, q in sorted(value.terms.items())

@@ -6,8 +6,9 @@ The body counts the distinct items it checks into ``details`` under one of
 ``report.ITEM_KEYS`` and fails by raising :class:`CheckFailed` with a witness:
 the offending generator ids or mode labels and the nonzero value.  Checks read
 the materialised tables of the algebra under test, not the generating rules
-(the torus hierarchy rebuilds only the smaller torus it embeds), so a tampered
-dump is diagnosed here rather than at parse time.
+(the torus hierarchy rebuilds only the smaller torus it embeds; grading's base
+factor is the named root system, see below), so a tampered dump is diagnosed
+here rather than at parse time.
 
 Jacobi, invariance, antisymmetry, the pairing table and the torus hierarchy
 are evaluated exactly on the X-basis bracket and form rows of
@@ -16,14 +17,15 @@ are evaluated exactly on the X-basis bracket and form rows of
 denominator, and every sum is :func:`gkmalg.scalars.contract` into an int
 accumulator over a running common denominator.  Canonical rows compare as
 tuples, and two sums over different denominators compare cross-multiplied.
-The root grading is decided on the factorised tables the T-T rows are built
-from: a base part from the f and g tables, once per distinct base pair, and
-a mode part from the product, eta and eigenvalue tables.  Grading and
-eigenvalue additivity add and compare root and eigenvalue labels as int
-tuples over one denominator each (:func:`_eigen_ints`).  So a passing item
-of these checks does no Fraction arithmetic.  A failure's witness is read
-off the same sum or labels, and only then is a Fraction built: a sum's
-first nonzero component becomes a T-basis value by ``GKMAlgebra._t_value``.
+The root grading is decided on the factors the T-T rows are built from: a
+base part read off the named root system, whose f and g ``base_tables``
+requires the dump to store, and a mode part from the product, eta and
+eigenvalue tables.  Grading and eigenvalue additivity add and compare root
+and eigenvalue labels as int tuples over one denominator each
+(:func:`_eigen_ints`).  So a passing item of these checks does no Fraction
+arithmetic.  A failure's witness is read off the same sum or labels, and
+only then is a Fraction built: a sum's first nonzero component becomes a
+T-basis value by ``GKMAlgebra._t_value``.
 A bracket table a dump carries is compared entry by entry with the one read
 off the same rows.  A cached row costs one dict lookup: each check reads
 rows through the column getters of :meth:`GKMAlgebra.bracket_column`, and
@@ -49,7 +51,6 @@ the count an in-order pass over every triple would give.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import random
@@ -57,7 +58,7 @@ from bisect import bisect_right
 from math import comb, isfinite, lcm
 
 from .algebra import GKMAlgebra, _Memo, build_algebra
-from .liealg import coefficients_in_span, jacobi_check_finite, killing_form
+from .liealg import jacobi_check_finite, killing_form, make_algebra
 from .modes import ModeSystem, TorusGeometry
 from .quadrature import (
     make_grid,
@@ -530,15 +531,44 @@ def killing_table_check(alg: GKMAlgebra) -> CheckResult:
     return result
 
 
+def base_tables_check(alg: GKMAlgebra) -> CheckResult:
+    """The base's dim, f and g must be those :func:`make_algebra` gives its name, entry by entry.
+
+    The Cartan-Weyl data and grading's base factor come from the name, so this
+    ties the stored tables to them.  The witness is the first differing entry
+    in sorted index order; a name :func:`make_algebra` rejects is its own.
+    """
+    with checking("base_tables") as result:
+        base = alg.base
+        try:
+            named = make_algebra(base.name)
+        except ValueError:
+            raise CheckFailed({"name": base.name}) from None
+        if named.dim != base.dim:
+            raise CheckFailed({"table": "dim", "stored": base.dim, "expected": named.dim})
+        stored, expected = _table_entries(base), _table_entries(named)
+        for key in result.tally("entries", sorted(stored.keys() | expected.keys())):
+            if stored.get(key) != expected.get(key):
+                got, want = (str(t.get(key, SURD_ZERO)) for t in (stored, expected))
+                witness = {"table": key[0], "indices": list(key[1])}
+                raise CheckFailed({**witness, "stored": got, "expected": want})
+    return result
+
+
+def _table_entries(base) -> dict:
+    """``(table, indices) -> value`` for each nonzero entry of the f and g of ``base``, 1-based."""
+    f = {("f", (a, b, c)): v for (a, b), row in base.f.items() for c, v in row.items()}
+    g = {("g", (a, b)): v for a, row in enumerate(base.g, 1) for b, v in enumerate(row, 1)}
+    return {key: v for key, v in {**f, **g}.items() if not v.is_zero}
+
+
 def grading_check(alg: GKMAlgebra) -> CheckResult:
     """[g_(a,m), g_(b,n)] must land in g_(a+b, m+n); central terms only at 0.
 
-    For each bracket of root-space basis elements: every surviving mode
-    must carry eigenvalue m+n, the base part must sit inside the expected
-    root line (or the Cartan span at a+b = 0, or vanish when a+b is not a
-    root), and the central part must vanish unless a+b = 0 and m+n = 0.
-    Each bracket is decided and witnessed from its base and mode factors
-    (see :func:`_grading_items`).
+    For each bracket of root-space basis elements, every surviving mode must
+    carry eigenvalue m+n, and the central part must vanish unless a+b = 0 and
+    m+n = 0.  The base factor is the named root system, which
+    :func:`base_tables_check` ties to the dump (see :func:`_grading_items`).
     """
     with checking("grading") as result:
         if alg.cw is None:
@@ -557,105 +587,68 @@ def grading_check(alg: GKMAlgebra) -> CheckResult:
 
 
 def _root_spaces(alg: GKMAlgebra) -> dict:
-    """Each root-space label -> its basis from ``GKMAlgebra._root_basis``, as ``(x, code, I)``.
-
-    ``code`` numbers the distinct base vectors x by value, so memo keys on
-    them hash cheaply.
-    """
-    codes, by_eigen = {}, alg._modes_by_eigen()
-    return {
-        (alpha, n): [
-            (x, codes.setdefault(x, len(codes)), I) for x, I in alg._root_basis(alpha, by_eigen[n])
-        ]
-        for alpha, n in alg.root_space_labels()
-    }
-
-
-def _base_part(alg: GKMAlgebra, x, y, line) -> tuple:
-    """``(bracketed, kind, pairing)`` for base vectors x, y and the target root's line.
-
-    ``line`` spans the target root space of g (the Cartan span at root 0), or
-    is None when the target is not a root.  ``bracketed`` is whether
-    [x, y] != 0; ``kind`` is None when [x, y] lies in ``line``, else why it
-    does not; ``pairing`` is <x, y>.
-    """
-    w = alg.base.bracket_vectors(x, y)
-    bracketed, kind = not all(c.is_zero for c in w), None
-    if bracketed and line is None:
-        kind = "bracket outside the root system"
-    elif bracketed and coefficients_in_span(w, line) is None:
-        kind = "base part outside expected root line"
-    return bracketed, kind, alg.base.killing_vectors(x, y)
+    """Each root-space label -> its basis ``(k, I)`` from ``GKMAlgebra._root_basis``."""
+    by_eigen = alg._modes_by_eigen()
+    return {(a, n): list(alg._root_basis(a, by_eigen[n])) for a, n in alg.root_space_labels()}
 
 
 def _mode_part(ms: ModeSystem, I, J, eig: _Memo) -> tuple:
-    """``(products, central)`` for modes I, J, from the stored tables and int eigenvalues ``eig``.
-
-    ``products`` holds ``(K, drift)`` for each nonzero entry K of rho_I rho_J,
-    in table order, with ``drift`` whether K's eigenvalues differ from I's
-    plus J's; ``central`` holds ``(j, omega_j)`` for each nonzero cocycle
-    factor omega_j(rho_I, rho_J) = I(j) eta_IJ, whose value is ``omega_j()``.
-    """
+    """``(drift, j)`` for modes I, J: the first nonzero K of rho_I rho_J whose int eigenvalues
+    ``eig`` are not I's plus J's, and the first j whose cocycle factor omega_j(rho_I, rho_J) =
+    I(j) eta_IJ is nonzero; each None where there is none."""
     target = tuple(a + b for a, b in zip(eig[I], eig[J]))
-    products = [(K, eig[K] != target) for K, c in ms.product(I, J).items() if not c.is_zero]
+    products = ms.product(I, J).items()
+    drift = next((K for K, c in products if not c.is_zero and eig[K] != target), None)
     partner, phase = ms.eta(I)
-    js = [j for j in range(1, ms.r + 1) if partner == J and phase and eig[I][j - 1]]
-    return products, [(j, functools.partial(ms.cocycle_pairing, j, I, J)) for j in js]
+    js = (j for j in range(1, ms.r + 1) if partner == J and phase and eig[I][j - 1])
+    return drift, next(js, None)
 
 
 def _grading_items(alg: GKMAlgebra, spaces: dict):
-    """Every grading item in check order, with its witness from the stored tables.
+    """Every grading item ``(alpha, m, beta, n, witness)`` in check order.
 
-    Yields ``(alpha, m, beta, n, witness)`` for each basis element u of
-    g_(alpha,m) and v of g_(beta,n), over label pairs in
-    ``combinations_with_replacement`` order; ``witness`` is None when [u, v]
-    lies in the target root space.  For u = x (x) rho_I and v = y (x) rho_J
-    the bracket factorises as
-
-        [u, v] = sum_K c_IJ^K [x, y] (x) rho_K  +  <x, y> eta_IJ sum_j I(j) k_j,
-
-    the formula :meth:`GKMAlgebra._bracket_gens` builds the T-T rows by, so
-    each item is decided from a base part per distinct (x, y, target root)
-    and a mode part per (I, J), each computed once.  Root and eigenvalue
-    labels are int tuples over one denominator each, so their sums and
-    comparisons are int ones.  A central term off (0, 0) is reported first,
-    as its T-basis coefficient <x, y> omega_j of the first such k_j;
-    otherwise the first mode K of [u, v] whose eigenvalues drift, or whose
-    base part [x, y] leaves the root line.
+    One item per basis element u of g_(alpha,m) and v of g_(beta,n), over label
+    pairs in ``combinations_with_replacement`` order; ``witness`` is None when
+    [u, v] lies in g_(alpha+beta, m+n).  For u = x (x) rho_I, v = y (x) rho_J,
+    [u, v] = sum_K c_IJ^K [x, y] (x) rho_K + <x, y> eta_IJ sum_j I(j) k_j, the
+    formula the T-T rows are built by.  The base factor is the root grading of
+    the named algebra (Humphreys, *Introduction to Lie Algebras*, 8.1-8.2; the
+    tests prove it on the Cartan-Weyl data): [x, y] lies in g_(alpha+beta), and
+    is nonzero exactly when alpha+beta is a root or 0 (two roots), when b_k != 0
+    (H^k and a root b, in either order), never (H^k and H^l); <x, y> is 1 for
+    two roots at alpha+beta = 0, sum_gamma gamma_k gamma_l for H^k and H^l,
+    else 0.  The mode part is read once per (I, J), and labels are int tuples.
+    A central term off (0, 0) is reported first, as <x, y> omega_j of the first
+    such k_j; otherwise the first mode K of a nonzero [x, y] (x) rho_K that drifts.
     """
-    ms, cw, bases, modes = alg.modes, alg.cw, {}, {}
+    ms, cw, modes = alg.modes, alg.cw, {}
     scaled, eig = _eigen_ints(ms)
     roots = _scaled(lcm(*(v.denominator for alpha in cw.roots for v in alpha)))
-    lines = {roots(alpha): [x] for alpha, x in cw.root_vectors.items()}
-    lines[(0,) * cw.rank] = cw.cartan
+    closed = {roots(alpha) for alpha in cw.roots} | {(0,) * cw.rank}
+    trace = [[sum(g[k] * g[l] for g in cw.roots) for l in range(cw.rank)] for k in range(cw.rank)]
     labels = [(*label, roots(label[0]), scaled(label[1]), basis) for label, basis in spaces.items()]
     pairs = itertools.combinations_with_replacement(labels, 2)
     for (alpha, m, ia, im, us), (beta, n, ib, in_, vs) in pairs:
         root = tuple(a + b for a, b in zip(ia, ib))
         central_ok = not any(root) and not any(a + b for a, b in zip(im, in_))
-        line, memo = lines.get(root), bases.setdefault(root, {})
-        for x, cx, I in us:
-            for y, cy, J in vs:
-                base = memo.get((cx, cy))
-                if base is None:
-                    base = memo[cx, cy] = _base_part(alg, x, y, line)
+        for k, I in us:
+            for l, J in vs:
+                if k is None and l is None:
+                    bracketed, pairing = root in closed, int(not any(root))
+                elif k is None or l is None:  # [H^k, E_b] = b_k E_b
+                    bracketed, pairing = (ia[l] if k is None else ib[k]) != 0, 0
+                else:
+                    bracketed, pairing = False, trace[k][l]
                 mode = modes.get((I, J))
                 if mode is None:
                     mode = modes[I, J] = _mode_part(ms, I, J, eig)
-                yield alpha, m, beta, n, _grading_witness(base, mode, central_ok)
-
-
-def _grading_witness(base: tuple, mode: tuple, central_ok: bool) -> dict | None:
-    """The witness of one grading item from its base and mode parts, else None."""
-    (bracketed, kind, pairing), (products, central) = base, mode
-    if central and not central_ok and not pairing.is_zero:
-        j, omega = central[0]
-        return {"component": repr(("k", j)), "value": str(pairing * omega()), "kind": "central"}
-    if bracketed:
-        for K, drift in products:
-            if drift or kind:
-                return {"mode": list(K), "kind": "eigenvalue drift" if drift else kind}
-    return None
+                (drift, j), witness = mode, None
+                if j and pairing and not central_ok:
+                    value = str(pairing * ms.cocycle_pairing(j, I, J))
+                    witness = {"component": repr(("k", j)), "value": value, "kind": "central"}
+                elif bracketed and drift is not None:
+                    witness = {"mode": list(drift), "kind": "eigenvalue drift"}
+                yield alpha, m, beta, n, witness
 
 
 def torus_hierarchy_check(alg: GKMAlgebra, embed_suffix: tuple[int, ...] = (0,)) -> CheckResult:
@@ -822,6 +815,8 @@ def run_suites(
         report.add(killing_consistency_check(alg))
         report.add(killing_table_check(alg))
         report.add(invariance_check(alg, sample=budget, seed=seed))
+    if suite in ("all", "jacobi", "grading", "invariance"):
+        report.add(base_tables_check(alg))
     if suite == "all":
         report.add(antisymmetry_check(alg))
         if alg.stored_brackets is not None:

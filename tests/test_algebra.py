@@ -11,10 +11,11 @@ import pytest
 
 from gkmalg import verify
 from gkmalg.algebra import ZERO_ROW, GKMAlgebra, GKMElement, build_algebra
-from gkmalg.liealg import coefficients_in_span
+from gkmalg.liealg import FiniteAlgebra, coefficients_in_span
 from gkmalg.modes import parse_manifold
 from gkmalg.scalars import (
     CSURD_ZERO,
+    SURD_ONE,
     SURD_ZERO,
     ComplexSurd,
     SurdScalar,
@@ -30,6 +31,7 @@ from gkmalg.verify import (
     _root_spaces,
     antisymmetry_check,
     associativity_check,
+    base_tables_check,
     cocycle_antisymmetry_check,
     eigen_additivity_check,
     grading_check,
@@ -596,10 +598,31 @@ def _grading_fraction_ops(monkeypatch, cutoff):
 
 def test_grading_does_fraction_arithmetic_per_distinct_base_pair_only(monkeypatch):
     # labels, eigenvalues and cocycle factors are decided on ints; what is left is the
-    # base part, computed once per distinct (x, y, target root), the same at every cutoff
+    # trace form on the Cartan, summed once over the roots, the same at every cutoff
     (small, small_ops), (large, large_ops) = (_grading_fraction_ops(monkeypatch, c) for c in (2, 3))
     assert large > 2 * small
     assert 0 < small_ops == large_ops
+
+
+COMPLEX_SURD_OPERATORS = [
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__neg__"
+]
+
+
+@pytest.mark.parametrize(
+    "base,manifold,cutoff", [("su2", "s2", 2), ("su3", "s2", 1), ("su2", "s3", 1), ("su3", "t2", 1)]
+)
+def test_a_passing_verify_does_no_complex_surd_arithmetic(monkeypatch, base, manifold, cutoff):
+    # checks decide on int rows and the named root system; only a witness's text may use ComplexSurd
+    alg = build_algebra(base, manifold, cutoff, charges=[1] * parse_manifold(manifold).r)
+    calls = []
+    for name in COMPLEX_SURD_OPERATORS:
+        method = getattr(ComplexSurd, name)
+        monkeypatch.setattr(
+            ComplexSurd, name, lambda *a, _m=method, _n=name: calls.append(_n) or _m(*a)
+        )
+    report = run_suites(alg, "all")
+    assert report.passed and calls == []
 
 
 def _reference_row(alg: GKMAlgebra, i: int, j: int) -> tuple:
@@ -816,11 +839,15 @@ GRADING_TAMPERS = {
     "f12 doubled": _double_first_f12,
     "eigen": _set("eigen_table", (1, 1), (2,)),
 }
-# an item whose first mode both drifts and leaves the root line: drift is reported
+# grading reports the drift of the eigen tamper, and base_tables the f entry
 GRADING_TAMPERS["f13 and eigen"] = lambda alg: [GRADING_TAMPERS[t](alg) for t in ("f13", "eigen")]
 SU2_DRIFT = {"mode": [1, 1], "kind": "eigenvalue drift", **_labels(["-1"], "0", ["1"], "0")}
 SU3_DRIFT = {
     "mode": [1, 1], "kind": "eigenvalue drift", **_labels(["-1", "0"], "0", ["1/2", "-1"], "0")
+}
+SU2_EIGEN = {"mode": [1, -1], "kind": "eigenvalue drift", **_labels(["-1"], "-2", ["1"], "2")}
+SU3_EIGEN = {
+    "mode": [0, 0], "kind": "eigenvalue drift", **_labels(["-1", "0"], "-1", ["1/2", "-1"], "2")
 }
 GRADING_PINS = [
     ("su2", 2, None, 393, None),
@@ -828,28 +855,23 @@ GRADING_PINS = [
     ("su2", 2, "product+(1+sqrt2)", 111, SU2_DRIFT),
     ("su2", 2, "eta", 170, {"component": "('k', 1)", "value": "1", "kind": "central",
                             **_labels(["-1"], "1", ["1"], "1")}),
-    ("su2", 2, "f13", 19, {"mode": [4, -4], "kind": "base part outside expected root line",
-                           **_labels(["-1"], "-2", ["0"], "-2")}),
-    ("su2", 2, "f12 doubled", 1, {"mode": [4, -4], "kind": "bracket outside the root system",
-                                  **_labels(["-1"], "-2", ["-1"], "-2")}),
-    ("su2", 2, "eigen", 17, {"mode": [1, -1], "kind": "eigenvalue drift",
-                             **_labels(["-1"], "-2", ["1"], "2")}),
+    ("su2", 2, "eigen", 17, SU2_EIGEN),
     ("su3", 1, None, 542, None),
     ("su3", 1, "product", 60, SU3_DRIFT),
     ("su3", 1, "product+(1+sqrt2)", 60, SU3_DRIFT),
     ("su3", 1, "eta", 115, {"component": "('k', 1)", "value": "1", "kind": "central",
                             **_labels(["-1", "0"], "1", ["1", "0"], "1")}),
-    ("su3", 1, "f12 doubled", 1, {"mode": [2, -2], "kind": "bracket outside the root system",
-                                  **_labels(["-1", "0"], "-1", ["-1", "0"], "-1")}),
-    ("su3", 1, "eigen", 16, {"mode": [0, 0], "kind": "eigenvalue drift",
-                             **_labels(["-1", "0"], "-1", ["1/2", "-1"], "2")}),
-    ("su3", 1, "f12", 21, {"mode": [2, -2], "kind": "base part outside expected root line",
-                           **_labels(["-1", "0"], "-1", ["1", "0"], "-1")}),
-    # a known non-detection: this f tamper keeps every root-space bracket graded
+    ("su3", 1, "eigen", 16, SU3_EIGEN),
+    # grading reads its base factor off the named root system, not the stored f:
+    # an f tamper passes it with the full count and fails base_tables (BASE_TABLES_PINS)
+    ("su2", 2, "f13", 393, None),
+    ("su2", 2, "f12 doubled", 393, None),
+    ("su2", 2, "f13 and eigen", 17, SU2_EIGEN),
+    ("su3", 1, "f12 doubled", 542, None),
+    ("su3", 1, "f12", 542, None),
     ("su3", 1, "f45", 542, None),
+    ("su3", 1, "f13 and eigen", 16, SU3_EIGEN),
 ]
-
-
 @pytest.mark.parametrize("base,cutoff,tamper,pairs,witness", GRADING_PINS)
 def test_grading_tampers_keep_their_verdicts_counts_and_witnesses(
     base, cutoff, tamper, pairs, witness
@@ -862,6 +884,57 @@ def test_grading_tampers_keep_their_verdicts_counts_and_witnesses(
     result = grading_check(alg)
     assert (result.passed, result.details["bracket_pairs"]) == (witness is None, pairs)
     assert result.witness == witness
+
+
+BASE_TABLES_PINS = [
+    ("su2", "f13", [1, 3, 3], "1", "0"),
+    ("su2", "f12 doubled", [1, 2, 3], "2", "1"),
+    ("su2", "f13 and eigen", [1, 3, 3], "1", "0"),
+    ("su3", "f13", [1, 3, 3], "1", "0"),
+    ("su3", "f12", [1, 2, 4], "1", "0"),
+    ("su3", "f45", [4, 5, 3], "3/2", "1/2"),
+    ("su3", "f12 doubled", [1, 2, 3], "2", "1"),
+    ("su3", "f13 and eigen", [1, 3, 3], "1", "0"),
+]
+
+
+@pytest.mark.parametrize("base,tamper,indices,stored,expected", BASE_TABLES_PINS)
+def test_base_tables_witnesses_the_first_edited_f_entry(base, tamper, indices, stored, expected):
+    alg = build_algebra(base, "s2", 1, charges=[1])
+    GRADING_TAMPERS[tamper](alg)
+    result = base_tables_check(alg)
+    assert not result.passed
+    witness = {"table": "f", "indices": indices, "stored": stored, "expected": expected}
+    assert result.witness == witness
+
+
+def test_base_tables_compares_every_entry_of_the_named_tables():
+    for name, entries in (("su2", 9), ("su3", 62), ("u1^3", 0)):
+        manifold = "t1" if name.startswith("u1") else "s2"
+        result = base_tables_check(build_algebra(name, manifold, 1, charges=[1]))
+        assert (result.passed, result.details) == (True, {"entries": entries}), name
+    alg = build_algebra("su3", "s2", 1, charges=[1])
+    g = [list(row) for row in alg.base.g]
+    g[7][7] = SurdScalar.rational(4)
+    alg = dataclasses.replace(alg, base=dataclasses.replace(alg.base, g=tuple(map(tuple, g))))
+    result = base_tables_check(alg)
+    assert result.witness == {"table": "g", "indices": [8, 8], "stored": "4", "expected": "3"}
+
+
+@pytest.mark.parametrize(
+    "base,witness",
+    [
+        (FiniteAlgebra("u2", 1, {}, ((SURD_ZERO,),)), {"name": "u2"}),
+        (FiniteAlgebra("u1^2", 3, {}, ((SURD_ZERO,) * 3,) * 3),
+         {"table": "dim", "stored": 3, "expected": 2}),
+        (FiniteAlgebra("u1^2", 2, {}, ((SURD_ONE, SURD_ZERO), (SURD_ZERO, SURD_ZERO))),
+         {"table": "g", "indices": [1, 1], "stored": "1", "expected": "0"}),
+    ],
+    ids=["unknown name", "dim", "u1 metric"],
+)
+def test_base_tables_fails_an_abelian_base_that_is_not_its_name(base, witness):
+    result = base_tables_check(build_algebra(base, "t1", 1, charges=[1]))
+    assert (result.passed, result.witness) == (False, witness)
 
 
 @pytest.mark.parametrize(
@@ -882,12 +955,13 @@ def test_grading_passes_tampers_that_add_nothing_to_a_bracket(tamper):
     assert grading_check(alg).passed
 
 
-# su2 has no index 4, so f12 is an su3-only tamper; f45 is the known non-detection
+# the agreement is between the grading rules and elements built on the named tables,
+# so it takes the tampers that leave f and g alone
 GRADING_AGREEMENT_TAMPERS = [
     (base, "s2", tamper)
     for base in ("su2", "su3")
     for tamper in GRADING_TAMPERS
-    if tamper != "f45" and not (base == "su2" and tamper == "f12")
+    if not tamper.startswith("f")
 ]
 
 
@@ -933,7 +1007,6 @@ def _replayed_witness(alg: GKMAlgebra, w: GKMElement, target_root, target_eigen)
         ("su2", "s3", None),
         ("su2", "t2", None),
         ("su2", "s3-integer", None),
-        ("su3", "t1", "f12"),
         *GRADING_AGREEMENT_TAMPERS,
     ],
 )
@@ -941,10 +1014,14 @@ def test_grading_rows_agree_with_elements_on_every_pair(base, manifold, tamper):
     alg = build_algebra(base, manifold, 1, charges=[1] * parse_manifold(manifold).r)
     if tamper is not None:
         GRADING_TAMPERS[tamper](alg)
-    spaces = _root_spaces(alg)
+    spaces, cw = _root_spaces(alg), alg.cw
     elements = {label: alg.root_space(*label) for label in alg.root_space_labels()}
     assert elements == {
-        label: [alg.vector_element(x, I) for x, _, I in basis] for label, basis in spaces.items()
+        (alpha, n): [
+            alg.vector_element(cw.root_vectors[alpha] if k is None else cw.cartan[k], I)
+            for k, I in basis
+        ]
+        for (alpha, n), basis in spaces.items()
     }
     replayed = []
     for ((alpha, m), us), ((beta, n), vs) in itertools.combinations_with_replacement(

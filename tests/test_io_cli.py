@@ -144,6 +144,32 @@ def test_verify_cli_text_format(s2_dump, capsys):
     assert lines[1].startswith("PASS  jacobi_gkm [sampled, seed 9]  100 of 3654 triples  (")
 
 
+def test_verify_text_format_prints_each_failures_witness(s2_dump, tmp_path, capsys):
+    def mutate(d):
+        d["modes"]["eigen"][0][1] = ["7"]
+
+    tampered = _tamper(s2_dump, tmp_path, mutate)
+    assert main(["verify", str(tampered), "--format", "text"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    fails = [n for n, line in enumerate(lines) if line.startswith("FAIL")]
+    assert fails and lines[-1] == "VERIFICATION FAILED"
+    for n in fails:
+        assert lines[n + 1].startswith("      witness: {") and lines[n + 1].endswith("}")
+
+
+def test_verify_a_dump_whose_root_is_not_an_object_is_malformed(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().err.strip() == "error: dump root must be a JSON object"
+
+
+def test_build_rejects_a_torus_power_that_is_not_an_integer(tmp_path, capsys):
+    argv = ["build", "--algebra", "u1^x", "--manifold", "t1", "--cutoff", "1", "--charges", "1"]
+    assert main([*argv, "--out", str(tmp_path / "a.json")]) == 2
+    assert capsys.readouterr().err.strip() == "error: unknown algebra name 'u1^x'"
+
+
 def test_report_gives_each_drawn_check_its_population():
     alg = build_algebra("su2", "s2", 2, charges=[1])
     report = run_suites(alg, "all", budget=100, oracle_samples=10)
@@ -650,6 +676,39 @@ def test_every_single_entry_mutation_fails_verification_and_replays(mutation):
         replay = shlex.split(failing[0]["witness"]["replay"])
         assert replay[:2] == ["gkmalg", "verify"]
         assert _verify(replay[1:]) == (3, failing)
+
+
+def _flip_base_vector(data, a):
+    """The basis change x_a -> -x_a of a dump: negate each f entry with an odd count of index a.
+
+    g is diagonal, so it is unchanged, and the algebra stays isomorphic to the named one.
+    """
+    for entry in data["base"]["f"]:
+        if entry[:3].count(a) % 2:
+            entry[3] = [{**rec, "num": str(-int(rec["num"]))} for rec in entry[3]]
+
+
+COHERENT_TAMPERS = [
+    (base, manifold, a)
+    for base, dim, manifolds in (("su2", 3, ("s2", "s3")), ("su3", 8, ("s2", "t1")))
+    for manifold in manifolds
+    for a in range(1, dim + 1)
+]
+
+
+@pytest.mark.parametrize("base,manifold,a", COHERENT_TAMPERS)
+def test_a_coherent_sign_flip_of_the_base_fails_base_tables(base, manifold, a, tmp_path):
+    # every identity still holds on the flipped tables, so only their identity with the name fails
+    alg = build_algebra(base, manifold, 1, charges=[1] * parse_manifold(manifold).r)
+    data = dump_algebra(alg)
+    _flip_base_vector(data, a)
+    checks = {c.name: c for c in run_suites(load_algebra(data), "all").checks}
+    assert checks[f"jacobi_finite[{base}]"].passed and checks["killing_consistency"].passed
+    assert not checks["base_tables"].passed
+    dump = tmp_path / "flipped.json"
+    dump.write_text(json.dumps(data))
+    code, failing = _verify(["verify", str(dump), "--suite", "all"])
+    assert code == 3 and "base_tables" in [c["name"] for c in failing]
 
 
 def test_a_mutation_out_of_the_writers_form_is_malformed():

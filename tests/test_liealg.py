@@ -195,19 +195,49 @@ def test_an_algebra_equal_to_the_named_one_builds_and_verifies():
 
 
 def test_build_and_load_prove_no_base_table_again(monkeypatch):
-    # the constant tables are proven by the tests above, not by each build or load
+    # the constant tables are proven by the tests above, not by each build, load or verify
     def forbidden(*args, **kwargs):
         raise AssertionError("the constant base tables were proven again")
 
     monkeypatch.setattr(gkmalg.liealg, "jacobi_check_finite", forbidden)
-    with monkeypatch.context() as patch:  # the grading check reads these vectors
-        for name in ("bracket_vectors", "killing_vectors"):
-            patch.setattr(FiniteAlgebra, name, forbidden)
-        loaded = load_algebra(dump_algebra(build_algebra("su3", "s2", 1, charges=[1])))
+    for name in ("bracket_vectors", "killing_vectors"):
+        monkeypatch.setattr(FiniteAlgebra, name, forbidden)
+    loaded = load_algebra(dump_algebra(build_algebra("su3", "s2", 1, charges=[1])))
     # verify holds its own reference, so the suites still check the algebra under test
     report = run_suites(loaded, "all")
     checks = {c.name: c for c in report.checks}
     assert checks["jacobi_finite[su3]"].passed and report.passed
+
+
+@pytest.mark.parametrize("name,trace", [("su2", [[2]]), ("su3", [[3, 0], [0, 4]])])
+def test_the_root_grading_the_grading_check_reads(name, trace):
+    """[g_a, g_b] lies in g_(a+b), and the bracket and trace form follow the root rules.
+
+    On every pair of Cartan-Weyl basis vectors, against the vector references:
+    [E_a, E_b] != 0 exactly when a+b is a root or 0, [H^k, E_b] != 0 exactly
+    when b_k != 0, [H^k, H^l] = 0; <E_a, E_b> = delta_(a+b,0), <H, E> = 0 and
+    <H^k, H^l> = sum_gamma gamma_k gamma_l.
+    """
+    alg = make_algebra(name)
+    cw = cartan_weyl(alg)
+    zero = (Fraction(0),) * cw.rank
+    ranks = range(cw.rank)
+    assert [[sum(g[k] * g[l] for g in cw.roots) for l in ranks] for k in ranks] == trace
+    basis = [(a, None, cw.root_vectors[a]) for a in cw.roots]
+    basis += [(zero, k, h) for k, h in enumerate(cw.cartan)]
+    for (alpha, k, x), (beta, l, y) in itertools.product(basis, repeat=2):
+        target = tuple(a + b for a, b in zip(alpha, beta))
+        if k is None and l is None:
+            bracketed, pairing = target in cw.root_vectors or target == zero, int(target == zero)
+        elif k is None or l is None:
+            bracketed, pairing = (alpha[l] if k is None else beta[k]) != 0, 0
+        else:
+            bracketed, pairing = False, trace[k][l]
+        w = alg.bracket_vectors(x, y)
+        assert any(not c.is_zero for c in w) == bracketed, (alpha, k, beta, l)
+        space = [cw.root_vectors[target]] if target in cw.root_vectors else []
+        assert coefficients_in_span(w, list(cw.cartan) if target == zero else space) is not None
+        assert alg.killing_vectors(x, y) == ComplexSurd.rational(pairing), (alpha, k, beta, l)
 
 
 def test_cartan_weyl_rejects_abelian():
