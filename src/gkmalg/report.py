@@ -41,7 +41,12 @@ class CheckResult:
     details: dict = field(default_factory=dict)
 
     def tally(self, key: str, items):
-        """Yield ``items``, counting each one into ``details[key]`` as it is checked."""
+        """Yield ``items``, counting each one into ``details[key]`` as it is checked.
+
+        A check that decides its items without walking them (the pairing
+        table and the grading on a pass) sets ``details[key]`` to the count a
+        walk would reach instead.
+        """
         self.details[key] = 0
         for item in items:
             self.details[key] += 1

@@ -47,6 +47,20 @@ generator's candidate partners from the support rule of
 :meth:`GKMAlgebra.form_partners`, keeps those whose form row is nonempty,
 evaluates only the triples that meet one, in population order, and reports
 the count an in-order pass over every triple would give.
+
+The pairing table and the root grading are decided on their factors, and
+walked item by item only to name a failure.  <X_aI, X_bJ> = -g_ab eta_IJ is
+the zero row unless eta(I) names J with a nonzero phase, so the table's T-T
+part is symmetric exactly when it is on those mode pairs, read in both
+orders for every base pair (a, b); the D/k tail is read as it is.  A
+grading item [u, v] fails only through a nonzero entry of rho_I rho_J whose
+eigenvalue is not I's plus J's, or through a central term off (0, 0), which
+needs a mode I of nonzero eigenvalue whose nonzero-phase partner J does
+not carry -I: the pairing <x, y> is nonzero only at root sum 0.  When
+neither test finds anything, every item passes, and the count is the one a
+walk would reach: every pair of the table, and (S^2 + sum s^2)/2 grading
+items over root spaces of sizes s, S = sum s.  Otherwise the walk runs and
+its verdict, count and witness stand.
 """
 
 from __future__ import annotations
@@ -56,6 +70,7 @@ import json
 import random
 from bisect import bisect_right
 from math import comb, isfinite, lcm
+from operator import add
 
 from .algebra import GKMAlgebra, _Memo, build_algebra
 from .liealg import jacobi_check_finite, killing_form, make_algebra
@@ -93,10 +108,11 @@ class Combinations:
         # a multiset c_0 <= ... <= c_k-1 of range(n) is the set c_j + j of range(n + k - 1)
         self._span = len(self.items) + (k - 1 if repeats else 0)
         self._tails = comb(self._span, k)
-        self._colex = None
+        self._len = (len(self.items) if lead else 1) * self._tails
+        self._slots = None
 
     def __len__(self) -> int:
-        return (len(self.items) if self.lead else 1) * self._tails
+        return self._len
 
     def __iter__(self):
         combos = itertools.combinations_with_replacement if self.repeats else itertools.combinations
@@ -115,21 +131,31 @@ class Combinations:
         colex = sum(comb(self._span - 1 - s, self.k - j) for j, s in enumerate(tail))
         return head * self._tails + self._tails - 1 - colex
 
+    def _slot_tables(self) -> list:
+        """Per slot, ``(comb(c, size) for c in range(span + 1), the item each c picks)``."""
+        n, spans = len(self.items), range(self._span + 1)
+        slots = []
+        for slot, size in enumerate(range(self.k, 0, -1)):
+            # c picks index span-1-c of the set, minus the slot for a multiset
+            shift = self._span - 1 - (slot if self.repeats else 0)
+            picked = [self.items[shift - c] if 0 <= shift - c < n else None for c in spans]
+            slots.append(([comb(c, size) for c in spans], picked))
+        return slots
+
     def __getitem__(self, index: int) -> tuple:
-        if not 0 <= index < len(self):
-            raise IndexError(f"index {index} out of range for {len(self)} items")
-        if self._colex is None:  # per slot, comb(c, size) for c in range(span + 1)
-            spans = range(self._span + 1)
-            self._colex = [[comb(c, size) for c in spans] for size in range(self.k, 0, -1)]
+        if not 0 <= index < self._len:
+            raise IndexError(f"index {index} out of range for {self._len} items")
+        if self._slots is None:
+            self._slots = self._slot_tables()
         head, rank = divmod(index, self._tails)
-        picks = [head] if self.lead else []
+        out = [self.items[head]] if self.lead else []
         # lexicographic rank r of a k-set S is colex rank total-1-r of {span-1-s : s in S}
         rest = self._tails - 1 - rank
-        for slot, table in enumerate(self._colex):
+        for table, picked in self._slots:
             c = bisect_right(table, rest) - 1  # the largest c with comb(c, size) <= rest
             rest -= table[c]
-            picks.append(self._span - 1 - c - (slot if self.repeats else 0))
-        return tuple(self.items[i] for i in picks)
+            out.append(picked[c])
+        return tuple(out)
 
 
 def sample_items(population, count: int, seed: int):
@@ -496,15 +522,22 @@ def killing_consistency_check(alg: GKMAlgebra) -> CheckResult:
     return result
 
 
-def _killing_table_entries(alg: GKMAlgebra):
-    """Every generator id pair (i, j) the pairing table is checked on."""
-    m, dims, r = len(alg.modes.modes), range(alg.base.dim), alg.r
-    for a, b, I, J in itertools.product(dims, dims, range(m), range(m)):
-        yield a * m + I, b * m + J
+def _killing_tail(alg: GKMAlgebra):
+    """The generator id pairs (i, j) of the pairing table's D/k tail, in check order."""
+    m, r = len(alg.modes.modes), alg.r
     D, k = alg.base.dim * m, alg.base.dim * m + r  # the ids of D_1 and k_1; id 0 is a T
     for i, j in itertools.product(range(r), range(r)):
         yield from ((D + i, k + j), (k + i, D + j), (D + i, D + j), (k + i, k + j))
         yield from ((D + i, 0), (k + i, 0))
+
+
+def _killing_expected(alg: GKMAlgebra, i: int, j: int):
+    """The row <X_i, X_j> must equal: <X_j, X_i> for a T, delta_ij on D_i, k_j, else 0."""
+    p, q = alg.generator_of(i), alg.generator_of(j)
+    if p[0] == "T":
+        return alg.form_row(j, i)
+    delta = {p[0], q[0]} == {"D", "k"} and p[1] == q[1]
+    return (1, ((None, 1, 1),) if delta else ())
 
 
 def killing_table_check(alg: GKMAlgebra) -> CheckResult:
@@ -512,23 +545,56 @@ def killing_table_check(alg: GKMAlgebra) -> CheckResult:
 
     Checked on the form rows that invariance reads, where an eta whose
     partners or phases disagree between I and J shows up as an asymmetric form.
+    The table is decided on its factors first: <X_aI, X_bJ> is ``ZERO_ROW``
+    unless eta(I) names J with a nonzero phase, so only those mode pairs are
+    compared, in both orders, for every base pair (a, b), then the D/k tail.
+    A pass counts every pair of the table without walking it; anything else
+    runs :func:`_killing_table_walk`, whose count and witness are the reference.
     """
     with checking("killing_table") as result:
-        for i, j in result.tally("pairs", _killing_table_entries(alg)):
-            p, q = alg.generator_of(i), alg.generator_of(j)
-            got = alg.form_row(i, j)
-            if p[0] == "T":
-                expected = alg.form_row(j, i)
-            else:
-                delta = {p[0], q[0]} == {"D", "k"} and p[1] == q[1]
-                expected = (1, ((None, 1, 1),) if delta else ())
-            if got != expected:
-                value, wanted = (
-                    str(alg._t_value(den, {d: n for _, d, n in terms}, (i, j)))
-                    for den, terms in (got, expected)
-                )
-                raise CheckFailed({"pair": [repr(p), repr(q)], "value": value, "expected": wanted})
+        if _killing_table_decided(alg):
+            m, r = len(alg.modes.modes), alg.r
+            result.details["pairs"] = (alg.base.dim * m) ** 2 + 6 * r * r
+        else:
+            _killing_table_walk(alg, result)
     return result
+
+
+def _killing_table_decided(alg: GKMAlgebra) -> bool:
+    """Whether every pair of the pairing table passes, read on the pairs that can be nonzero."""
+    ms, form = alg.modes, alg.form_row
+    m, dims = len(ms.modes), range(alg.base.dim)
+    position = {I: p for p, I in enumerate(ms.modes)}
+    pairs = set()  # mode positions (p, q), p <= q, with eta of one naming the other
+    for p, I in enumerate(ms.modes):
+        J, phase = ms.eta(I)
+        q = position.get(J)
+        if phase and q is not None:
+            pairs.add((min(p, q), max(p, q)))
+    return all(
+        form(a * m + p, b * m + q) == form(b * m + q, a * m + p)
+        for p, q in pairs
+        for a in dims
+        for b in dims
+    ) and all(form(i, j) == _killing_expected(alg, i, j) for i, j in _killing_tail(alg))
+
+
+def _killing_table_walk(alg: GKMAlgebra, result: CheckResult) -> None:
+    """Check every generator id pair of the pairing table in order, tallied into ``result``."""
+    m, dims = len(alg.modes.modes), range(alg.base.dim)
+    tt = (
+        (a * m + I, b * m + J)
+        for a, b, I, J in itertools.product(dims, dims, range(m), range(m))
+    )
+    for i, j in result.tally("pairs", itertools.chain(tt, _killing_tail(alg))):
+        got, expected = alg.form_row(i, j), _killing_expected(alg, i, j)
+        if got != expected:
+            value, wanted = (
+                str(alg._t_value(den, {d: n for _, d, n in terms}, (i, j)))
+                for den, terms in (got, expected)
+            )
+            gens = (alg.generator_of(i), alg.generator_of(j))
+            raise CheckFailed({"pair": [repr(g) for g in gens], "value": value, "expected": wanted})
 
 
 def base_tables_check(alg: GKMAlgebra) -> CheckResult:
@@ -569,21 +635,51 @@ def grading_check(alg: GKMAlgebra) -> CheckResult:
     carry eigenvalue m+n, and the central part must vanish unless a+b = 0 and
     m+n = 0.  The base factor is the named root system, which
     :func:`base_tables_check` ties to the dump (see :func:`_grading_items`).
+    An item can fail only through a drifting product entry or a partner pair
+    whose eigenvalues do not cancel; when :func:`_grading_decided` finds
+    neither, every item passes and is counted without walking.  Otherwise
+    :func:`_grading_walk` checks each item, and its count and witness stand.
     """
     with checking("grading") as result:
         if alg.cw is None:
             result.regime = "skipped"
             result.details["note"] = "abelian base: no root grading to check"
             return result
-        spaces = _root_spaces(alg)
-        items = _grading_items(alg, spaces)
-        for alpha, m, beta, n, witness in result.tally("bracket_pairs", items):
-            if witness is not None:
-                labels = {"alpha": alpha, "m": m, "beta": beta, "n": n}
-                witness.update({key: [str(x) for x in v] for key, v in labels.items()})
-                raise CheckFailed(witness)
-        result.details["labels"] = len(spaces)
+        if _grading_decided(alg.modes):
+            sizes = [len(basis) for basis in _root_spaces(alg).values()]
+            result.details["bracket_pairs"] = (sum(sizes) ** 2 + sum(s * s for s in sizes)) // 2
+            result.details["labels"] = len(sizes)
+        else:
+            _grading_walk(alg, result)
     return result
+
+
+def _grading_decided(ms: ModeSystem) -> bool:
+    """Whether no grading item can carry a witness: every nonzero entry of rho_I rho_J has
+    eigenvalue I's plus J's, and every mode of nonzero eigenvalue with a nonzero-phase
+    partner in the cutoff has the partner's eigenvalue negated."""
+    eig, modes = _eigen_ints(ms)[1], set(ms.modes)
+    for I in ms.modes:
+        for J in ms.modes:
+            target = tuple(map(add, eig[I], eig[J]))
+            for K, c in ms.product(I, J).items():
+                if eig[K] != target and not c.is_zero:
+                    return False
+        J, phase = ms.eta(I)
+        if phase and any(eig[I]) and J in modes and any(map(add, eig[I], eig[J])):
+            return False
+    return True
+
+
+def _grading_walk(alg: GKMAlgebra, result: CheckResult) -> None:
+    """Check every item of :func:`_grading_items` in order, tallied into ``result``."""
+    spaces = _root_spaces(alg)
+    for alpha, m, beta, n, witness in result.tally("bracket_pairs", _grading_items(alg, spaces)):
+        if witness is not None:
+            labels = {"alpha": alpha, "m": m, "beta": beta, "n": n}
+            witness.update({key: [str(x) for x in v] for key, v in labels.items()})
+            raise CheckFailed(witness)
+    result.details["labels"] = len(spaces)
 
 
 def _root_spaces(alg: GKMAlgebra) -> dict:

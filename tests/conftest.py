@@ -7,6 +7,8 @@ from math import gcd, lcm
 
 import pytest
 
+from gkmalg.report import checking
+
 
 def _dense_invariance(alg):
     """``(passed, details, witness)`` of invariance with every triple summed in order, in Fractions."""
@@ -45,3 +47,16 @@ def dense_invariance():
     reports them, from the same bracket and form rows but with no triple skipped.
     """
     return _dense_invariance
+
+
+@pytest.fixture()
+def walked():
+    """A check's per-item walk as a reference: ``walked(name, walk, alg)`` is the result
+    the walk gives when called directly under the check's harness."""
+
+    def run(name, walk, alg):
+        with checking(name) as result:
+            walk(alg, result)
+        return result
+
+    return run

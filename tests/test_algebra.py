@@ -23,11 +23,12 @@ from gkmalg.scalars import (
     int_row,
     lowest_row,
 )
-from gkmalg.serialize import dump_algebra
+from gkmalg.serialize import dump_algebra, load_algebra
 from gkmalg.verify import (
     Combinations,
     _form_candidates,
     _grading_items,
+    _grading_walk,
     _root_spaces,
     antisymmetry_check,
     associativity_check,
@@ -185,7 +186,9 @@ def test_sampled_counts_are_distinct_items_checked():
     assert invariance.details["triples"] == 1000 and invariance.regime == "sampled"
 
 
-@pytest.mark.parametrize("k,repeats,lead", [(3, False, False), (3, True, False), (2, True, True)])
+@pytest.mark.parametrize(
+    "k,repeats,lead", [(3, False, False), (3, True, False), (2, False, True), (2, True, True)]
+)
 def test_sampler_draws_from_the_exhaustive_population(k, repeats, lead):
     population = Combinations([f"g{i}" for i in range(7)], k, repeats=repeats, lead=lead)
     exhaustive = list(population)
@@ -206,7 +209,9 @@ def test_sampler_draws_from_the_exhaustive_population(k, repeats, lead):
     assert drawn == list(sample_items(population, 20, seed=3))
 
 
-@pytest.mark.parametrize("k,repeats,lead", [(3, False, False), (3, True, False), (2, True, True)])
+@pytest.mark.parametrize(
+    "k,repeats,lead", [(3, False, False), (3, True, False), (2, False, True), (2, True, True)]
+)
 def test_unranking_a_large_population_matches_its_iteration(k, repeats, lead):
     population = Combinations([f"g{i}" for i in range(90)], k, repeats=repeats, lead=lead)
     wanted = set(random.Random(11).sample(range(len(population)), 300)) | {0, len(population) - 1}
@@ -583,8 +588,9 @@ FRACTION_OPERATORS = [
 ]
 
 
-def _grading_fraction_ops(monkeypatch, cutoff):
-    """The Fraction additions, subtractions, products and quotients of one grading check."""
+def _grading_fraction_ops(monkeypatch, walked, cutoff):
+    """The Fraction additions, subtractions, products and quotients of one grading check
+    and of its per-item walk, with the walk's item count."""
     alg = build_algebra("su2", "s3", cutoff, charges=[1, 1])
     calls = []
     with monkeypatch.context() as patch:
@@ -592,16 +598,23 @@ def _grading_fraction_ops(monkeypatch, cutoff):
             method = getattr(Fraction, name)
             patch.setattr(Fraction, name, lambda *a, _m=method: calls.append(1) or _m(*a))
         result = grading_check(alg)
-    assert result.passed
-    return result.details["bracket_pairs"], len(calls)
+        check_ops = len(calls)
+        walk = walked("grading", _grading_walk, alg)
+    assert result.passed and walk.passed
+    assert result.details == walk.details
+    return walk.details["bracket_pairs"], check_ops, len(calls) - check_ops
 
 
-def test_grading_does_fraction_arithmetic_per_distinct_base_pair_only(monkeypatch):
-    # labels, eigenvalues and cocycle factors are decided on ints; what is left is the
-    # trace form on the Cartan, summed once over the roots, the same at every cutoff
-    (small, small_ops), (large, large_ops) = (_grading_fraction_ops(monkeypatch, c) for c in (2, 3))
+def test_grading_does_fraction_arithmetic_per_distinct_base_pair_only(monkeypatch, walked):
+    # labels, eigenvalues and cocycle factors are decided on ints; what is left in the walk
+    # is the trace form on the Cartan, summed once over the roots, the same at every cutoff,
+    # and a passing check decides on the mode tables without the walk, so it does none
+    (small, small_check, small_ops), (large, large_check, large_ops) = (
+        _grading_fraction_ops(monkeypatch, walked, c) for c in (2, 3)
+    )
     assert large > 2 * small
     assert 0 < small_ops == large_ops
+    assert small_check == large_check == 0
 
 
 COMPLEX_SURD_OPERATORS = [
@@ -623,6 +636,24 @@ def test_a_passing_verify_does_no_complex_surd_arithmetic(monkeypatch, base, man
         )
     report = run_suites(alg, "all")
     assert report.passed and calls == []
+
+
+@pytest.mark.parametrize("base,manifold,cutoff", [("su2", "s3", 2), ("su3", "s2", 1)])
+def test_passing_checks_decide_the_pairing_table_and_grading_from_their_factors(
+    monkeypatch, base, manifold, cutoff
+):
+    # <X_aI, X_bJ> is read in both orders only where eta pairs I with J, and a grading with
+    # no drift and no uncancelled partner is counted without walking its items
+    r = parse_manifold(manifold).r
+    alg = load_algebra(dump_algebra(build_algebra(base, manifold, cutoff, charges=[1] * r)))
+    dim, m = alg.base.dim, len(alg.modes.modes)
+    form_row, calls = GKMAlgebra.form_row, []
+    monkeypatch.setattr(GKMAlgebra, "form_row", lambda *a: calls.append(1) or form_row(*a))
+    monkeypatch.setattr(verify, "_grading_items", lambda *a: pytest.fail("grading walked"))
+    killing, grading = killing_table_check(alg), grading_check(alg)
+    assert killing.passed and killing.details["pairs"] == (dim * m) ** 2 + 6 * r * r
+    assert 0 < len(calls) <= 2 * dim * dim * m + 6 * r * r
+    assert grading.passed and grading.details["bracket_pairs"] > 0
 
 
 def _reference_row(alg: GKMAlgebra, i: int, j: int) -> tuple:

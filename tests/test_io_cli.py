@@ -16,11 +16,24 @@ from hypothesis import strategies as st
 
 from gkmalg.algebra import build_algebra
 from gkmalg.cli import main
+from gkmalg.liealg import jacobi_check_finite
 from gkmalg.modes import parse_manifold
 from gkmalg.report import VerificationReport
 from gkmalg.scalars import SurdScalar
 from gkmalg.serialize import DumpFormatError, dump_algebra, load_algebra, save_algebra
-from gkmalg.verify import SUITES, bracket_table_check, invariance_check, run_suites, torus_hierarchy_check
+from gkmalg.verify import (
+    SUITES,
+    _grading_walk,
+    _killing_table_walk,
+    base_tables_check,
+    bracket_table_check,
+    grading_check,
+    invariance_check,
+    killing_consistency_check,
+    killing_table_check,
+    run_suites,
+    torus_hierarchy_check,
+)
 from gkmalg.wigner import cache_size, clear_cache
 
 
@@ -556,9 +569,9 @@ def test_tampered_structure_constant_fails_the_hierarchy(t2_dump, tmp_path, caps
 
 
 @functools.cache
-def _small_dump(manifold):
+def _small_dump(manifold, base="su2"):
     r = parse_manifold(manifold).r
-    return dump_algebra(build_algebra("su2", manifold, 1, charges=[1] * r))
+    return dump_algebra(build_algebra(base, manifold, 1, charges=[1] * r))
 
 
 def _entry_mutations(data):
@@ -602,6 +615,19 @@ def _entry(data, path):
     for key in path:
         data = data[key]
     return data
+
+
+def _loaded_mutations(manifold, base="su2"):
+    """``(path, algebra)`` for each single-entry mutation of a small dump that loads."""
+    dump = _small_dump(manifold, base)
+    text = json.dumps(dump)
+    for path, value in _entry_mutations(dump):
+        data = json.loads(text)
+        _entry(data, path[:-1])[path[-1]] = value
+        try:
+            yield path, load_algebra(data)
+        except DumpFormatError:
+            continue
 
 
 MUTATIONS = [(m, *mutation) for m in ("s2", "t2") for mutation in _entry_mutations(_small_dump(m))]
@@ -724,19 +750,48 @@ def test_exhaustive_invariance_equals_every_triple_summed(dense_invariance):
     """Skipping the triples with no form partner changes no verdict, count or witness."""
     loaded = 0
     for manifold in ("s2", "t2", "s3"):
-        dump = _small_dump(manifold)
-        text = json.dumps(dump)
-        for path, value in _entry_mutations(dump):
-            data = json.loads(text)
-            _entry(data, path[:-1])[path[-1]] = value
-            try:
-                alg = load_algebra(data)
-            except DumpFormatError:
-                continue
+        for path, alg in _loaded_mutations(manifold):
             loaded += 1
             result = invariance_check(alg, sample="all")
             assert (result.passed, result.details, result.witness) == dense_invariance(alg), path
     assert loaded == 684
+
+
+@pytest.mark.parametrize(
+    "base,manifold", [("su2", "s2"), ("su3", "s2"), ("su2", "t2"), ("su2", "s3")]
+)
+def test_pairing_table_and_grading_decide_as_their_walks(walked, base, manifold):
+    """Deciding from the factors changes no verdict, count or witness of either check."""
+    failures = 0
+    for path, alg in _loaded_mutations(manifold, base):
+        for name, check, walk in (
+            ("killing_table", killing_table_check, _killing_table_walk),
+            ("grading", grading_check, _grading_walk),
+        ):
+            result, reference = check(alg), walked(name, walk, alg)
+            assert (result.passed, result.details, result.witness) == (
+                reference.passed, reference.details, reference.witness
+            ), (name, path)
+            failures += not reference.passed
+    assert failures > 0
+
+
+def test_no_base_block_mutation_fails_the_finite_checks_alone():
+    # the loader takes a known name and base_tables compares the stored f and g with its
+    # proven tables, so jacobi_finite and killing_consistency add a witness but no catch
+    loaded, alone = 0, []
+    for manifold in ("s2", "t2"):
+        for path, alg in _loaded_mutations(manifold):
+            if path[0] != "base":
+                continue
+            loaded += 1
+            finite = (
+                jacobi_check_finite(alg.base.f, alg.base.dim, alg.base.name),
+                killing_consistency_check(alg),
+            )
+            if base_tables_check(alg).passed and not all(check.passed for check in finite):
+                alone.append(path)
+    assert (loaded, alone) == (94, [])
 
 
 LABEL =("modes", "products", 1, 2, 0, 0)  # the s2 entry [1, -1] of rho_(0,0) rho_(1,-1)

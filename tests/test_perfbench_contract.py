@@ -20,7 +20,14 @@ import worker  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 from gkmalg.algebra import GKMAlgebra, build_algebra  # noqa: E402
-from gkmalg.verify import jacobi_check_gkm, oracle_agreement_check, run_suites  # noqa: E402
+from gkmalg.modes import parse_manifold  # noqa: E402
+from gkmalg.verify import (  # noqa: E402
+    grading_check,
+    jacobi_check_gkm,
+    killing_table_check,
+    oracle_agreement_check,
+    run_suites,
+)
 from gkmalg import wigner  # noqa: E402
 
 PATCHED = [(owner, attr) for owner, attr, _ in tracer._SPANNED + tracer._COUNTED] + [
@@ -95,3 +102,20 @@ def test_every_benchmark_case_passes_the_gate():
             job = worker.run_job(wl, case, rng.randrange(2**31))
             errors += worker.gate(job, expected[wl.name][case.id])
     assert errors == []
+
+
+def test_pairing_table_and_grading_keep_their_pinned_counts():
+    # counted without walking on a pass, so a wrong count formula must fail here first
+    expected = json.loads(worker.EXPECTED.read_text(encoding="utf-8"))
+    for name in ("verify-sampled", "verify-exhaustive"):
+        for case in WORKLOADS[name].cases:
+            charges = [1] * parse_manifold(case.manifold).r
+            alg = build_algebra(case.algebra, case.manifold, case.cutoff, charges)
+            pinned = expected[name][case.id]["checks"]
+            for check, key in (
+                (killing_table_check(alg), "pairs"),
+                (grading_check(alg), "bracket_pairs"),
+            ):
+                where = (case.id, check.name)
+                assert check.passed, where
+                assert [check.regime, check.details[key]] == pinned[check.name], where
