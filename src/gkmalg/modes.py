@@ -302,6 +302,7 @@ class ModeSystem:
     eigen_table: dict[ModeLabel, Eigen]
     _table_rows: dict = field(default_factory=dict, init=False, repr=False)  # (I, J) -> row
     _ext_products: dict = field(default_factory=dict, init=False, repr=False)  # (I, J) -> row
+    _rule_eigen: dict = field(default_factory=dict, init=False, repr=False)  # K -> int labels
 
     @property
     def r(self) -> int:
@@ -343,6 +344,18 @@ class ModeSystem:
     def eigen(self, I: ModeLabel) -> Eigen:
         hit = self.eigen_table.get(I)
         return hit if hit is not None else self.geometry.eigen(I)
+
+    def rule_eigen(self, K: ModeLabel) -> tuple[int, ...]:
+        """The geometry's eigenvalues of mode K as ints over ``geometry.eigen_den``, memoised.
+
+        The rule's labels, never ``eigen_table``'s, so no edit of the table makes one stale.
+        """
+        hit = self._rule_eigen.get(K)
+        if hit is None:
+            den = self.geometry.eigen_den
+            values = self.geometry.eigen(K)
+            hit = self._rule_eigen[K] = tuple(v.numerator * (den // v.denominator) for v in values)
+        return hit
 
     def cocycle_pairing(self, j: int, I: ModeLabel, J: ModeLabel) -> SurdScalar:
         """omega_j mode factor: eigenvalue of the first slot times eta_IJ.

@@ -48,19 +48,27 @@ generator's candidate partners from the support rule of
 evaluates only the triples that meet one, in population order, and reports
 the count an in-order pass over every triple would give.
 
-The pairing table and the root grading are decided on their factors, and
-walked item by item only to name a failure.  <X_aI, X_bJ> = -g_ab eta_IJ is
-the zero row unless eta(I) names J with a nonzero phase, so the table's T-T
-part is symmetric exactly when it is on those mode pairs, read in both
-orders for every base pair (a, b); the D/k tail is read as it is.  A
-grading item [u, v] fails only through a nonzero entry of rho_I rho_J whose
-eigenvalue is not I's plus J's, or through a central term off (0, 0), which
-needs a mode I of nonzero eigenvalue whose nonzero-phase partner J does
-not carry -I: the pairing <x, y> is nonzero only at root sum 0.  When
-neither test finds anything, every item passes, and the count is the one a
-walk would reach: every pair of the table, and (S^2 + sum s^2)/2 grading
-items over root spaces of sizes s, S = sum s.  Otherwise the walk runs and
-its verdict, count and witness stand.
+The pairing table, the root grading and bracket antisymmetry are decided on
+their factors, and walked item by item only to name a failure.
+<X_aI, X_bJ> = -g_ab eta_IJ is the zero row unless eta(I) names J with a
+nonzero phase, so the table's T-T part is symmetric exactly when it is on
+those mode pairs, read in both orders for every base pair (a, b); the D/k
+tail is read as it is.  A grading item [u, v] fails only through a nonzero
+entry of rho_I rho_J whose eigenvalue is not I's plus J's, or through a
+central term off (0, 0), which needs a mode I of nonzero eigenvalue whose
+nonzero-phase partner J does not carry -I: the pairing <x, y> is nonzero
+only at root sum 0.  A T-T row is built by
+[X_aI, X_bJ] = -f_ab^c c_IJ^K X_cK - g_ab omega_j(I, J) k_j, so it is minus
+its transpose when the integer row of f_ba is that of f_ab negated (no
+f_aa^c), g_ab = g_ba, the stored products of I, J in both orders are equal,
+and each in-cutoff partner pair names each other with cocycle factors
+I(j) phase_I + J(j) phase_J = 0 (Kac, *Infinite-dimensional Lie algebras*,
+ch. 7); a D-T row reads one eigenvalue in both orders, and the D-D, k and
+D-k rows are zero.  When these tests find nothing, every item passes, and
+the count is the one a walk would reach: every pair of the table,
+(S^2 + sum s^2)/2 grading items over root spaces of sizes s, S = sum s, and
+n(n+1)/2 antisymmetry pairs over the n generator ids, with no row built.
+Otherwise the walk runs and its verdict, count and witness stand.
 """
 
 from __future__ import annotations
@@ -83,7 +91,7 @@ from .quadrature import (
     numeric_product_coefficient,
 )
 from .report import CheckFailed, CheckResult, VerificationReport, checking
-from .scalars import SURD_ONE, SURD_ZERO, SurdScalar, contract
+from .scalars import SURD_ONE, SURD_ZERO, SurdScalar, contract, int_row
 from .serialize import bracket_table
 from .wigner import cache_size
 
@@ -237,10 +245,23 @@ def _scaled(scale: int):
 
 def _eigen_ints(ms: ModeSystem) -> tuple:
     """``(scaled, eig)``: eigenvalue vectors as int tuples over the lcm of the table's and
-    the rule's denominators, ``eig[K]`` memoised for mode K, so label sums are int ones."""
-    dens = (v.denominator for e in ms.eigen_table.values() for v in e)
-    scaled = _scaled(lcm(ms.geometry.eigen_den, *dens))
-    return scaled, _Memo(lambda K: scaled(ms.eigen(K)))
+    the rule's denominators, ``eig[K]`` memoised for mode K, so label sums are int ones.
+
+    Only the table's labels are converted per call: a mode the table lacks takes the rule's
+    labels from ``ModeSystem.rule_eigen``, which keeps them across calls.
+    """
+    table, den = ms.eigen_table, ms.geometry.eigen_den
+    scale = lcm(den, *(v.denominator for e in table.values() for v in e))
+    scaled, factor = _scaled(scale), scale // den
+
+    def label(K) -> tuple:
+        stored = table.get(K)
+        if stored is not None:
+            return scaled(stored)
+        rule = ms.rule_eigen(K)
+        return rule if factor == 1 else tuple(n * factor for n in rule)
+
+    return scaled, _Memo(label)
 
 
 def eigen_additivity_check(ms: ModeSystem) -> CheckResult:
@@ -370,17 +391,69 @@ def jacobi_check_gkm(
 
 
 def antisymmetry_check(alg: GKMAlgebra) -> CheckResult:
+    """[X_x, X_y] = -[X_y, X_x] for every generator id pair x <= y, on the bracket rows.
+
+    The rows are decided on their factors first: by the formula they are built
+    by, a T-T row is minus its transpose when f is antisymmetric, g symmetric,
+    the mode product commutative and the cocycle antisymmetric, and the D-T,
+    D-D, k and D-k rows are so by construction.  When
+    :func:`_antisymmetry_decided` finds all of that, every pair passes and is
+    counted without building a row; anything else runs
+    :func:`_antisymmetry_walk`, whose count and witness are the reference.
+    """
     with checking("bracket_antisymmetry") as result:
-        row = _columns(alg)
-        pairs = itertools.combinations_with_replacement(alg.generator_ids(), 2)
-        for x, y in result.tally("pairs", pairs):
-            # rows are in lowest terms with unique keys: [x, y] = -[y, x] term by term
-            (den, terms), (rden, rterms) = row[y](x), row[x](y)
-            negated = {(w, d): -n for w, d, n in terms}
-            if den != rden or negated != {(w, d): n for w, d, n in rterms}:
-                gens = (alg.generator_of(x), alg.generator_of(y))
-                raise CheckFailed({"generators": [repr(g) for g in gens]})
+        if _antisymmetry_decided(alg):
+            n = len(alg.generator_ids())
+            result.details["pairs"] = n * (n + 1) // 2
+        else:
+            _antisymmetry_walk(alg, result)
     return result
+
+
+def _antisymmetry_decided(alg: GKMAlgebra) -> bool:
+    """Whether every row ``GKMAlgebra._bracket_gens`` builds is minus its transpose, read on
+    the tables it builds them from: for every base pair (a, b), the integer row of f_ba^c is
+    that of f_ab^c negated over the same denominator (so no f_aa^c) and g_ab = g_ba; every
+    stored in-cutoff product has an equal stored transpose; and every in-cutoff mode I whose
+    eta partner J is in the cutoff is J's partner, with I(j) phase_I + J(j) phase_J = 0."""
+    base, ms = alg.base, alg.modes
+    dims = range(1, base.dim + 1)
+    for a in dims:
+        for b in dims[a - 1 :]:
+            fden, fterms = int_row(base.structure(a, b).items())
+            rden, rterms = int_row(base.structure(b, a).items())
+            negated = {(c, d): -n for c, d, n in fterms}
+            if rden != fden or negated != {(c, d): n for c, d, n in rterms}:
+                return False
+            if base.killing_entry(a, b) != base.killing_entry(b, a):
+                return False
+    products = ms.products
+    for p, I in enumerate(ms.modes):
+        for J in ms.modes[p:]:
+            forward = products.get((I, J))
+            if forward is None or forward != products.get((J, I)):
+                return False
+    eig, modes = _eigen_ints(ms)[1], set(ms.modes)
+    for I in ms.modes:
+        J, phase = ms.eta(I)
+        if J in modes:
+            back, back_phase = ms.eta(J)
+            if back != I or any(x * phase + y * back_phase for x, y in zip(eig[I], eig[J])):
+                return False
+    return True
+
+
+def _antisymmetry_walk(alg: GKMAlgebra, result: CheckResult) -> None:
+    """Compare every generator id pair's two rows in order, tallied into ``result``."""
+    row = _columns(alg)
+    pairs = itertools.combinations_with_replacement(alg.generator_ids(), 2)
+    for x, y in result.tally("pairs", pairs):
+        # rows are in lowest terms with unique keys: [x, y] = -[y, x] term by term
+        (den, terms), (rden, rterms) = row[y](x), row[x](y)
+        negated = {(w, d): -n for w, d, n in terms}
+        if den != rden or negated != {(w, d): n for w, d, n in rterms}:
+            gens = (alg.generator_of(x), alg.generator_of(y))
+            raise CheckFailed({"generators": [repr(g) for g in gens]})
 
 
 def bracket_table_check(alg: GKMAlgebra) -> CheckResult:

@@ -617,6 +617,21 @@ def test_grading_does_fraction_arithmetic_per_distinct_base_pair_only(monkeypatc
     assert small_check == large_check == 0
 
 
+def test_eigen_labels_follow_an_edit_of_the_table_between_checks():
+    # the rule's labels of out-of-cutoff modes are kept on the mode system across calls; an
+    # edited table label, even one of a new denominator, is read afresh by the next call
+    ms = build_algebra("su2", "s3", 1, charges=[1, 1]).modes
+    reached = {K for table in ms.products.values() for K in table} | set(ms.modes)
+    assert reached - set(ms.modes)
+    for label in (None, (Fraction(1, 3), Fraction(1, 2)), (Fraction(-5, 6), Fraction(0))):
+        if label is not None:
+            ms.eigen_table[(1, 1, 1)] = label
+        scaled, eig = verify._eigen_ints(ms)
+        assert all(eig[K] == scaled(ms.eigen(K)) for K in reached)
+        assert eig[1, 1, 1] == scaled(label or (Fraction(1, 2), Fraction(1, 2)))
+    assert ms._rule_eigen
+
+
 COMPLEX_SURD_OPERATORS = [
     "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__neg__"
 ]
@@ -801,6 +816,67 @@ def test_antisymmetry_tampers_keep_their_verdicts_counts_and_witnesses(tamper, p
     result = antisymmetry_check(alg)
     assert (result.passed, result.details["pairs"]) == (witness is None, pairs)
     assert result.witness == (None if witness is None else {"generators": witness})
+
+
+def _f_diagonal(alg):  # f_22^3 = 1, which no ordering can negate
+    alg.base.f[(2, 2)] = {3: SURD_ONE}
+
+
+def _g_one_ordering(alg):  # g_12 = 1 with g_21 left at 0
+    g = [list(row) for row in alg.base.g]
+    g[0][1] = SURD_ONE
+    alg.base = dataclasses.replace(alg.base, g=tuple(map(tuple, g)))
+
+
+# a tamper of each factor the antisymmetry check is decided on, on su2/s2/c2 -> the pairs
+# checked and the witness: each tamper is left to the walk, whose result they are
+ANTISYMMETRY_FACTOR_PINS = {
+    "f12 one ordering": (
+        lambda alg: alg.base.f[(1, 2)].__setitem__(3, alg.base.f[(1, 2)][3] + 1),
+        10,
+        [T(1, (0, 0)), T(2, (0, 0))],
+    ),
+    # the numerators still negate each other, over denominators 1 and 2
+    "f21 halved": (
+        lambda alg: alg.base.f[(2, 1)].__setitem__(3, SurdScalar.rational(Fraction(-1, 2))),
+        10,
+        [T(1, (0, 0)), T(2, (0, 0))],
+    ),
+    "f22 diagonal": (_f_diagonal, 226, [T(2, (0, 0)), T(2, (0, 0))]),
+    "g12 one ordering": (_g_one_ordering, 41, [T(1, (1, -1)), T(2, (1, 1))]),
+    "eta not involutive": (
+        _set("eta_table", (1, 1), ((2, -1), -1)), 32, [T(1, (1, -1)), T(1, (1, 1))]
+    ),
+    "eigen": (TAMPERS["eigen"], 32, [T(1, (1, -1)), T(1, (1, 1))]),
+}
+
+
+@pytest.mark.parametrize("tamper", list(ANTISYMMETRY_FACTOR_PINS))
+def test_a_factor_tamper_is_walked_to_the_same_verdict_count_and_witness(tamper):
+    edit, pairs, witness = ANTISYMMETRY_FACTOR_PINS[tamper]
+    alg = build_algebra("su2", "s2", 2, charges=[1])
+    edit(alg)
+    assert not verify._antisymmetry_decided(alg)
+    result = antisymmetry_check(alg)
+    assert (result.passed, result.details["pairs"]) == (False, pairs)
+    assert result.witness == {"generators": witness}
+
+
+@pytest.mark.parametrize("base,manifold,cutoff", [("su2", "s3", 2), ("su3", "s2", 1)])
+def test_a_passing_antisymmetry_check_builds_no_row_and_does_no_fraction_arithmetic(
+    monkeypatch, base, manifold, cutoff
+):
+    alg = build_algebra(base, manifold, cutoff, charges=[1] * parse_manifold(manifold).r)
+
+    def forbidden(*args):
+        raise AssertionError("a bracket row built or Fraction arithmetic done")
+
+    monkeypatch.setattr(GKMAlgebra, "_bracket_gens", forbidden)
+    for name in FRACTION_OPERATORS:
+        monkeypatch.setattr(Fraction, name, forbidden)
+    result = antisymmetry_check(alg)
+    n = len(alg.generator_ids())
+    assert result.passed and result.details["pairs"] == n * (n + 1) // 2
 
 
 def test_generator_checks_read_only_the_bracket_rows(monkeypatch):

@@ -23,8 +23,10 @@ from gkmalg.scalars import SurdScalar
 from gkmalg.serialize import DumpFormatError, dump_algebra, load_algebra, save_algebra
 from gkmalg.verify import (
     SUITES,
+    _antisymmetry_walk,
     _grading_walk,
     _killing_table_walk,
+    antisymmetry_check,
     base_tables_check,
     bracket_table_check,
     grading_check,
@@ -760,13 +762,14 @@ def test_exhaustive_invariance_equals_every_triple_summed(dense_invariance):
 @pytest.mark.parametrize(
     "base,manifold", [("su2", "s2"), ("su3", "s2"), ("su2", "t2"), ("su2", "s3")]
 )
-def test_pairing_table_and_grading_decide_as_their_walks(walked, base, manifold):
-    """Deciding from the factors changes no verdict, count or witness of either check."""
+def test_pairing_table_grading_and_antisymmetry_decide_as_their_walks(walked, base, manifold):
+    """Deciding from the factors changes no verdict, count or witness of any of the three checks."""
     failures = 0
     for path, alg in _loaded_mutations(manifold, base):
         for name, check, walk in (
             ("killing_table", killing_table_check, _killing_table_walk),
             ("grading", grading_check, _grading_walk),
+            ("bracket_antisymmetry", antisymmetry_check, _antisymmetry_walk),
         ):
             result, reference = check(alg), walked(name, walk, alg)
             assert (result.passed, result.details, result.witness) == (

@@ -22,6 +22,7 @@ from workloads import WORKLOADS  # noqa: E402
 from gkmalg.algebra import GKMAlgebra, build_algebra  # noqa: E402
 from gkmalg.modes import parse_manifold  # noqa: E402
 from gkmalg.verify import (  # noqa: E402
+    antisymmetry_check,
     grading_check,
     jacobi_check_gkm,
     killing_table_check,
@@ -57,11 +58,21 @@ def test_tracer_sees_every_bracket_row_built():
 
 
 def test_tracer_sees_every_bracket_row_a_full_suite_builds():
-    # sampled Jacobi, out-of-cutoff rows and antisymmetry: every row goes through _bracket_gens
+    # sampled Jacobi and out-of-cutoff rows: every row goes through _bracket_gens; a passing
+    # antisymmetry check is decided on its factors and builds none
     with tracer.installed(tracer.Tracer()) as t:
         alg = build_algebra("su2", "s3", 2, charges=[1, 1])
         report = run_suites(alg, "all", budget=500)
-    assert t.summarise()["calls"]["algebra.bracket_gens"] == report.stats["bracket_rows"] == 2748
+    assert t.summarise()["calls"]["algebra.bracket_gens"] == report.stats["bracket_rows"] == 2235
+    # one ordering of a product missing from the table is not decided, so the walk builds
+    # both rows of every generator pair, through _bracket_gens too
+    with tracer.installed(tracer.Tracer()) as t:
+        alg = build_algebra("su2", "s3", 2, charges=[1, 1])
+        del alg.modes.products[(1, -1, -1), (1, 1, 1)]
+        result = antisymmetry_check(alg)
+    rows = sum(map(len, alg._pair_cache.values()))
+    assert result.passed and result.details["pairs"] == 1081
+    assert t.summarise()["calls"]["algebra.bracket_gens"] == rows == 46 * 46
 
 
 def test_tracer_sees_coupling_misses_inside_the_product_rules():
