@@ -43,9 +43,9 @@ class CheckResult:
     def tally(self, key: str, items):
         """Yield ``items``, counting each one into ``details[key]`` as it is checked.
 
-        A check that decides its items without walking them (the pairing
-        table and the grading on a pass) sets ``details[key]`` to the count a
-        walk would reach instead.
+        A check that decides its items without walking them (one derived
+        from the factor checks of its run, on a pass) sets ``details[key]``
+        to the count a walk would reach instead.
         """
         self.details[key] = 0
         for item in items:

@@ -299,10 +299,10 @@ class SurdScalar:
         return self * SurdScalar._raw({d: Fraction(1, 1) / (q * d)})
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, SurdScalar):  # tested first: Fraction's test goes through abc
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = SurdScalar.rational(other)
-        if not isinstance(other, SurdScalar):
-            return NotImplemented
         return self._terms == other._terms
 
     def __hash__(self):

@@ -48,27 +48,41 @@ generator's candidate partners from the support rule of
 evaluates only the triples that meet one, in population order, and reports
 the count an in-order pass over every triple would give.
 
-The pairing table, the root grading and bracket antisymmetry are decided on
-their factors, and walked item by item only to name a failure.
-<X_aI, X_bJ> = -g_ab eta_IJ is the zero row unless eta(I) names J with a
-nonzero phase, so the table's T-T part is symmetric exactly when it is on
-those mode pairs, read in both orders for every base pair (a, b); the D/k
-tail is read as it is.  A grading item [u, v] fails only through a nonzero
-entry of rho_I rho_J whose eigenvalue is not I's plus J's, or through a
-central term off (0, 0), which needs a mode I of nonzero eigenvalue whose
-nonzero-phase partner J does not carry -I: the pairing <x, y> is nonzero
-only at root sum 0.  A T-T row is built by
-[X_aI, X_bJ] = -f_ab^c c_IJ^K X_cK - g_ab omega_j(I, J) k_j, so it is minus
-its transpose when the integer row of f_ba is that of f_ab negated (no
-f_aa^c), g_ab = g_ba, the stored products of I, J in both orders are equal,
-and each in-cutoff partner pair names each other with cocycle factors
-I(j) phase_I + J(j) phase_J = 0 (Kac, *Infinite-dimensional Lie algebras*,
-ch. 7); a D-T row reads one eigenvalue in both orders, and the D-D, k and
-D-k rows are zero.  When these tests find nothing, every item passes, and
-the count is the one a walk would reach: every pair of the table,
-(S^2 + sum s^2)/2 grading items over root spaces of sizes s, S = sum s, and
-n(n+1)/2 antisymmetry pairs over the n generator ids, with no row built.
-Otherwise the walk runs and its verdict, count and witness stand.
+Five checks are derived from the factor checks of the same run, which
+:func:`run_suites` runs first while keeping the report order (Kac,
+*Infinite-dimensional Lie algebras*, ch. 7).  Eta phases are ints, so with
+``eta_involution`` each in-cutoff partner pair names each other with one
+phase, +1 or -1, and with ``cocycle_antisymmetry`` their eigenvalues cancel.
+
+- ``jacobi_finite[name]`` and ``killing_consistency`` follow from
+  ``base_tables``: the stored f and g are the named tables, which the tests
+  prove antisymmetric, Jacobi and with g the trace form of f.
+- ``killing_table`` follows from ``base_tables`` and ``eta_involution``:
+  <X_aI, X_bJ> = -g_ab eta_IJ is the zero row unless eta(I) names J with a
+  nonzero phase, g is symmetric and a partner pair shares its phase, so the
+  T-T part is symmetric.  The D/k tail is the form's definition in the code,
+  and is still read, 6r^2 pairs.
+- ``grading`` follows from ``eigen_additivity``, ``cocycle_antisymmetry`` and
+  ``eta_involution``: an item fails only through a nonzero entry of
+  rho_I rho_J whose eigenvalue is not I's plus J's, or through a central term
+  off (0, 0), which needs a partner pair of nonzero phase whose eigenvalues
+  do not cancel (the pairing <x, y> is nonzero only at root sum 0).
+- ``bracket_antisymmetry`` follows from ``base_tables``,
+  ``product_commutativity`` and ``cocycle_antisymmetry``: a T-T row is
+  [X_aI, X_bJ] = -f_ab^c c_IJ^K X_cK - g_ab omega_j(I, J) k_j, so it is minus
+  its transpose when f is antisymmetric, g symmetric, the stored products of
+  I, J equal in both orders and omega antisymmetric; a D-T row reads one
+  eigenvalue in both orders, and the D-D, k and D-k rows are zero.
+
+When its factors pass, a derived check reports the count a walk would reach
+without reading a table: C(dim, 3) triples, the dim, every pair of the
+pairing table, (S^2 + sum s^2)/2 grading items over root spaces of sizes s,
+S = sum s, and n(n+1)/2 antisymmetry pairs over the n generator ids.
+Otherwise it walks item by item, and the walk's verdict, count and witness
+stand.  :func:`run_suites` hands the factor results to each derived check
+through its private ``_factors`` keyword; called alone, or in a suite
+without its factors, a derived check runs the factor checks it needs
+itself and does not report them.
 """
 
 from __future__ import annotations
@@ -78,7 +92,6 @@ import json
 import random
 from bisect import bisect_right
 from math import comb, isfinite, lcm
-from operator import add
 
 from .algebra import GKMAlgebra, _Memo, build_algebra
 from .liealg import jacobi_check_finite, killing_form, make_algebra
@@ -91,7 +104,7 @@ from .quadrature import (
     numeric_product_coefficient,
 )
 from .report import CheckFailed, CheckResult, VerificationReport, checking
-from .scalars import SURD_ONE, SURD_ZERO, SurdScalar, contract, int_row
+from .scalars import SURD_ONE, SURD_ZERO, SurdScalar, contract
 from .serialize import bracket_table
 from .wigner import cache_size
 
@@ -197,7 +210,7 @@ def _draw(result: CheckResult, key: str, population, sample: str | int, seed: in
 def commutativity_check(ms: ModeSystem) -> CheckResult:
     with checking("product_commutativity") as result:
         for I, J in result.tally("pairs", itertools.combinations(ms.modes, 2)):
-            if ms.products[(I, J)] != ms.products[(J, I)]:
+            if ms.products.get((I, J)) != ms.products.get((J, I)):
                 raise CheckFailed({"modes": [list(I), list(J)]})
     return result
 
@@ -316,11 +329,12 @@ def eta_trace_check(ms: ModeSystem) -> CheckResult:
     cocycle identity follow from associativity and eigenvalue additivity.
     """
     with checking("eta_trace") as result:
+        unit, units = ms.unit, {1: SURD_ONE, -1: -SURD_ONE}  # the phases eta_involution passes
         pairs = itertools.combinations_with_replacement(ms.modes, 2)
         for I, J in result.tally("pairs", pairs):
             partner, phase = ms.eta(I)
-            expected = SurdScalar.rational(phase) if partner == J else SURD_ZERO
-            got = ms.products[(I, J)].get(ms.unit, SURD_ZERO)
+            expected = SURD_ZERO if partner != J else units.get(phase) or SurdScalar.rational(phase)
+            got = ms.products[(I, J)].get(unit, SURD_ZERO)
             if got != expected:
                 values = {"unit_coefficient": str(got), "expected": str(expected)}
                 raise CheckFailed({"modes": [list(I), list(J)], **values})
@@ -390,57 +404,22 @@ def jacobi_check_gkm(
     return result
 
 
-def antisymmetry_check(alg: GKMAlgebra) -> CheckResult:
+def antisymmetry_check(alg: GKMAlgebra, *, _factors: dict | None = None) -> CheckResult:
     """[X_x, X_y] = -[X_y, X_x] for every generator id pair x <= y, on the bracket rows.
 
-    The rows are decided on their factors first: by the formula they are built
-    by, a T-T row is minus its transpose when f is antisymmetric, g symmetric,
-    the mode product commutative and the cocycle antisymmetric, and the D-T,
-    D-D, k and D-k rows are so by construction.  When
-    :func:`_antisymmetry_decided` finds all of that, every pair passes and is
-    counted without building a row; anything else runs
-    :func:`_antisymmetry_walk`, whose count and witness are the reference.
+    Derived from ``base_tables``, ``product_commutativity`` and
+    ``cocycle_antisymmetry`` (see the module docstring): when they pass,
+    every pair is counted without building a row; otherwise
+    :func:`_antisymmetry_walk` gives the verdict, count and witness.
     """
     with checking("bracket_antisymmetry") as result:
-        if _antisymmetry_decided(alg):
+        needs = ("base_tables", "product_commutativity", "cocycle_antisymmetry")
+        if _factors_pass(alg, _factors, *needs):
             n = len(alg.generator_ids())
             result.details["pairs"] = n * (n + 1) // 2
         else:
             _antisymmetry_walk(alg, result)
     return result
-
-
-def _antisymmetry_decided(alg: GKMAlgebra) -> bool:
-    """Whether every row ``GKMAlgebra._bracket_gens`` builds is minus its transpose, read on
-    the tables it builds them from: for every base pair (a, b), the integer row of f_ba^c is
-    that of f_ab^c negated over the same denominator (so no f_aa^c) and g_ab = g_ba; every
-    stored in-cutoff product has an equal stored transpose; and every in-cutoff mode I whose
-    eta partner J is in the cutoff is J's partner, with I(j) phase_I + J(j) phase_J = 0."""
-    base, ms = alg.base, alg.modes
-    dims = range(1, base.dim + 1)
-    for a in dims:
-        for b in dims[a - 1 :]:
-            fden, fterms = int_row(base.structure(a, b).items())
-            rden, rterms = int_row(base.structure(b, a).items())
-            negated = {(c, d): -n for c, d, n in fterms}
-            if rden != fden or negated != {(c, d): n for c, d, n in rterms}:
-                return False
-            if base.killing_entry(a, b) != base.killing_entry(b, a):
-                return False
-    products = ms.products
-    for p, I in enumerate(ms.modes):
-        for J in ms.modes[p:]:
-            forward = products.get((I, J))
-            if forward is None or forward != products.get((J, I)):
-                return False
-    eig, modes = _eigen_ints(ms)[1], set(ms.modes)
-    for I in ms.modes:
-        J, phase = ms.eta(I)
-        if J in modes:
-            back, back_phase = ms.eta(J)
-            if back != I or any(x * phase + y * back_phase for x, y in zip(eig[I], eig[J])):
-                return False
-    return True
 
 
 def _antisymmetry_walk(alg: GKMAlgebra, result: CheckResult) -> None:
@@ -467,15 +446,20 @@ def bracket_table_check(alg: GKMAlgebra) -> CheckResult:
 
 
 def cocycle_antisymmetry_check(alg: GKMAlgebra) -> CheckResult:
-    """omega_j(x, y) + omega_j(y, x) = 0 for all mode pairs and all j."""
+    """omega_j(x, y) + omega_j(y, x) = 0 for all mode pairs and all j.
+
+    Decided on the int eigenvalue labels of :func:`_eigen_ints`; only a
+    witness's values are Fractions.
+    """
     with checking("cocycle_antisymmetry") as result:
         ms = alg.modes
+        eig = _eigen_ints(ms)[1]
         for I, j in result.tally("pairs", itertools.product(ms.modes, range(1, ms.r + 1))):
             J, phase_forward = ms.eta(I)
             back, phase_back = ms.eta(J)
-            forward = ms.eigen(I)[j - 1] * phase_forward
-            backward = ms.eigen(J)[j - 1] * phase_back if back == I else None
-            if backward is None or forward + backward != 0:
+            if back != I or eig[I][j - 1] * phase_forward + eig[J][j - 1] * phase_back:
+                forward = ms.eigen(I)[j - 1] * phase_forward
+                backward = ms.eigen(J)[j - 1] * phase_back if back == I else None
                 raise CheckFailed(
                     {
                         "operator": j,
@@ -510,16 +494,18 @@ def invariance_check(
     """
     with checking("invariance") as result:
         row, form = _columns(alg), alg.form_row
-        # into[z] maps w to <w, z> and out_of[y] maps w to <y, w>; a hit runs no Python code
-        into = _Memo(lambda z: _Memo(lambda w: form(w, z)).__getitem__)
-        out_of = _Memo(lambda y: _Memo(lambda w: form(y, w)).__getitem__)
-
         population = Combinations(alg.generator_ids(), 2, repeats=True, lead=True)
         triples = _draw(result, "triples", population, sample, seed)
         exhaustive = result.regime == "exhaustive"
-        if exhaustive:
+        # into[z] maps w to <w, z> and out_of[y] maps w to <y, w>
+        if exhaustive:  # memoised per target: a hit runs no Python code
             result.details["triples"] = len(population)
             triples = _form_candidates(alg, population.items)
+            into = _Memo(lambda z: _Memo(lambda w: form(w, z)).__getitem__)
+            out_of = _Memo(lambda y: _Memo(lambda w: form(y, w)).__getitem__)
+        else:  # a drawn triple seldom meets a pair again, so the form rows are read as they are
+            into = _Memo(lambda z: lambda w: form(w, z))
+            out_of = _Memo(lambda y: lambda w: form(y, w))
         for ids in triples:
             x, y, z = ids
             acc: dict = {}
@@ -571,28 +557,32 @@ def _form_candidates(alg: GKMAlgebra, ids: list):
         yield from sorted(found)
 
 
-def killing_consistency_check(alg: GKMAlgebra) -> CheckResult:
+def killing_consistency_check(alg: GKMAlgebra, *, _factors: dict | None = None) -> CheckResult:
     """Stored base metric must equal the trace form of the stored f, exactly.
 
     A uniformly rescaled f still satisfies Jacobi and even leaves a scalar
     metric invariant, so this f-vs-g consistency check is what pins the
-    normalisation a dump claims.
+    normalisation a dump claims.  Derived from ``base_tables`` (see the
+    module docstring); :func:`_killing_consistency_walk` runs when it fails.
     """
     with checking("killing_consistency") as result:
-        base = alg.base
-        recomputed = killing_form(base.f, base.dim)
-        for a in range(base.dim):
-            for b in range(base.dim):
-                if recomputed[a][b] != base.g[a][b]:
-                    raise CheckFailed(
-                        {
-                            "indices": [a + 1, b + 1],
-                            "stored": str(base.g[a][b]),
-                            "recomputed": str(recomputed[a][b]),
-                        }
-                    )
-        result.details["dim"] = base.dim
+        if _factors_pass(alg, _factors, "base_tables"):
+            result.details["dim"] = alg.base.dim
+        else:
+            _killing_consistency_walk(alg, result)
     return result
+
+
+def _killing_consistency_walk(alg: GKMAlgebra, result: CheckResult) -> None:
+    """Compare every entry of the stored g with the trace form of the stored f, in order."""
+    base = alg.base
+    recomputed = killing_form(base.f, base.dim)
+    for a in range(base.dim):
+        for b in range(base.dim):
+            if recomputed[a][b] != base.g[a][b]:
+                values = {"stored": str(base.g[a][b]), "recomputed": str(recomputed[a][b])}
+                raise CheckFailed({"indices": [a + 1, b + 1], **values})
+    result.details["dim"] = base.dim
 
 
 def _killing_tail(alg: GKMAlgebra):
@@ -613,43 +603,25 @@ def _killing_expected(alg: GKMAlgebra, i: int, j: int):
     return (1, ((None, 1, 1),) if delta else ())
 
 
-def killing_table_check(alg: GKMAlgebra) -> CheckResult:
+def killing_table_check(alg: GKMAlgebra, *, _factors: dict | None = None) -> CheckResult:
     """The generator pairing table: <T,T> symmetric, <D,k> = delta, D/k else 0.
 
     Checked on the form rows that invariance reads, where an eta whose
     partners or phases disagree between I and J shows up as an asymmetric form.
-    The table is decided on its factors first: <X_aI, X_bJ> is ``ZERO_ROW``
-    unless eta(I) names J with a nonzero phase, so only those mode pairs are
-    compared, in both orders, for every base pair (a, b), then the D/k tail.
-    A pass counts every pair of the table without walking it; anything else
-    runs :func:`_killing_table_walk`, whose count and witness are the reference.
+    Derived from ``base_tables`` and ``eta_involution`` (see the module
+    docstring): when they pass and the 6r^2 pairs of the D/k tail, which the
+    code defines and no dump stores, read as defined, every pair is counted
+    without reading a T-T row; otherwise :func:`_killing_table_walk` gives
+    the verdict, count and witness.
     """
     with checking("killing_table") as result:
-        if _killing_table_decided(alg):
+        tail = (alg.form_row(i, j) == _killing_expected(alg, i, j) for i, j in _killing_tail(alg))
+        if _factors_pass(alg, _factors, "base_tables", "eta_involution") and all(tail):
             m, r = len(alg.modes.modes), alg.r
             result.details["pairs"] = (alg.base.dim * m) ** 2 + 6 * r * r
         else:
             _killing_table_walk(alg, result)
     return result
-
-
-def _killing_table_decided(alg: GKMAlgebra) -> bool:
-    """Whether every pair of the pairing table passes, read on the pairs that can be nonzero."""
-    ms, form = alg.modes, alg.form_row
-    m, dims = len(ms.modes), range(alg.base.dim)
-    position = {I: p for p, I in enumerate(ms.modes)}
-    pairs = set()  # mode positions (p, q), p <= q, with eta of one naming the other
-    for p, I in enumerate(ms.modes):
-        J, phase = ms.eta(I)
-        q = position.get(J)
-        if phase and q is not None:
-            pairs.add((min(p, q), max(p, q)))
-    return all(
-        form(a * m + p, b * m + q) == form(b * m + q, a * m + p)
-        for p, q in pairs
-        for a in dims
-        for b in dims
-    ) and all(form(i, j) == _killing_expected(alg, i, j) for i, j in _killing_tail(alg))
 
 
 def _killing_table_walk(alg: GKMAlgebra, result: CheckResult) -> None:
@@ -701,47 +673,31 @@ def _table_entries(base) -> dict:
     return {key: v for key, v in {**f, **g}.items() if not v.is_zero}
 
 
-def grading_check(alg: GKMAlgebra) -> CheckResult:
+def grading_check(alg: GKMAlgebra, *, _factors: dict | None = None) -> CheckResult:
     """[g_(a,m), g_(b,n)] must land in g_(a+b, m+n); central terms only at 0.
 
     For each bracket of root-space basis elements, every surviving mode must
     carry eigenvalue m+n, and the central part must vanish unless a+b = 0 and
     m+n = 0.  The base factor is the named root system, which
     :func:`base_tables_check` ties to the dump (see :func:`_grading_items`).
-    An item can fail only through a drifting product entry or a partner pair
-    whose eigenvalues do not cancel; when :func:`_grading_decided` finds
-    neither, every item passes and is counted without walking.  Otherwise
-    :func:`_grading_walk` checks each item, and its count and witness stand.
+    Derived from ``eigen_additivity``, ``cocycle_antisymmetry`` and
+    ``eta_involution`` (see the module docstring): when they pass, every item
+    is counted without walking; otherwise :func:`_grading_walk` checks each
+    item, and its count and witness stand.
     """
     with checking("grading") as result:
         if alg.cw is None:
             result.regime = "skipped"
             result.details["note"] = "abelian base: no root grading to check"
             return result
-        if _grading_decided(alg.modes):
+        needs = ("eigen_additivity", "cocycle_antisymmetry", "eta_involution")
+        if _factors_pass(alg, _factors, *needs):
             sizes = [len(basis) for basis in _root_spaces(alg).values()]
             result.details["bracket_pairs"] = (sum(sizes) ** 2 + sum(s * s for s in sizes)) // 2
             result.details["labels"] = len(sizes)
         else:
             _grading_walk(alg, result)
     return result
-
-
-def _grading_decided(ms: ModeSystem) -> bool:
-    """Whether no grading item can carry a witness: every nonzero entry of rho_I rho_J has
-    eigenvalue I's plus J's, and every mode of nonzero eigenvalue with a nonzero-phase
-    partner in the cutoff has the partner's eigenvalue negated."""
-    eig, modes = _eigen_ints(ms)[1], set(ms.modes)
-    for I in ms.modes:
-        for J in ms.modes:
-            target = tuple(map(add, eig[I], eig[J]))
-            for K, c in ms.product(I, J).items():
-                if eig[K] != target and not c.is_zero:
-                    return False
-        J, phase = ms.eta(I)
-        if phase and any(eig[I]) and J in modes and any(map(add, eig[I], eig[J])):
-            return False
-    return True
 
 
 def _grading_walk(alg: GKMAlgebra, result: CheckResult) -> None:
@@ -957,6 +913,37 @@ def oracle_agreement_check(
 SUITES = ("all", "jacobi", "cocycle", "grading", "invariance", "oracle")
 
 
+# The factor checks the derived checks read, by report name (see the module docstring).
+_FACTOR_CHECKS = {
+    "base_tables": base_tables_check,
+    "product_commutativity": lambda alg: commutativity_check(alg.modes),
+    "eigen_additivity": lambda alg: eigen_additivity_check(alg.modes),
+    "eta_involution": lambda alg: eta_involution_check(alg.modes),
+    "cocycle_antisymmetry": cocycle_antisymmetry_check,
+}
+
+
+def _factors_pass(alg: GKMAlgebra, factors: dict | None, *names: str) -> bool:
+    """Whether the factor checks ``names`` pass on ``alg``, in order up to the first failure.
+
+    A result of the same run is read from ``factors``; a check it lacks is
+    run here and not reported.
+    """
+    factors = factors or {}
+    return all((factors.get(n) or _FACTOR_CHECKS[n](alg)).passed for n in names)
+
+
+def _jacobi_finite(alg: GKMAlgebra, factors: dict | None) -> CheckResult:
+    """``jacobi_finite[name]`` of the stored f: derived from ``base_tables`` (see the module
+    docstring), and walked by :func:`jacobi_check_finite` when that fails."""
+    base = alg.base
+    if not _factors_pass(alg, factors, "base_tables"):
+        return jacobi_check_finite(base.f, base.dim, base.name)
+    with checking(f"jacobi_finite[{base.name}]") as result:
+        result.details["triples"] = comb(base.dim, 3)
+    return result
+
+
 def run_suites(
     alg: GKMAlgebra,
     suite: str = "all",
@@ -966,39 +953,46 @@ def run_suites(
 ) -> VerificationReport:
     """Run the selected verification suite(s) against one algebra.
 
-    The oracle draws ``oracle_samples`` quantities, by default the budget
-    every other check draws under.
+    The suite's factor checks run first, and the checks derived from them
+    read their results (see the module docstring); the report keeps the
+    suite's order.  The oracle draws ``oracle_samples`` quantities, by
+    default the budget every other check draws under.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
-    report = VerificationReport()
+    report, ms = VerificationReport(), alg.modes
+    # the suite's factor checks run first; each is reported in its place below
+    names = {"all": _FACTOR_CHECKS, "cocycle": ["cocycle_antisymmetry"], "oracle": []}
+    factors = {n: _FACTOR_CHECKS[n](alg) for n in names.get(suite, ["base_tables"])}
     if suite in ("all", "jacobi"):
-        report.add(jacobi_check_finite(alg.base.f, alg.base.dim, alg.base.name))
+        report.add(_jacobi_finite(alg, factors))
         report.add(jacobi_check_gkm(alg, sample=budget, seed=seed))
     if suite in ("all", "cocycle"):
-        report.add(cocycle_antisymmetry_check(alg))
-        report.extend(alg.modes.hermiticity_check(j) for j in range(1, alg.r + 1))
+        report.add(factors["cocycle_antisymmetry"])
+        report.extend(ms.hermiticity_check(j) for j in range(1, alg.r + 1))
     if suite in ("all", "grading"):
-        report.add(grading_check(alg))
+        report.add(grading_check(alg, _factors=factors))
     if suite in ("all", "invariance"):
-        report.add(killing_consistency_check(alg))
-        report.add(killing_table_check(alg))
+        report.add(killing_consistency_check(alg, _factors=factors))
+        report.add(killing_table_check(alg, _factors=factors))
         report.add(invariance_check(alg, sample=budget, seed=seed))
-    if suite in ("all", "jacobi", "grading", "invariance"):
-        report.add(base_tables_check(alg))
+    if "base_tables" in factors:
+        report.add(factors["base_tables"])
     if suite == "all":
-        report.add(antisymmetry_check(alg))
+        report.add(antisymmetry_check(alg, _factors=factors))
         if alg.stored_brackets is not None:
             report.add(bracket_table_check(alg))
-        report.extend(mode_axiom_checks(alg.modes, budget=budget, seed=seed))
-        if isinstance(alg.modes.geometry, TorusGeometry) and alg.r >= 2:
+        associativity = associativity_check(ms, budget=budget, seed=seed)
+        axioms = [factors["product_commutativity"], associativity, factors["eigen_additivity"]]
+        report.extend([*axioms, unit_check(ms), factors["eta_involution"], eta_trace_check(ms)])
+        if isinstance(ms.geometry, TorusGeometry) and alg.r >= 2:
             report.add(torus_hierarchy_check(alg))
     if suite in ("all", "oracle"):
         samples = budget if oracle_samples is None else oracle_samples
         report.add(oracle_agreement_check(alg, samples=samples, seed=seed))
     report.stats = {
         "bracket_rows": sum(map(len, alg._pair_cache.values())),
-        "ext_products": len(alg.modes._ext_products),
+        "ext_products": len(ms._ext_products),
         "wigner_cache": cache_size(),
     }
     return report

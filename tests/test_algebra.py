@@ -34,6 +34,7 @@ from gkmalg.verify import (
     associativity_check,
     base_tables_check,
     cocycle_antisymmetry_check,
+    commutativity_check,
     eigen_additivity_check,
     grading_check,
     invariance_check,
@@ -657,8 +658,8 @@ def test_a_passing_verify_does_no_complex_surd_arithmetic(monkeypatch, base, man
 def test_passing_checks_decide_the_pairing_table_and_grading_from_their_factors(
     monkeypatch, base, manifold, cutoff
 ):
-    # <X_aI, X_bJ> is read in both orders only where eta pairs I with J, and a grading with
-    # no drift and no uncancelled partner is counted without walking its items
+    # both are derived from factor checks that read the f, g, eta, eigen and product tables:
+    # a pass reads no T-T form row, only the D/k tail the code defines, and walks no item
     r = parse_manifold(manifold).r
     alg = load_algebra(dump_algebra(build_algebra(base, manifold, cutoff, charges=[1] * r)))
     dim, m = alg.base.dim, len(alg.modes.modes)
@@ -667,7 +668,7 @@ def test_passing_checks_decide_the_pairing_table_and_grading_from_their_factors(
     monkeypatch.setattr(verify, "_grading_items", lambda *a: pytest.fail("grading walked"))
     killing, grading = killing_table_check(alg), grading_check(alg)
     assert killing.passed and killing.details["pairs"] == (dim * m) ** 2 + 6 * r * r
-    assert 0 < len(calls) <= 2 * dim * dim * m + 6 * r * r
+    assert len(calls) == 6 * r * r
     assert grading.passed and grading.details["bracket_pairs"] > 0
 
 
@@ -856,10 +857,59 @@ def test_a_factor_tamper_is_walked_to_the_same_verdict_count_and_witness(tamper)
     edit, pairs, witness = ANTISYMMETRY_FACTOR_PINS[tamper]
     alg = build_algebra("su2", "s2", 2, charges=[1])
     edit(alg)
-    assert not verify._antisymmetry_decided(alg)
+    # a factor of the derivation fails, so the check walks
+    factors = (base_tables_check(alg), commutativity_check(alg.modes))
+    assert not all(check.passed for check in (*factors, cocycle_antisymmetry_check(alg)))
     result = antisymmetry_check(alg)
     assert (result.passed, result.details["pairs"]) == (False, pairs)
     assert result.witness == {"generators": witness}
+
+
+# in-memory tampers of the factor tables, each failing a factor check some derived check needs
+FACTOR_TAMPERS = {
+    **{name: edit for name, (edit, _, _) in ANTISYMMETRY_FACTOR_PINS.items()},
+    # eta_involution passes, cocycle_antisymmetry fails: I(j) phase + I(j) phase != 0
+    "eta self-partnered": lambda alg: alg.modes.eta_table.update(
+        {(1, 1): ((1, 1), 1), (1, -1): ((1, -1), 1)}
+    ),
+    # cocycle_antisymmetry passes on partners of equal eigenvalue and opposite phases, and
+    # eta_involution fails
+    "eta phases opposed": lambda alg: alg.modes.eta_table.update(
+        {
+            (1, 1): ((2, 1), 1),
+            (2, 1): ((1, 1), -1),
+            (1, -1): ((2, -1), 1),
+            (2, -1): ((1, -1), -1),
+        }
+    ),
+}
+
+
+@pytest.mark.parametrize("tamper", list(FACTOR_TAMPERS))
+def test_a_factor_tamper_leaves_each_derived_check_to_its_walk(tamper, derived_and_walked):
+    alg = build_algebra("su2", "s2", 2, charges=[1])
+    FACTOR_TAMPERS[tamper](alg)
+    report = {c.name: c for c in run_suites(alg, "all", budget=50, oracle_samples=5).checks}
+    walks_failed = 0
+    for name, (alone, reference) in derived_and_walked(alg).items():
+        expected = (reference.passed, reference.details, reference.witness)
+        for result in (alone, report[name]):
+            assert (result.passed, result.details, result.witness) == expected, name
+        walks_failed += not reference.passed
+    assert walks_failed
+
+
+@pytest.mark.parametrize("tamper", ["eta", "dk_pairing"])
+def test_sampled_invariance_equals_the_drawn_triples_summed(tamper, dense_invariance):
+    # both tampers make the form asymmetric, so a sampled check must read <w, z> and <y, w>
+    # in that order, as the exhaustive check does
+    alg = build_algebra("su2", "s2", 2, charges=[1])
+    TAMPERS[tamper](alg)
+    population = Combinations(alg.generator_ids(), 2, repeats=True, lead=True)
+    result = invariance_check(alg, sample=3000, seed=5)
+    assert result.regime == "sampled" and not result.passed
+    drawn = sample_items(population, 3000, 5)
+    assert (result.passed, result.details, result.witness) == dense_invariance(alg, drawn)
 
 
 @pytest.mark.parametrize("base,manifold,cutoff", [("su2", "s3", 2), ("su3", "s2", 1)])

@@ -23,16 +23,10 @@ from gkmalg.scalars import SurdScalar
 from gkmalg.serialize import DumpFormatError, dump_algebra, load_algebra, save_algebra
 from gkmalg.verify import (
     SUITES,
-    _antisymmetry_walk,
-    _grading_walk,
-    _killing_table_walk,
-    antisymmetry_check,
+    _killing_consistency_walk,
     base_tables_check,
     bracket_table_check,
-    grading_check,
     invariance_check,
-    killing_consistency_check,
-    killing_table_check,
     run_suites,
     torus_hierarchy_check,
 )
@@ -762,26 +756,26 @@ def test_exhaustive_invariance_equals_every_triple_summed(dense_invariance):
 @pytest.mark.parametrize(
     "base,manifold", [("su2", "s2"), ("su3", "s2"), ("su2", "t2"), ("su2", "s3")]
 )
-def test_pairing_table_grading_and_antisymmetry_decide_as_their_walks(walked, base, manifold):
-    """Deciding from the factors changes no verdict, count or witness of any of the three checks."""
+def test_pairing_table_grading_and_antisymmetry_decide_as_their_walks(
+    derived_and_walked, base, manifold
+):
+    """Deriving a check from its factors changes no verdict, count or witness of it, whether
+    it is called alone or reported by a full suite that ran the factors first."""
     failures = 0
     for path, alg in _loaded_mutations(manifold, base):
-        for name, check, walk in (
-            ("killing_table", killing_table_check, _killing_table_walk),
-            ("grading", grading_check, _grading_walk),
-            ("bracket_antisymmetry", antisymmetry_check, _antisymmetry_walk),
-        ):
-            result, reference = check(alg), walked(name, walk, alg)
-            assert (result.passed, result.details, result.witness) == (
-                reference.passed, reference.details, reference.witness
-            ), (name, path)
+        report = {c.name: c for c in run_suites(alg, "all", budget=20, oracle_samples=5).checks}
+        for name, (alone, reference) in derived_and_walked(alg).items():
+            expected = (reference.passed, reference.details, reference.witness)
+            for result in (alone, report[name]):
+                assert (result.passed, result.details, result.witness) == expected, (name, path)
             failures += not reference.passed
     assert failures > 0
 
 
-def test_no_base_block_mutation_fails_the_finite_checks_alone():
+def test_no_base_block_mutation_fails_the_finite_checks_alone(walked):
     # the loader takes a known name and base_tables compares the stored f and g with its
-    # proven tables, so jacobi_finite and killing_consistency add a witness but no catch
+    # proven tables, so the walks of jacobi_finite and killing_consistency, which the two
+    # derived checks run only when base_tables fails, add a witness but no catch
     loaded, alone = 0, []
     for manifold in ("s2", "t2"):
         for path, alg in _loaded_mutations(manifold):
@@ -790,7 +784,7 @@ def test_no_base_block_mutation_fails_the_finite_checks_alone():
             loaded += 1
             finite = (
                 jacobi_check_finite(alg.base.f, alg.base.dim, alg.base.name),
-                killing_consistency_check(alg),
+                walked("killing_consistency", _killing_consistency_walk, alg),
             )
             if base_tables_check(alg).passed and not all(check.passed for check in finite):
                 alone.append(path)
@@ -1044,6 +1038,35 @@ def test_run_suites_rejects_an_unknown_suite():
     with pytest.raises(ValueError, match="unknown suite 'bogus'") as info:
         run_suites(alg, "bogus")
     assert str(SUITES) in str(info.value)
+
+
+# each suite's report order, "jacobi_finite" standing for "jacobi_finite[<base name>]", on a
+# t2 dump that carries its bracket table: the factor checks run first, but report in place
+SUITE_ORDER = {
+    "all": [
+        "jacobi_finite", "jacobi_gkm", "cocycle_antisymmetry", "hermiticity_D1", "hermiticity_D2",
+        "grading", "killing_consistency", "killing_table", "invariance", "base_tables",
+        "bracket_antisymmetry", "bracket_table", "product_commutativity", "product_associativity",
+        "eigen_additivity", "unit_mode", "eta_involution", "eta_trace", "torus_hierarchy_2to1",
+        "oracle_agreement",
+    ],
+    "jacobi": ["jacobi_finite", "jacobi_gkm", "base_tables"],
+    "cocycle": ["cocycle_antisymmetry", "hermiticity_D1", "hermiticity_D2"],
+    "grading": ["grading", "base_tables"],
+    "invariance": ["killing_consistency", "killing_table", "invariance", "base_tables"],
+    "oracle": ["oracle_agreement"],
+}
+
+
+@pytest.mark.parametrize("base", ["su2", "su3", "u1", "u1^2", "u1^3"])
+def test_every_suite_keeps_its_report_order(base):
+    assert set(SUITE_ORDER) == set(SUITES)
+    built = build_algebra(base, "t2", 1, charges=[1, 1])
+    alg = load_algebra(dump_algebra(built, include_brackets=True))
+    for suite, order in SUITE_ORDER.items():
+        names = [c.name for c in run_suites(alg, suite, budget=50, oracle_samples=20).checks]
+        expected = [f"jacobi_finite[{base}]" if n == "jacobi_finite" else n for n in order]
+        assert names == expected, suite
 
 
 def test_wigner_cli(capsys):

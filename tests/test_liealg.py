@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -105,6 +106,17 @@ def test_killing_ad_invariance():
                 y, alg.bracket_vectors(x, z)
             )
             assert total.is_zero, (name, a, b, c)
+
+
+@pytest.mark.parametrize("name", ["su2", "su3", "u1", "u1^2", "u1^3"])
+def test_each_loadable_name_has_the_tables_its_derived_checks_rest_on(name):
+    # verify derives jacobi_finite, killing_consistency and the symmetry of g that
+    # bracket_antisymmetry reads from base_tables, that is from these tables
+    alg = make_algebra(name)
+    result = jacobi_check_finite(alg.f, alg.dim, name)
+    assert result.passed and result.details == {"triples": comb(alg.dim, 3)}
+    assert killing_form(alg.f, alg.dim) == alg.g
+    assert all(alg.g[a][b] == alg.g[b][a] for a in range(alg.dim) for b in range(alg.dim))
 
 
 def test_jacobi_check_passes_and_fails():
