@@ -6,26 +6,22 @@ The body counts the distinct items it checks into ``details`` under one of
 ``report.ITEM_KEYS`` and fails by raising :class:`CheckFailed` with a witness:
 the offending generator ids or mode labels and the nonzero value.  Checks read
 the materialised tables of the algebra under test, not the generating rules
-(the torus hierarchy rebuilds only the smaller torus it embeds; grading's base
-factor is the named root system, see below), so a tampered dump is diagnosed
-here rather than at parse time.
+(the torus hierarchy rebuilds only the smaller torus it embeds), so a tampered
+dump is diagnosed here rather than at parse time.
 
-Jacobi, invariance, antisymmetry, the pairing table and the torus hierarchy
-are evaluated exactly on the X-basis bracket and form rows of
+Jacobi, invariance, the torus hierarchy and the pairing table's D/k tail are
+evaluated exactly on the X-basis bracket and form rows of
 :mod:`gkmalg.algebra`, and associativity on the mode-product rows of
 ``ModeSystem.product_row``.  Rows are integer numerators over one
 denominator, and every sum is :func:`gkmalg.scalars.contract` into an int
 accumulator over a running common denominator.  Canonical rows compare as
 tuples, and two sums over different denominators compare cross-multiplied.
-The root grading is decided on the factors the T-T rows are built from: a
-base part read off the named root system, whose f and g ``base_tables``
-requires the dump to store, and a mode part from the product, eta and
-eigenvalue tables.  Grading and eigenvalue additivity add and compare root
-and eigenvalue labels as int tuples over one denominator each
-(:func:`_eigen_ints`).  So a passing item of these checks does no Fraction
-arithmetic.  A failure's witness is read off the same sum or labels, and
-only then is a Fraction built: a sum's first nonzero component becomes a
-T-basis value by ``GKMAlgebra._t_value``.
+Eigenvalue additivity and cocycle antisymmetry add and compare eigenvalue
+labels as int tuples over one denominator (:func:`_eigen_ints`).  So a
+passing item of these checks does no Fraction arithmetic.  A failure's
+witness is read off the same sum or labels, and only then is a Fraction
+built: a sum's first nonzero component becomes a T-basis value by
+``GKMAlgebra._t_value``.
 A bracket table a dump carries is compared entry by entry with the one read
 off the same rows.  A cached row costs one dict lookup: each check reads
 rows through the column getters of :meth:`GKMAlgebra.bracket_column`, and
@@ -74,15 +70,19 @@ phase, +1 or -1, and with ``cocycle_antisymmetry`` their eigenvalues cancel.
   I, J equal in both orders and omega antisymmetric; a D-T row reads one
   eigenvalue in both orders, and the D-D, k and D-k rows are zero.
 
-When its factors pass, a derived check reports the count a walk would reach
-without reading a table: C(dim, 3) triples, the dim, every pair of the
-pairing table, (S^2 + sum s^2)/2 grading items over root spaces of sizes s,
-S = sum s, and n(n+1)/2 antisymmetry pairs over the n generator ids.
-Otherwise it walks item by item, and the walk's verdict, count and witness
-stand.  :func:`run_suites` hands the factor results to each derived check
-through its private ``_factors`` keyword; called alone, or in a suite
-without its factors, a derived check runs the factor checks it needs
-itself and does not report them.
+The table :data:`_DERIVED` names each derived check's factors, in the order
+they are read, and one helper, :func:`_derived`, runs every derived check.
+When its factors pass, a derived check reports the count a walk over its
+items would reach, without reading a table: C(dim, 3) triples, the dim,
+every pair of the pairing table, (S^2 + sum s^2)/2 grading items over root
+spaces of sizes s, S = sum s, and n(n+1)/2 antisymmetry pairs over the n
+generator ids.  When a factor fails, the derived check fails at once, reads
+no item and builds no bracket row; its witness is ``{"factor": ...,
+"witness": ...}``, the first failing factor in table order and that
+factor's own witness.  :func:`run_suites` hands the factor results to each
+derived check through its private ``_factors`` keyword; called alone, or in
+a suite without its factors, a derived check runs the factor checks it
+needs itself and does not report them.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ from bisect import bisect_right
 from math import comb, isfinite, lcm
 
 from .algebra import GKMAlgebra, _Memo, build_algebra
-from .liealg import jacobi_check_finite, killing_form, make_algebra
+from .liealg import make_algebra
 from .modes import ModeSystem, TorusGeometry
 from .quadrature import (
     make_grid,
@@ -405,34 +405,9 @@ def jacobi_check_gkm(
 
 
 def antisymmetry_check(alg: GKMAlgebra, *, _factors: dict | None = None) -> CheckResult:
-    """[X_x, X_y] = -[X_y, X_x] for every generator id pair x <= y, on the bracket rows.
-
-    Derived from ``base_tables``, ``product_commutativity`` and
-    ``cocycle_antisymmetry`` (see the module docstring): when they pass,
-    every pair is counted without building a row; otherwise
-    :func:`_antisymmetry_walk` gives the verdict, count and witness.
-    """
-    with checking("bracket_antisymmetry") as result:
-        needs = ("base_tables", "product_commutativity", "cocycle_antisymmetry")
-        if _factors_pass(alg, _factors, *needs):
-            n = len(alg.generator_ids())
-            result.details["pairs"] = n * (n + 1) // 2
-        else:
-            _antisymmetry_walk(alg, result)
-    return result
-
-
-def _antisymmetry_walk(alg: GKMAlgebra, result: CheckResult) -> None:
-    """Compare every generator id pair's two rows in order, tallied into ``result``."""
-    row = _columns(alg)
-    pairs = itertools.combinations_with_replacement(alg.generator_ids(), 2)
-    for x, y in result.tally("pairs", pairs):
-        # rows are in lowest terms with unique keys: [x, y] = -[y, x] term by term
-        (den, terms), (rden, rterms) = row[y](x), row[x](y)
-        negated = {(w, d): -n for w, d, n in terms}
-        if den != rden or negated != {(w, d): n for w, d, n in rterms}:
-            gens = (alg.generator_of(x), alg.generator_of(y))
-            raise CheckFailed({"generators": [repr(g) for g in gens]})
+    """[X_x, X_y] = -[X_y, X_x] for every generator id pair x <= y, derived from the factor
+    checks of :data:`_DERIVED` (see the module docstring); no bracket row is built."""
+    return _derived("bracket_antisymmetry", alg, _factors)
 
 
 def bracket_table_check(alg: GKMAlgebra) -> CheckResult:
@@ -563,26 +538,9 @@ def killing_consistency_check(alg: GKMAlgebra, *, _factors: dict | None = None) 
     A uniformly rescaled f still satisfies Jacobi and even leaves a scalar
     metric invariant, so this f-vs-g consistency check is what pins the
     normalisation a dump claims.  Derived from ``base_tables`` (see the
-    module docstring); :func:`_killing_consistency_walk` runs when it fails.
+    module docstring).
     """
-    with checking("killing_consistency") as result:
-        if _factors_pass(alg, _factors, "base_tables"):
-            result.details["dim"] = alg.base.dim
-        else:
-            _killing_consistency_walk(alg, result)
-    return result
-
-
-def _killing_consistency_walk(alg: GKMAlgebra, result: CheckResult) -> None:
-    """Compare every entry of the stored g with the trace form of the stored f, in order."""
-    base = alg.base
-    recomputed = killing_form(base.f, base.dim)
-    for a in range(base.dim):
-        for b in range(base.dim):
-            if recomputed[a][b] != base.g[a][b]:
-                values = {"stored": str(base.g[a][b]), "recomputed": str(recomputed[a][b])}
-                raise CheckFailed({"indices": [a + 1, b + 1], **values})
-    result.details["dim"] = base.dim
+    return _derived("killing_consistency", alg, _factors)
 
 
 def _killing_tail(alg: GKMAlgebra):
@@ -595,10 +553,8 @@ def _killing_tail(alg: GKMAlgebra):
 
 
 def _killing_expected(alg: GKMAlgebra, i: int, j: int):
-    """The row <X_i, X_j> must equal: <X_j, X_i> for a T, delta_ij on D_i, k_j, else 0."""
+    """The row <X_i, X_j> of a tail pair must equal: delta_ij on D_i, k_j, else 0."""
     p, q = alg.generator_of(i), alg.generator_of(j)
-    if p[0] == "T":
-        return alg.form_row(j, i)
     delta = {p[0], q[0]} == {"D", "k"} and p[1] == q[1]
     return (1, ((None, 1, 1),) if delta else ())
 
@@ -606,32 +562,22 @@ def _killing_expected(alg: GKMAlgebra, i: int, j: int):
 def killing_table_check(alg: GKMAlgebra, *, _factors: dict | None = None) -> CheckResult:
     """The generator pairing table: <T,T> symmetric, <D,k> = delta, D/k else 0.
 
-    Checked on the form rows that invariance reads, where an eta whose
-    partners or phases disagree between I and J shows up as an asymmetric form.
     Derived from ``base_tables`` and ``eta_involution`` (see the module
-    docstring): when they pass and the 6r^2 pairs of the D/k tail, which the
-    code defines and no dump stores, read as defined, every pair is counted
-    without reading a T-T row; otherwise :func:`_killing_table_walk` gives
-    the verdict, count and witness.
+    docstring); on a pass the 6r^2 pairs of the D/k tail, which the code
+    defines and no dump stores, are still read (:func:`_killing_table_count`).
     """
-    with checking("killing_table") as result:
-        tail = (alg.form_row(i, j) == _killing_expected(alg, i, j) for i, j in _killing_tail(alg))
-        if _factors_pass(alg, _factors, "base_tables", "eta_involution") and all(tail):
-            m, r = len(alg.modes.modes), alg.r
-            result.details["pairs"] = (alg.base.dim * m) ** 2 + 6 * r * r
-        else:
-            _killing_table_walk(alg, result)
-    return result
+    return _derived("killing_table", alg, _factors)
 
 
-def _killing_table_walk(alg: GKMAlgebra, result: CheckResult) -> None:
-    """Check every generator id pair of the pairing table in order, tallied into ``result``."""
-    m, dims = len(alg.modes.modes), range(alg.base.dim)
-    tt = (
-        (a * m + I, b * m + J)
-        for a, b, I, J in itertools.product(dims, dims, range(m), range(m))
-    )
-    for i, j in result.tally("pairs", itertools.chain(tt, _killing_tail(alg))):
+def _killing_table_count(alg: GKMAlgebra, details: dict) -> None:
+    """Count the (dim M)^2 T-T pairs, then read each pair of the D/k tail on its form row.
+
+    A tail pair that is not as defined fails the check, counted at its place
+    after every T-T pair.
+    """
+    details["pairs"] = (alg.base.dim * len(alg.modes.modes)) ** 2
+    for i, j in _killing_tail(alg):
+        details["pairs"] += 1
         got, expected = alg.form_row(i, j), _killing_expected(alg, i, j)
         if got != expected:
             value, wanted = (
@@ -676,39 +622,16 @@ def _table_entries(base) -> dict:
 def grading_check(alg: GKMAlgebra, *, _factors: dict | None = None) -> CheckResult:
     """[g_(a,m), g_(b,n)] must land in g_(a+b, m+n); central terms only at 0.
 
-    For each bracket of root-space basis elements, every surviving mode must
-    carry eigenvalue m+n, and the central part must vanish unless a+b = 0 and
-    m+n = 0.  The base factor is the named root system, which
-    :func:`base_tables_check` ties to the dump (see :func:`_grading_items`).
     Derived from ``eigen_additivity``, ``cocycle_antisymmetry`` and
-    ``eta_involution`` (see the module docstring): when they pass, every item
-    is counted without walking; otherwise :func:`_grading_walk` checks each
-    item, and its count and witness stand.
+    ``eta_involution`` (see the module docstring); skipped on an abelian base,
+    which has no root grading.
     """
-    with checking("grading") as result:
-        if alg.cw is None:
+    if alg.cw is None:
+        with checking("grading") as result:
             result.regime = "skipped"
             result.details["note"] = "abelian base: no root grading to check"
-            return result
-        needs = ("eigen_additivity", "cocycle_antisymmetry", "eta_involution")
-        if _factors_pass(alg, _factors, *needs):
-            sizes = [len(basis) for basis in _root_spaces(alg).values()]
-            result.details["bracket_pairs"] = (sum(sizes) ** 2 + sum(s * s for s in sizes)) // 2
-            result.details["labels"] = len(sizes)
-        else:
-            _grading_walk(alg, result)
-    return result
-
-
-def _grading_walk(alg: GKMAlgebra, result: CheckResult) -> None:
-    """Check every item of :func:`_grading_items` in order, tallied into ``result``."""
-    spaces = _root_spaces(alg)
-    for alpha, m, beta, n, witness in result.tally("bracket_pairs", _grading_items(alg, spaces)):
-        if witness is not None:
-            labels = {"alpha": alpha, "m": m, "beta": beta, "n": n}
-            witness.update({key: [str(x) for x in v] for key, v in labels.items()})
-            raise CheckFailed(witness)
-    result.details["labels"] = len(spaces)
+        return result
+    return _derived("grading", alg, _factors)
 
 
 def _root_spaces(alg: GKMAlgebra) -> dict:
@@ -717,63 +640,12 @@ def _root_spaces(alg: GKMAlgebra) -> dict:
     return {(a, n): list(alg._root_basis(a, by_eigen[n])) for a, n in alg.root_space_labels()}
 
 
-def _mode_part(ms: ModeSystem, I, J, eig: _Memo) -> tuple:
-    """``(drift, j)`` for modes I, J: the first nonzero K of rho_I rho_J whose int eigenvalues
-    ``eig`` are not I's plus J's, and the first j whose cocycle factor omega_j(rho_I, rho_J) =
-    I(j) eta_IJ is nonzero; each None where there is none."""
-    target = tuple(a + b for a, b in zip(eig[I], eig[J]))
-    products = ms.product(I, J).items()
-    drift = next((K for K, c in products if not c.is_zero and eig[K] != target), None)
-    partner, phase = ms.eta(I)
-    js = (j for j in range(1, ms.r + 1) if partner == J and phase and eig[I][j - 1])
-    return drift, next(js, None)
-
-
-def _grading_items(alg: GKMAlgebra, spaces: dict):
-    """Every grading item ``(alpha, m, beta, n, witness)`` in check order.
-
-    One item per basis element u of g_(alpha,m) and v of g_(beta,n), over label
-    pairs in ``combinations_with_replacement`` order; ``witness`` is None when
-    [u, v] lies in g_(alpha+beta, m+n).  For u = x (x) rho_I, v = y (x) rho_J,
-    [u, v] = sum_K c_IJ^K [x, y] (x) rho_K + <x, y> eta_IJ sum_j I(j) k_j, the
-    formula the T-T rows are built by.  The base factor is the root grading of
-    the named algebra (Humphreys, *Introduction to Lie Algebras*, 8.1-8.2; the
-    tests prove it on the Cartan-Weyl data): [x, y] lies in g_(alpha+beta), and
-    is nonzero exactly when alpha+beta is a root or 0 (two roots), when b_k != 0
-    (H^k and a root b, in either order), never (H^k and H^l); <x, y> is 1 for
-    two roots at alpha+beta = 0, sum_gamma gamma_k gamma_l for H^k and H^l,
-    else 0.  The mode part is read once per (I, J), and labels are int tuples.
-    A central term off (0, 0) is reported first, as <x, y> omega_j of the first
-    such k_j; otherwise the first mode K of a nonzero [x, y] (x) rho_K that drifts.
-    """
-    ms, cw, modes = alg.modes, alg.cw, {}
-    scaled, eig = _eigen_ints(ms)
-    roots = _scaled(lcm(*(v.denominator for alpha in cw.roots for v in alpha)))
-    closed = {roots(alpha) for alpha in cw.roots} | {(0,) * cw.rank}
-    trace = [[sum(g[k] * g[l] for g in cw.roots) for l in range(cw.rank)] for k in range(cw.rank)]
-    labels = [(*label, roots(label[0]), scaled(label[1]), basis) for label, basis in spaces.items()]
-    pairs = itertools.combinations_with_replacement(labels, 2)
-    for (alpha, m, ia, im, us), (beta, n, ib, in_, vs) in pairs:
-        root = tuple(a + b for a, b in zip(ia, ib))
-        central_ok = not any(root) and not any(a + b for a, b in zip(im, in_))
-        for k, I in us:
-            for l, J in vs:
-                if k is None and l is None:
-                    bracketed, pairing = root in closed, int(not any(root))
-                elif k is None or l is None:  # [H^k, E_b] = b_k E_b
-                    bracketed, pairing = (ia[l] if k is None else ib[k]) != 0, 0
-                else:
-                    bracketed, pairing = False, trace[k][l]
-                mode = modes.get((I, J))
-                if mode is None:
-                    mode = modes[I, J] = _mode_part(ms, I, J, eig)
-                (drift, j), witness = mode, None
-                if j and pairing and not central_ok:
-                    value = str(pairing * ms.cocycle_pairing(j, I, J))
-                    witness = {"component": repr(("k", j)), "value": value, "kind": "central"}
-                elif bracketed and drift is not None:
-                    witness = {"mode": list(drift), "kind": "eigenvalue drift"}
-                yield alpha, m, beta, n, witness
+def _grading_count(alg: GKMAlgebra, details: dict) -> None:
+    """(S^2 + sum s^2)/2 items over root spaces of sizes s, S = sum s: one per basis element
+    of each space paired with one of the same or a later space, as the spaces are listed."""
+    sizes = [len(basis) for basis in _root_spaces(alg).values()]
+    details["bracket_pairs"] = (sum(sizes) ** 2 + sum(s * s for s in sizes)) // 2
+    details["labels"] = len(sizes)
 
 
 def torus_hierarchy_check(alg: GKMAlgebra, embed_suffix: tuple[int, ...] = (0,)) -> CheckResult:
@@ -923,24 +795,49 @@ _FACTOR_CHECKS = {
 }
 
 
-def _factors_pass(alg: GKMAlgebra, factors: dict | None, *names: str) -> bool:
-    """Whether the factor checks ``names`` pass on ``alg``, in order up to the first failure.
+def _pairs_count(alg: GKMAlgebra, details: dict) -> None:
+    """n(n+1)/2 pairs x <= y over the n generator ids."""
+    n = len(alg.generator_ids())
+    details["pairs"] = n * (n + 1) // 2
 
-    A result of the same run is read from ``factors``; a check it lacks is
-    run here and not reported.
+
+# Each derived check, by report name ("{}" takes the base name) -> the factor checks it
+# follows from, in the order they are read, and the function that fills the details of
+# a pass (see the module docstring).
+_DERIVED = {
+    "jacobi_finite[{}]": (
+        ("base_tables",),
+        lambda alg, details: details.update(triples=comb(alg.base.dim, 3)),
+    ),
+    "killing_consistency": (
+        ("base_tables",),
+        lambda alg, details: details.update(dim=alg.base.dim),
+    ),
+    "killing_table": (("base_tables", "eta_involution"), _killing_table_count),
+    "grading": (("eigen_additivity", "cocycle_antisymmetry", "eta_involution"), _grading_count),
+    "bracket_antisymmetry": (
+        ("base_tables", "product_commutativity", "cocycle_antisymmetry"),
+        _pairs_count,
+    ),
+}
+
+
+def _derived(name: str, alg: GKMAlgebra, factors: dict | None) -> CheckResult:
+    """The derived check ``name`` of :data:`_DERIVED` on ``alg``.
+
+    A factor result of the same run is read from ``factors``; a factor it
+    lacks is run here and not reported.  The first failing factor, in table
+    order, fails the check with the witness ``{"factor": its name, "witness":
+    its witness}``; when every factor passes, the details of a pass are filled in.
     """
+    needs, count = _DERIVED[name]
     factors = factors or {}
-    return all((factors.get(n) or _FACTOR_CHECKS[n](alg)).passed for n in names)
-
-
-def _jacobi_finite(alg: GKMAlgebra, factors: dict | None) -> CheckResult:
-    """``jacobi_finite[name]`` of the stored f: derived from ``base_tables`` (see the module
-    docstring), and walked by :func:`jacobi_check_finite` when that fails."""
-    base = alg.base
-    if not _factors_pass(alg, factors, "base_tables"):
-        return jacobi_check_finite(base.f, base.dim, base.name)
-    with checking(f"jacobi_finite[{base.name}]") as result:
-        result.details["triples"] = comb(base.dim, 3)
+    with checking(name.format(alg.base.name)) as result:
+        for factor in needs:
+            found = factors.get(factor) or _FACTOR_CHECKS[factor](alg)
+            if not found.passed:
+                raise CheckFailed({"factor": factor, "witness": found.witness})
+        count(alg, result.details)
     return result
 
 
@@ -965,7 +862,7 @@ def run_suites(
     names = {"all": _FACTOR_CHECKS, "cocycle": ["cocycle_antisymmetry"], "oracle": []}
     factors = {n: _FACTOR_CHECKS[n](alg) for n in names.get(suite, ["base_tables"])}
     if suite in ("all", "jacobi"):
-        report.add(_jacobi_finite(alg, factors))
+        report.add(_derived("jacobi_finite[{}]", alg, factors))
         report.add(jacobi_check_gkm(alg, sample=budget, seed=seed))
     if suite in ("all", "cocycle"):
         report.add(factors["cocycle_antisymmetry"])

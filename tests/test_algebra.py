@@ -26,9 +26,9 @@ from gkmalg.scalars import (
 from gkmalg.serialize import dump_algebra, load_algebra
 from gkmalg.verify import (
     Combinations,
+    _DERIVED,
+    _FACTOR_CHECKS,
     _form_candidates,
-    _grading_items,
-    _grading_walk,
     _root_spaces,
     antisymmetry_check,
     associativity_check,
@@ -250,7 +250,7 @@ def test_grading_detects_corrupt_product():
     alg._pair_cache.clear()
     result = grading_check(alg)
     assert not result.passed
-    assert result.witness["kind"] == "eigenvalue drift"
+    assert result.witness["factor"] == "eigen_additivity"
 
 
 def test_cocycle_antisymmetry_and_fault():
@@ -589,9 +589,9 @@ FRACTION_OPERATORS = [
 ]
 
 
-def _grading_fraction_ops(monkeypatch, walked, cutoff):
-    """The Fraction additions, subtractions, products and quotients of one grading check
-    and of its per-item walk, with the walk's item count."""
+@pytest.mark.parametrize("cutoff", [2, 3])
+def test_a_passing_grading_check_does_no_fraction_arithmetic(monkeypatch, reference_walk, cutoff):
+    # decided on the factor checks' int labels, with the count of the walk over every item
     alg = build_algebra("su2", "s3", cutoff, charges=[1, 1])
     calls = []
     with monkeypatch.context() as patch:
@@ -599,23 +599,9 @@ def _grading_fraction_ops(monkeypatch, walked, cutoff):
             method = getattr(Fraction, name)
             patch.setattr(Fraction, name, lambda *a, _m=method: calls.append(1) or _m(*a))
         result = grading_check(alg)
-        check_ops = len(calls)
-        walk = walked("grading", _grading_walk, alg)
-    assert result.passed and walk.passed
-    assert result.details == walk.details
-    return walk.details["bracket_pairs"], check_ops, len(calls) - check_ops
-
-
-def test_grading_does_fraction_arithmetic_per_distinct_base_pair_only(monkeypatch, walked):
-    # labels, eigenvalues and cocycle factors are decided on ints; what is left in the walk
-    # is the trace form on the Cartan, summed once over the roots, the same at every cutoff,
-    # and a passing check decides on the mode tables without the walk, so it does none
-    (small, small_check, small_ops), (large, large_check, large_ops) = (
-        _grading_fraction_ops(monkeypatch, walked, c) for c in (2, 3)
-    )
-    assert large > 2 * small
-    assert 0 < small_ops == large_ops
-    assert small_check == large_check == 0
+    assert result.passed and calls == []
+    walk = reference_walk("grading", alg)
+    assert walk.passed and result.details == walk.details
 
 
 def test_eigen_labels_follow_an_edit_of_the_table_between_checks():
@@ -659,13 +645,12 @@ def test_passing_checks_decide_the_pairing_table_and_grading_from_their_factors(
     monkeypatch, base, manifold, cutoff
 ):
     # both are derived from factor checks that read the f, g, eta, eigen and product tables:
-    # a pass reads no T-T form row, only the D/k tail the code defines, and walks no item
+    # a pass reads no T-T form row, only the D/k tail the code defines
     r = parse_manifold(manifold).r
     alg = load_algebra(dump_algebra(build_algebra(base, manifold, cutoff, charges=[1] * r)))
     dim, m = alg.base.dim, len(alg.modes.modes)
     form_row, calls = GKMAlgebra.form_row, []
     monkeypatch.setattr(GKMAlgebra, "form_row", lambda *a: calls.append(1) or form_row(*a))
-    monkeypatch.setattr(verify, "_grading_items", lambda *a: pytest.fail("grading walked"))
     killing, grading = killing_table_check(alg), grading_check(alg)
     assert killing.passed and killing.details["pairs"] == (dim * m) ** 2 + 6 * r * r
     assert len(calls) == 6 * r * r
@@ -778,7 +763,10 @@ def test_a_tamper_below_double_precision_fails_with_the_same_witnesses():
 @pytest.mark.parametrize(
     "tamper,pairs,witness",
     [
-        ("eta", 13, {"pair": [T(1, (1, -1)), T(1, (1, 1))], "value": "-2", "expected": "2"}),
+        # an eta whose partners disagree fails the factor eta_involution, and no pair is read
+        ("eta", None, {"factor": "eta_involution",
+                       "witness": {"mode": [1, -1], "partner": [1, 1], "phases": [-1, 1]}}),
+        # the D/k tail is read when the factors pass: 27^2 T-T pairs, then the first tail pair
         ("dk_pairing", 730, {"pair": ["('D', 1)", "('k', 1)"], "value": "2", "expected": "1"}),
     ],
 )
@@ -786,37 +774,38 @@ def test_killing_table_catches_eta_and_dk_tampers(tamper, pairs, witness):
     alg = build_algebra("su2", "s2", 2, charges=[1])
     TAMPERS[tamper](alg)
     result = killing_table_check(alg)
-    assert (result.passed, result.details["pairs"], result.witness) == (False, pairs, witness)
+    details = {} if pairs is None else {"pairs": pairs}
+    assert (result.passed, result.details, result.witness) == (False, details, witness)
 
 
 # one ordering of an in-cutoff product bumped, the other left alone: (I, J, K, delta)
-# -> bracket_antisymmetry's pairs checked and witness (None: passed) on su2/s2/c2
+# -> the modes of bracket_antisymmetry's failing factor product_commutativity (None:
+# passed, with 435 pairs) on su2/s2/c2
 ANTISYMMETRY_PINS = [
-    (((1, 1), (1, 0), (2, 1), 1), 68, [T(1, (1, 0)), T(2, (1, 1))]),
-    (((1, 1), (1, 0), (2, 1), SurdScalar({1: 1, 2: 1})), 68, [T(1, (1, 0)), T(2, (1, 1))]),
-    (((1, 1), (1, 0), (2, 1), Fraction(1, 2**61 - 1)), 68, [T(1, (1, 0)), T(2, (1, 1))]),
-    (
-        ((2, -1), (1, 1), (1, 0), SurdScalar.sqrt(3, Fraction(1, 7))),
-        96,
-        [T(1, (1, 1)), T(2, (2, -1))],
-    ),
+    (((1, 1), (1, 0), (2, 1), 1), [[1, 0], [1, 1]]),
+    (((1, 1), (1, 0), (2, 1), SurdScalar({1: 1, 2: 1})), [[1, 0], [1, 1]]),
+    (((1, 1), (1, 0), (2, 1), Fraction(1, 2**61 - 1)), [[1, 0], [1, 1]]),
+    (((2, -1), (1, 1), (1, 0), SurdScalar.sqrt(3, Fraction(1, 7))), [[1, 1], [2, -1]]),
     # a square has one ordering, so the bump stays symmetric
-    (((1, 1), (1, 1), (2, 2), 1), 435, None),
+    (((1, 1), (1, 1), (2, 2), 1), None),
 ]
 
 
 @pytest.mark.parametrize(
-    "tamper,pairs,witness",
+    "tamper,modes",
     ANTISYMMETRY_PINS,
     ids=["one", "1+sqrt2", "below-double-precision", "another-pair", "square"],
 )
-def test_antisymmetry_tampers_keep_their_verdicts_counts_and_witnesses(tamper, pairs, witness):
+def test_antisymmetry_tampers_keep_their_verdicts_counts_and_witnesses(tamper, modes):
     I, J, K, delta = tamper
     alg = build_algebra("su2", "s2", 2, charges=[1])
     _bump_product(delta, I, J, K)(alg)
     result = antisymmetry_check(alg)
-    assert (result.passed, result.details["pairs"]) == (witness is None, pairs)
-    assert result.witness == (None if witness is None else {"generators": witness})
+    if modes is None:
+        assert (result.passed, result.details, result.witness) == (True, {"pairs": 435}, None)
+    else:
+        witness = {"factor": "product_commutativity", "witness": {"modes": modes}}
+        assert (result.passed, result.details, result.witness) == (False, {}, witness)
 
 
 def _f_diagonal(alg):  # f_22^3 = 1, which no ordering can negate
@@ -829,40 +818,52 @@ def _g_one_ordering(alg):  # g_12 = 1 with g_21 left at 0
     alg.base = dataclasses.replace(alg.base, g=tuple(map(tuple, g)))
 
 
-# a tamper of each factor the antisymmetry check is decided on, on su2/s2/c2 -> the pairs
-# checked and the witness: each tamper is left to the walk, whose result they are
+# a tamper of each factor the antisymmetry check is decided on, on su2/s2/c2 -> the first
+# factor that fails, in the order of verify._DERIVED, and that factor's witness
 ANTISYMMETRY_FACTOR_PINS = {
     "f12 one ordering": (
         lambda alg: alg.base.f[(1, 2)].__setitem__(3, alg.base.f[(1, 2)][3] + 1),
-        10,
-        [T(1, (0, 0)), T(2, (0, 0))],
+        "base_tables",
+        {"table": "f", "indices": [1, 2, 3], "stored": "2", "expected": "1"},
     ),
     # the numerators still negate each other, over denominators 1 and 2
     "f21 halved": (
         lambda alg: alg.base.f[(2, 1)].__setitem__(3, SurdScalar.rational(Fraction(-1, 2))),
-        10,
-        [T(1, (0, 0)), T(2, (0, 0))],
+        "base_tables",
+        {"table": "f", "indices": [2, 1, 3], "stored": "-1/2", "expected": "-1"},
     ),
-    "f22 diagonal": (_f_diagonal, 226, [T(2, (0, 0)), T(2, (0, 0))]),
-    "g12 one ordering": (_g_one_ordering, 41, [T(1, (1, -1)), T(2, (1, 1))]),
+    "f22 diagonal": (
+        _f_diagonal,
+        "base_tables",
+        {"table": "f", "indices": [2, 2, 3], "stored": "1", "expected": "0"},
+    ),
+    "g12 one ordering": (
+        _g_one_ordering,
+        "base_tables",
+        {"table": "g", "indices": [1, 2], "stored": "1", "expected": "0"},
+    ),
     "eta not involutive": (
-        _set("eta_table", (1, 1), ((2, -1), -1)), 32, [T(1, (1, -1)), T(1, (1, 1))]
+        _set("eta_table", (1, 1), ((2, -1), -1)),
+        "cocycle_antisymmetry",
+        {"operator": 1, "modes": [[1, -1], [1, 1]], "omega_IJ": "1", "omega_JI": "undefined"},
     ),
-    "eigen": (TAMPERS["eigen"], 32, [T(1, (1, -1)), T(1, (1, 1))]),
+    "eigen": (
+        TAMPERS["eigen"],
+        "cocycle_antisymmetry",
+        {"operator": 1, "modes": [[1, -1], [1, 1]], "omega_IJ": "1", "omega_JI": "-2"},
+    ),
 }
 
 
 @pytest.mark.parametrize("tamper", list(ANTISYMMETRY_FACTOR_PINS))
-def test_a_factor_tamper_is_walked_to_the_same_verdict_count_and_witness(tamper):
-    edit, pairs, witness = ANTISYMMETRY_FACTOR_PINS[tamper]
+def test_a_factor_tamper_fails_antisymmetry_on_its_first_failing_factor(monkeypatch, tamper):
+    edit, factor, witness = ANTISYMMETRY_FACTOR_PINS[tamper]
     alg = build_algebra("su2", "s2", 2, charges=[1])
     edit(alg)
-    # a factor of the derivation fails, so the check walks
-    factors = (base_tables_check(alg), commutativity_check(alg.modes))
-    assert not all(check.passed for check in (*factors, cocycle_antisymmetry_check(alg)))
+    monkeypatch.setattr(GKMAlgebra, "_bracket_gens", lambda *a: pytest.fail("a row was built"))
     result = antisymmetry_check(alg)
-    assert (result.passed, result.details["pairs"]) == (False, pairs)
-    assert result.witness == {"generators": witness}
+    assert (result.passed, result.details) == (False, {})
+    assert result.witness == {"factor": factor, "witness": witness}
 
 
 # in-memory tampers of the factor tables, each failing a factor check some derived check needs
@@ -886,19 +887,19 @@ FACTOR_TAMPERS = {
 
 
 @pytest.mark.parametrize("tamper", list(FACTOR_TAMPERS))
-def test_a_factor_tamper_leaves_each_derived_check_to_its_walk(tamper, derived_and_walked):
+def test_a_factor_tamper_fails_each_derived_check_on_its_first_failing_factor(tamper):
     alg = build_algebra("su2", "s2", 2, charges=[1])
     FACTOR_TAMPERS[tamper](alg)
     report = {c.name: c for c in run_suites(alg, "all", budget=50, oracle_samples=5).checks}
-    walks_failed = 0
-    for name, (alone, reference) in derived_and_walked(alg).items():
-        expected = (reference.passed, reference.details, reference.witness)
-        for result in (alone, report[name]):
-            assert (result.passed, result.details, result.witness) == expected, name
-        walks_failed += not reference.passed
-    assert walks_failed
-
-
+    alone = {name: check(alg) for name, check in _FACTOR_CHECKS.items()}
+    derived_failed = 0
+    for name, (factors, _) in _DERIVED.items():
+        failing = [f for f in factors if not alone[f].passed]
+        derived_failed += bool(failing)
+        witness = {"factor": failing[0], "witness": alone[failing[0]].witness} if failing else None
+        for result in (report[name.format("su2")], verify._derived(name, alg, None)):
+            assert (result.passed, result.witness) == (not failing, witness), name
+    assert derived_failed
 @pytest.mark.parametrize("tamper", ["eta", "dk_pairing"])
 def test_sampled_invariance_equals_the_drawn_triples_summed(tamper, dense_invariance):
     # both tampers make the form asymmetric, so a sampled check must read <w, z> and <y, w>
@@ -943,7 +944,7 @@ def test_generator_checks_read_only_the_bracket_rows(monkeypatch):
     report = run_suites(alg, "all")
     assert all(check.passed for check in report.checks)
     result = grading_check(tampered)
-    assert not result.passed and result.witness["kind"] == "central"
+    assert not result.passed and result.witness["factor"] == "cocycle_antisymmetry"
 
 
 @pytest.mark.parametrize(
@@ -982,10 +983,6 @@ def _product_mode(value):
     return lambda alg: alg.modes.products[((1, 0), (1, 0))].__setitem__((1, 1), value)
 
 
-def _labels(alpha, m, beta, n):
-    return {"alpha": alpha, "m": [m], "beta": beta, "n": [n]}
-
-
 GRADING_TAMPERS = {
     "product": _product_mode(SurdScalar.rational(1)),
     "product+(1+sqrt2)": _product_mode(SurdScalar({1: 1, 2: 1})),
@@ -998,49 +995,45 @@ GRADING_TAMPERS = {
 }
 # grading reports the drift of the eigen tamper, and base_tables the f entry
 GRADING_TAMPERS["f13 and eigen"] = lambda alg: [GRADING_TAMPERS[t](alg) for t in ("f13", "eigen")]
-SU2_DRIFT = {"mode": [1, 1], "kind": "eigenvalue drift", **_labels(["-1"], "0", ["1"], "0")}
-SU3_DRIFT = {
-    "mode": [1, 1], "kind": "eigenvalue drift", **_labels(["-1", "0"], "0", ["1/2", "-1"], "0")
-}
-SU2_EIGEN = {"mode": [1, -1], "kind": "eigenvalue drift", **_labels(["-1"], "-2", ["1"], "2")}
-SU3_EIGEN = {
-    "mode": [0, 0], "kind": "eigenvalue drift", **_labels(["-1", "0"], "-1", ["1/2", "-1"], "2")
-}
+# -> grading's item count on a pass, or the first of its factors to fail, in the order of
+# verify._DERIVED: its witness is that factor's own
 GRADING_PINS = [
     ("su2", 2, None, 393, None),
-    ("su2", 2, "product", 111, SU2_DRIFT),
-    ("su2", 2, "product+(1+sqrt2)", 111, SU2_DRIFT),
-    ("su2", 2, "eta", 170, {"component": "('k', 1)", "value": "1", "kind": "central",
-                            **_labels(["-1"], "1", ["1"], "1")}),
-    ("su2", 2, "eigen", 17, SU2_EIGEN),
+    ("su2", 2, "product", None, "eigen_additivity"),
+    ("su2", 2, "product+(1+sqrt2)", None, "eigen_additivity"),
+    ("su2", 2, "eta", None, "cocycle_antisymmetry"),
+    ("su2", 2, "eigen", None, "eigen_additivity"),
     ("su3", 1, None, 542, None),
-    ("su3", 1, "product", 60, SU3_DRIFT),
-    ("su3", 1, "product+(1+sqrt2)", 60, SU3_DRIFT),
-    ("su3", 1, "eta", 115, {"component": "('k', 1)", "value": "1", "kind": "central",
-                            **_labels(["-1", "0"], "1", ["1", "0"], "1")}),
-    ("su3", 1, "eigen", 16, SU3_EIGEN),
-    # grading reads its base factor off the named root system, not the stored f:
-    # an f tamper passes it with the full count and fails base_tables (BASE_TABLES_PINS)
+    ("su3", 1, "product", None, "eigen_additivity"),
+    ("su3", 1, "product+(1+sqrt2)", None, "eigen_additivity"),
+    ("su3", 1, "eta", None, "cocycle_antisymmetry"),
+    ("su3", 1, "eigen", None, "eigen_additivity"),
+    # grading reads none of the base tables: an f tamper passes it with the full count and
+    # fails base_tables (BASE_TABLES_PINS)
     ("su2", 2, "f13", 393, None),
     ("su2", 2, "f12 doubled", 393, None),
-    ("su2", 2, "f13 and eigen", 17, SU2_EIGEN),
+    ("su2", 2, "f13 and eigen", None, "eigen_additivity"),
     ("su3", 1, "f12 doubled", 542, None),
     ("su3", 1, "f12", 542, None),
     ("su3", 1, "f45", 542, None),
-    ("su3", 1, "f13 and eigen", 16, SU3_EIGEN),
+    ("su3", 1, "f13 and eigen", None, "eigen_additivity"),
 ]
-@pytest.mark.parametrize("base,cutoff,tamper,pairs,witness", GRADING_PINS)
+
+
+@pytest.mark.parametrize("base,cutoff,tamper,pairs,factor", GRADING_PINS)
 def test_grading_tampers_keep_their_verdicts_counts_and_witnesses(
-    base, cutoff, tamper, pairs, witness
+    base, cutoff, tamper, pairs, factor
 ):
-    # verdicts, counts and witnesses as computed with T-basis ComplexSurd brackets
     alg = build_algebra(base, "s2", cutoff, charges=[1])
     if tamper is not None:
         GRADING_TAMPERS[tamper](alg)
         alg._pair_cache.clear()
     result = grading_check(alg)
-    assert (result.passed, result.details["bracket_pairs"]) == (witness is None, pairs)
-    assert result.witness == witness
+    if factor is None:
+        assert result.passed and result.details["bracket_pairs"] == pairs
+    else:
+        witness = {"factor": factor, "witness": _FACTOR_CHECKS[factor](alg).witness}
+        assert (result.passed, result.details, result.witness) == (False, {}, witness)
 
 
 BASE_TABLES_PINS = [
@@ -1095,21 +1088,25 @@ def test_base_tables_fails_an_abelian_base_that_is_not_its_name(base, witness):
 
 
 @pytest.mark.parametrize(
-    "tamper",
+    "tamper,factor",
     [
         # [x rho_I, y rho_J] has the central part <x, y> eta_IJ sum_j I(j) k_j: an eta
         # pairing modes of unequal eigenvalue adds nothing when I(j) = 0 or the phase is 0
-        _set("eta_table", (1, 0), ((1, 1), 1)),
-        _set("eta_table", (1, 1), ((1, 1), 0)),
+        (_set("eta_table", (1, 0), ((1, 1), 1)), "cocycle_antisymmetry"),
+        (_set("eta_table", (1, 1), ((1, 1), 0)), "cocycle_antisymmetry"),
         # a product entry stored as zero adds no mode, whatever its eigenvalue
-        _product_mode(SURD_ZERO),
+        (_product_mode(SURD_ZERO), None),
     ],
     ids=["eta to a zero eigenvalue", "eta phase 0", "zero product entry"],
 )
-def test_grading_passes_tampers_that_add_nothing_to_a_bracket(tamper):
+def test_a_tamper_that_adds_nothing_to_a_bracket_fails_grading_only_on_a_factor(
+    reference_walk, tamper, factor
+):
     alg = build_algebra("su2", "s2", 1, charges=[1])
     tamper(alg)
-    assert grading_check(alg).passed
+    assert reference_walk("grading", alg).passed  # every item lands in its root space
+    result = grading_check(alg)
+    assert (result.passed, (result.witness or {}).get("factor")) == (factor is None, factor)
 
 
 # the agreement is between the grading rules and elements built on the named tables,
@@ -1167,7 +1164,7 @@ def _replayed_witness(alg: GKMAlgebra, w: GKMElement, target_root, target_eigen)
         *GRADING_AGREEMENT_TAMPERS,
     ],
 )
-def test_grading_rows_agree_with_elements_on_every_pair(base, manifold, tamper):
+def test_grading_rows_agree_with_elements_on_every_pair(grading_items, base, manifold, tamper):
     alg = build_algebra(base, manifold, 1, charges=[1] * parse_manifold(manifold).r)
     if tamper is not None:
         GRADING_TAMPERS[tamper](alg)
@@ -1189,7 +1186,7 @@ def test_grading_rows_agree_with_elements_on_every_pair(base, manifold, tamper):
         for u, v in itertools.product(us, vs):
             witness = _replayed_witness(alg, alg.bracket(u, v), root, eigen)
             replayed.append((alpha, m, beta, n, witness))
-    items = list(_grading_items(alg, spaces))
+    items = list(grading_items(alg, spaces))
     assert items == replayed
     verdicts = {witness is None for *_, witness in items}
     assert verdicts == ({True} if tamper is None else {True, False})

@@ -1,7 +1,9 @@
 import copy
 import functools
 import io
+import itertools
 import json
+import re
 import shlex
 import tempfile
 import tracemalloc
@@ -16,14 +18,14 @@ from hypothesis import strategies as st
 
 from gkmalg.algebra import build_algebra
 from gkmalg.cli import main
-from gkmalg.liealg import jacobi_check_finite
 from gkmalg.modes import parse_manifold
 from gkmalg.report import VerificationReport
 from gkmalg.scalars import SurdScalar
 from gkmalg.serialize import DumpFormatError, dump_algebra, load_algebra, save_algebra
 from gkmalg.verify import (
+    _DERIVED,
     SUITES,
-    _killing_consistency_walk,
+    _derived,
     base_tables_check,
     bracket_table_check,
     invariance_check,
@@ -719,14 +721,20 @@ COHERENT_TAMPERS = [
 
 
 @pytest.mark.parametrize("base,manifold,a", COHERENT_TAMPERS)
-def test_a_coherent_sign_flip_of_the_base_fails_base_tables(base, manifold, a, tmp_path):
-    # every identity still holds on the flipped tables, so only their identity with the name fails
+def test_a_coherent_sign_flip_of_the_base_fails_base_tables(
+    reference_walk, base, manifold, a, tmp_path
+):
+    # every identity still holds on the flipped tables, so only their identity with the name
+    # fails, and with it the two identity checks derived from it
     alg = build_algebra(base, manifold, 1, charges=[1] * parse_manifold(manifold).r)
     data = dump_algebra(alg)
     _flip_base_vector(data, a)
-    checks = {c.name: c for c in run_suites(load_algebra(data), "all").checks}
-    assert checks[f"jacobi_finite[{base}]"].passed and checks["killing_consistency"].passed
+    flipped = load_algebra(data)
+    checks = {c.name: c for c in run_suites(flipped, "all").checks}
     assert not checks["base_tables"].passed
+    for name in ("jacobi_finite[{}]", "killing_consistency"):
+        assert reference_walk(name, flipped).passed
+        assert checks[name.format(base)].witness["factor"] == "base_tables"
     dump = tmp_path / "flipped.json"
     dump.write_text(json.dumps(data))
     code, failing = _verify(["verify", str(dump), "--suite", "all"])
@@ -754,39 +762,113 @@ def test_exhaustive_invariance_equals_every_triple_summed(dense_invariance):
 
 
 @pytest.mark.parametrize(
-    "base,manifold", [("su2", "s2"), ("su3", "s2"), ("su2", "t2"), ("su2", "s3")]
+    "base,manifold", [("su2", "s2"), ("su2", "t2"), ("su2", "s3"), ("su3", "s2")]
 )
-def test_pairing_table_grading_and_antisymmetry_decide_as_their_walks(
-    derived_and_walked, base, manifold
-):
-    """Deriving a check from its factors changes no verdict, count or witness of it, whether
-    it is called alone or reported by a full suite that ran the factors first."""
-    failures = 0
+def test_a_derived_check_fails_exactly_when_a_factor_fails(reference_walk, base, manifold):
+    """On every loaded mutation, each check of ``_DERIVED`` passes exactly when its factors
+    pass, alone and in a full suite; a failing one names its first failing factor, in table
+    order, and nests that factor's witness; and where every factor passes, the walk over
+    every item passes with the derived check's count."""
+    failed = walked = 0
     for path, alg in _loaded_mutations(manifold, base):
         report = {c.name: c for c in run_suites(alg, "all", budget=20, oracle_samples=5).checks}
-        for name, (alone, reference) in derived_and_walked(alg).items():
-            expected = (reference.passed, reference.details, reference.witness)
-            for result in (alone, report[name]):
+        for name, (needs, _) in _DERIVED.items():
+            failing = [factor for factor in needs if not report[factor].passed]
+            if failing:
+                failed += 1
+                witness = {"factor": failing[0], "witness": report[failing[0]].witness}
+                expected = (False, {}, witness)
+            else:
+                walked += 1
+                walk = reference_walk(name, alg)
+                assert walk.passed, (name, path)
+                expected = (True, walk.details, None)
+            for result in (_derived(name, alg, None), report[name.format(base)]):
                 assert (result.passed, result.details, result.witness) == expected, (name, path)
-            failures += not reference.passed
-    assert failures > 0
+    assert failed and walked
 
 
-def test_no_base_block_mutation_fails_the_finite_checks_alone(walked):
+def _bump_g11(data):
+    """The dump ``data`` with the first term of its base metric entry g_11 raised by one."""
+    record = next(entry for entry in data["base"]["g"] if entry[:2] == [1, 1])[2][0]
+    record["num"] = str(int(record["num"]) + 1)
+    return data
+
+
+@pytest.mark.parametrize("base,manifold,cutoff", [("su3", "s2", 2), ("su2", "s3", 3)])
+def test_a_failing_base_tables_sends_no_derived_check_to_the_bracket_rows(base, manifold, cutoff):
+    # the loader mirrors g, so a bumped g_11 passes every identity; the checks derived from
+    # base_tables fail on it at once and build no row the clean dump's run does not
+    r = parse_manifold(manifold).r
+    data = dump_algebra(build_algebra(base, manifold, cutoff, charges=[1] * r))
+    rows = {}
+    for name, edit in (("clean", lambda d: d), ("g11", _bump_g11)):
+        alg = load_algebra(edit(copy.deepcopy(data)))
+        report = run_suites(alg, "all", budget=1000, oracle_samples=500)
+        rows[name] = report.stats["bracket_rows"]
+    checks = {c.name: c for c in report.checks}
+    derived = (f"jacobi_finite[{base}]", "killing_consistency", "killing_table")
+    for name in (*derived, "bracket_antisymmetry"):
+        assert checks[name].witness["factor"] == "base_tables", name
+    assert rows["g11"] <= rows["clean"]
+
+
+def test_verify_grading_fails_on_a_factor_it_does_not_report(tmp_path):
+    # the unit mode's eta partner moved to (1, -1): every grading item still lands in its root
+    # space, but cocycle_antisymmetry, a factor of grading that --suite grading does not
+    # report, fails, and so does grading, naming it
+    data = copy.deepcopy(_small_dump("s2"))
+    next(entry for entry in data["modes"]["eta"] if entry[0] == [0, 0])[1] = [1, -1]
+    dump = tmp_path / "eta.json"
+    dump.write_text(json.dumps(data))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["verify", str(dump), "--suite", "grading", "--format", "json"])
+    assert code == 3
+
+    def strict(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    report = json.loads(out.getvalue(), parse_constant=strict)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert list(checks) == ["grading", "base_tables"] and checks["base_tables"]["passed"]
+    witness = checks["grading"]["witness"]
+    factor = run_suites(load_algebra(data), "cocycle").checks[0]
+    assert factor.name == "cocycle_antisymmetry" and not factor.passed
+    assert {k: witness[k] for k in ("factor", "witness")} == {
+        "factor": "cocycle_antisymmetry", "witness": factor.witness
+    }
+    replay = shlex.split(witness["replay"])
+    assert replay[:2] == ["gkmalg", "verify"] and "grading" in replay
+    failing = [c for c in report["checks"] if not c["passed"]]
+    without_times = [{k: v for k, v in c.items() if k != "wall_time_s"} for c in failing]
+    assert _verify(replay[1:]) == (3, without_times)
+
+
+def test_the_readme_lists_each_derived_check_with_its_factors():
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8").splitlines()
+    start = lines.index("| derived check | follows from | why |") + 2  # past the rule
+    listed = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+        checks, factors = (re.findall(r"`([^`]+)`", cell) for cell in line.split("|")[1:3])
+        listed.update({check: factors for check in checks})
+    assert listed == {
+        name.replace("{}", "..."): list(needs) for name, (needs, _) in _DERIVED.items()
+    }
+
+
+def test_no_base_block_mutation_fails_the_finite_checks_alone(reference_walk):
     # the loader takes a known name and base_tables compares the stored f and g with its
-    # proven tables, so the walks of jacobi_finite and killing_consistency, which the two
-    # derived checks run only when base_tables fails, add a witness but no catch
+    # proven tables, so the walks of jacobi_finite and killing_consistency, from which the
+    # two checks derived from base_tables are spared, would add no catch
     loaded, alone = 0, []
     for manifold in ("s2", "t2"):
         for path, alg in _loaded_mutations(manifold):
             if path[0] != "base":
                 continue
             loaded += 1
-            finite = (
-                jacobi_check_finite(alg.base.f, alg.base.dim, alg.base.name),
-                walked("killing_consistency", _killing_consistency_walk, alg),
-            )
-            if base_tables_check(alg).passed and not all(check.passed for check in finite):
+            walks = [reference_walk(n, alg) for n in ("jacobi_finite[{}]", "killing_consistency")]
+            if base_tables_check(alg).passed and not all(walk.passed for walk in walks):
                 alone.append(path)
     assert (loaded, alone) == (94, [])
 

@@ -64,15 +64,15 @@ def test_tracer_sees_every_bracket_row_a_full_suite_builds():
         alg = build_algebra("su2", "s3", 2, charges=[1, 1])
         report = run_suites(alg, "all", budget=500)
     assert t.summarise()["calls"]["algebra.bracket_gens"] == report.stats["bracket_rows"] == 2235
-    # one ordering of a product missing from the table is not decided, so the walk builds
-    # both rows of every generator pair, through _bracket_gens too
+    # one ordering of a product missing from the table fails the factor
+    # product_commutativity, so antisymmetry fails on it at once and builds no row
     with tracer.installed(tracer.Tracer()) as t:
         alg = build_algebra("su2", "s3", 2, charges=[1, 1])
         del alg.modes.products[(1, -1, -1), (1, 1, 1)]
         result = antisymmetry_check(alg)
     rows = sum(map(len, alg._pair_cache.values()))
-    assert result.passed and result.details["pairs"] == 1081
-    assert t.summarise()["calls"]["algebra.bracket_gens"] == rows == 46 * 46
+    assert not result.passed and result.witness["factor"] == "product_commutativity"
+    assert t.summarise()["calls"].get("algebra.bracket_gens", 0) == rows == 0
 
 
 def test_tracer_sees_coupling_misses_inside_the_product_rules():
